@@ -1,7 +1,7 @@
 //! Microbenchmarks for the exact-arithmetic substrate.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use prs_core::numeric::{BigUint, Rational};
+use prs_core::numeric::{BigInt, BigUint, Rational};
 use std::hint::black_box;
 
 fn biguint_ops(c: &mut Criterion) {
@@ -47,6 +47,44 @@ fn rational_ops(c: &mut Criterion) {
             |ts| ts.iter().sum::<Rational>(),
             BatchSize::SmallInput,
         )
+    });
+
+    // The audit's operand scale: α-ratios w(Γ(S))/w(S) over weights 1..50,
+    // then the same operations with one numerator just above 2⁶³, which
+    // takes them off the word path onto the limb kernels.
+    let x = Rational::from_ratio(137, 211);
+    let alpha = Rational::from_ratio(89, 173);
+    let above = Rational::new(BigInt::from((1u64 << 63) + 5), BigUint::from(211u32));
+    for (name, y) in [("alpha", &alpha), ("above_2e63", &above)] {
+        g.bench_function(format!("add/{name}"), |bench| {
+            bench.iter(|| black_box(&x) + black_box(y))
+        });
+        g.bench_function(format!("sub/{name}"), |bench| {
+            bench.iter(|| black_box(&x) - black_box(y))
+        });
+        g.bench_function(format!("mul/{name}"), |bench| {
+            bench.iter(|| black_box(&x) * black_box(y))
+        });
+        g.bench_function(format!("div/{name}"), |bench| {
+            bench.iter(|| black_box(&x) / black_box(y))
+        });
+        g.bench_function(format!("cmp/{name}"), |bench| {
+            bench.iter(|| black_box(&x).cmp(black_box(y)))
+        });
+    }
+    g.bench_function("alpha_sum/weights_1_50", |bench| {
+        // Sixteen ratios of weight sums drawn from 1..50, summed.
+        let mut seed = 0x2545_f491u64;
+        let mut weight = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            1 + (seed >> 33) as i64 % 50
+        };
+        let terms: Vec<Rational> = (0..16)
+            .map(|_| Rational::from_ratio(weight() + weight(), weight() + weight() + weight()))
+            .collect();
+        bench.iter(|| black_box(&terms).iter().sum::<Rational>())
     });
     g.finish();
 }

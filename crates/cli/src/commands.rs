@@ -614,7 +614,13 @@ pub fn cmd_swarm(
     }
 
     let max_rounds = rounds.unwrap_or(100_000);
-    let mut swarm = SoaSwarm::new(g);
+    let mut swarm = match SoaSwarm::try_new(g) {
+        Ok(swarm) => swarm,
+        Err(e) => {
+            writeln!(out, "error: {e}")?;
+            return Ok(());
+        }
+    };
     writeln!(
         out,
         "struct-of-arrays swarm: {} agent(s), {} edge(s)",
@@ -697,7 +703,10 @@ pub fn cmd_swarm(
     // a grid of Sybil splits probes the best protocol-level deviation.
     let spread = swarm.fairness_spread();
     if spread.is_nan() {
-        writeln!(out, "fairness spread max/min(Ū_v/w_v): n/a (no live capacity)")?;
+        writeln!(
+            out,
+            "fairness spread max/min(Ū_v/w_v): n/a (no live capacity)"
+        )?;
     } else {
         writeln!(out, "fairness spread max/min(Ū_v/w_v) = {spread:.9}")?;
     }
@@ -740,7 +749,10 @@ pub fn cmd_swarm(
             )?;
         }
         Some((live_g, _)) if !live_g.is_ring() => {
-            writeln!(out, "Sybil probe skipped (surviving topology is not a ring)")?;
+            writeln!(
+                out,
+                "Sybil probe skipped (surviving topology is not a ring)"
+            )?;
         }
         Some((live_g, _)) => {
             writeln!(
@@ -1308,6 +1320,24 @@ mod tests {
     }
 
     #[test]
+    fn swarm_rejects_weights_without_a_usable_f64_capacity() {
+        let huge: Rational = format!("1{}", "0".repeat(400)).parse().unwrap();
+        let g = builders::ring(vec![int(1), int(2), huge.clone()]).unwrap();
+        let out = capture(|w| cmd_swarm(&g, None, None, None, w));
+        assert!(
+            out.contains("error: weight of agent 2 has no finite f64 capacity"),
+            "{out}"
+        );
+        assert!(!out.contains("converged"), "{out}");
+        let g = builders::ring(vec![int(1), int(2), huge.recip()]).unwrap();
+        let out = capture(|w| cmd_swarm(&g, Some(6), None, None, w));
+        assert!(
+            out.contains("error: positive weight of agent 2 underflows"),
+            "{out}"
+        );
+    }
+
+    #[test]
     fn swarm_churn_script_applies_events_between_rounds() {
         let script = "# join a newcomer on arc (0,2), then retire agent 1\n\
                       {\"op\":\"join\",\"capacity\":2,\"peers\":[0,2],\"round\":3}\n\
@@ -1315,7 +1345,10 @@ mod tests {
         let out = capture(|w| cmd_swarm(&ring(), None, None, Some(script), w));
         assert!(out.contains("event 2 @ round 3: join"), "{out}");
         assert!(out.contains("joined as agent 5"), "{out}");
-        assert!(out.contains("event 3 @ round 5: leave(agent 1) → left"), "{out}");
+        assert!(
+            out.contains("event 3 @ round 5: leave(agent 1) → left"),
+            "{out}"
+        );
         assert!(out.contains("converged = true"), "{out}");
         assert!(out.contains("5 live agent(s)"), "{out}");
         // The surviving topology is a 5-ring again, so both cross-checks run.
@@ -1325,15 +1358,19 @@ mod tests {
 
     #[test]
     fn swarm_rejects_malformed_churn_lines() {
-        let out = capture(|w| {
-            cmd_swarm(&ring(), None, None, Some("{\"op\":\"frobnicate\"}"), w)
-        });
+        let out = capture(|w| cmd_swarm(&ring(), None, None, Some("{\"op\":\"frobnicate\"}"), w));
         assert!(
             out.contains("error: script line 1: unknown op `frobnicate`"),
             "{out}"
         );
         let out = capture(|w| {
-            cmd_swarm(&ring(), None, None, Some("{\"op\":\"join\",\"peers\":[0]}"), w)
+            cmd_swarm(
+                &ring(),
+                None,
+                None,
+                Some("{\"op\":\"join\",\"peers\":[0]}"),
+                w,
+            )
         });
         assert!(out.contains("missing field `capacity`"), "{out}");
     }

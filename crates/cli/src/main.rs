@@ -126,14 +126,16 @@ fn run(args: &[String]) -> Result<(), String> {
                 };
                 match flag.as_str() {
                     "--agents" => {
-                        agents = Some(value.parse::<usize>().map_err(|_| {
-                            "--agents must be a non-negative integer".to_string()
-                        })?);
+                        agents =
+                            Some(value.parse::<usize>().map_err(|_| {
+                                "--agents must be a non-negative integer".to_string()
+                            })?);
                     }
                     "--rounds" => {
-                        rounds = Some(value.parse::<usize>().map_err(|_| {
-                            "--rounds must be a non-negative integer".to_string()
-                        })?);
+                        rounds =
+                            Some(value.parse::<usize>().map_err(|_| {
+                                "--rounds must be a non-negative integer".to_string()
+                            })?);
                     }
                     "--churn" => churn_path = Some(value),
                     other => {
@@ -146,9 +148,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 i += 1;
             }
             let churn_text = match &churn_path {
-                Some(p) => Some(
-                    std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?,
-                ),
+                Some(p) => {
+                    Some(std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?)
+                }
                 None => None,
             };
             commands::cmd_swarm(&graph, agents, rounds, churn_text.as_deref(), &mut stdout)

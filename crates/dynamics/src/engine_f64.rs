@@ -59,9 +59,9 @@ impl F64Engine {
         let w = g.weights_f64();
         let topo = CsrTopology::from_graph(g);
         let mut x = vec![0.0; topo.arena_len()];
-        for v in 0..n {
+        for (v, &wv) in w.iter().enumerate() {
             let d = topo.degree(v).max(1) as f64;
-            let even = w[v] / d;
+            let even = wv / d;
             for a in topo.range(v) {
                 x[a] = even;
             }

@@ -1,18 +1,29 @@
 //! Arbitrary-precision unsigned integers.
 //!
 //! Representation: little-endian `u32` limbs with the invariant that the
-//! most significant limb is nonzero (so zero is the empty limb vector).
+//! most significant limb is nonzero (so zero is the empty limb slice).
 //! `u32` limbs keep all intermediate products inside `u64`, which makes the
 //! schoolbook kernels branch-light and easy to audit.
+//!
+//! Storage: a value below 2¹²⁸ keeps its (at most four) limbs inline and
+//! never touches the heap; only a value that needs a fifth limb lives in a
+//! heap vector. The form is a function of the value — inline iff below
+//! 2¹²⁸ — so equality, hashing and ordering see exactly the limb slice
+//! [`BigUint::limbs`] returns. Operations whose operands are all inline run
+//! on `u128`; everything else runs the slice kernels.
 
 // prs-lint: allow-file(cast, reason = "u32-limb kernels: every cast is a deliberate limb split/join with intermediates held in u64/i64, per the representation invariant above")
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Shl, Shr, Sub, SubAssign};
 
 /// Number of bits per limb.
 pub const LIMB_BITS: u32 = 32;
+
+/// Limbs stored inline: every value below 2¹²⁸ lives without a heap buffer.
+const INLINE_LIMBS: usize = 4;
 
 /// Karatsuba multiplication kicks in above this many limbs per operand.
 ///
@@ -20,46 +31,77 @@ pub const LIMB_BITS: u32 = 32;
 /// value was picked with the `numeric` Criterion bench (see prs-bench).
 const KARATSUBA_THRESHOLD: usize = 32;
 
+/// Where the limbs live. Exactly one form per value (see the module docs).
+#[derive(Clone)]
+enum Repr {
+    /// A value below 2¹²⁸: little-endian limbs, zero-padded.
+    Inline([u32; INLINE_LIMBS]),
+    /// A value of at least 2¹²⁸: more than `INLINE_LIMBS` limbs, top nonzero.
+    Heap(Vec<u32>),
+}
+
 /// An arbitrary-precision unsigned integer.
 ///
 /// All arithmetic is exact; operations that would underflow (`sub` with a
 /// larger right-hand side) panic, mirroring the standard library's debug
 /// behaviour for unsigned primitives.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone)]
 pub struct BigUint {
-    /// Little-endian limbs; no trailing (most-significant) zeros.
-    limbs: Vec<u32>,
+    repr: Repr,
+}
+
+#[inline]
+fn split_u128(v: u128) -> [u32; INLINE_LIMBS] {
+    [
+        v as u32,
+        (v >> 32) as u32,
+        (v >> 64) as u32,
+        (v >> 96) as u32,
+    ]
+}
+
+#[inline]
+fn join_u128(l: &[u32; INLINE_LIMBS]) -> u128 {
+    u128::from(l[0]) | u128::from(l[1]) << 32 | u128::from(l[2]) << 64 | u128::from(l[3]) << 96
+}
+
+/// Number of significant limbs of an inline value.
+#[inline]
+fn inline_len(l: &[u32; INLINE_LIMBS]) -> usize {
+    l.iter().rposition(|&x| x != 0).map_or(0, |i| i + 1)
 }
 
 impl BigUint {
     /// The value zero.
     #[inline]
     pub fn zero() -> Self {
-        BigUint { limbs: Vec::new() }
+        BigUint {
+            repr: Repr::Inline([0; INLINE_LIMBS]),
+        }
     }
 
     /// The value one.
     #[inline]
     pub fn one() -> Self {
-        BigUint { limbs: vec![1] }
+        BigUint::from(1u32)
     }
 
     /// True iff `self == 0`.
     #[inline]
     pub fn is_zero(&self) -> bool {
-        self.limbs.is_empty()
+        matches!(self.repr, Repr::Inline([0, 0, 0, 0]))
     }
 
     /// True iff `self == 1`.
     #[inline]
     pub fn is_one(&self) -> bool {
-        self.limbs.len() == 1 && self.limbs[0] == 1
+        matches!(self.repr, Repr::Inline([1, 0, 0, 0]))
     }
 
     /// True iff the value is even (zero counts as even).
     #[inline]
     pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|&l| l & 1 == 0)
+        self.limbs().first().is_none_or(|&l| l & 1 == 0)
     }
 
     /// Construct from raw little-endian limbs (normalizing trailing zeros).
@@ -67,28 +109,61 @@ impl BigUint {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
-        BigUint { limbs }
+        if limbs.len() > INLINE_LIMBS {
+            return BigUint {
+                repr: Repr::Heap(limbs),
+            };
+        }
+        let mut inline = [0; INLINE_LIMBS];
+        inline[..limbs.len()].copy_from_slice(&limbs);
+        BigUint {
+            repr: Repr::Inline(inline),
+        }
     }
 
     /// Borrow the little-endian limbs.
     #[inline]
     pub fn limbs(&self) -> &[u32] {
-        &self.limbs
+        match &self.repr {
+            Repr::Inline(l) => &l[..inline_len(l)],
+            Repr::Heap(v) => v,
+        }
+    }
+
+    /// Move the limbs into a vector for the slice kernels: the heap buffer
+    /// itself when there is one, else a copy with room for one carry limb.
+    fn into_vec(self) -> Vec<u32> {
+        match self.repr {
+            Repr::Inline(l) => {
+                let mut v = Vec::with_capacity(INLINE_LIMBS + 1);
+                v.extend_from_slice(&l[..inline_len(&l)]);
+                v
+            }
+            Repr::Heap(v) => v,
+        }
+    }
+
+    /// [`BigUint::into_vec`] on `self`, leaving zero behind.
+    fn take_vec(&mut self) -> Vec<u32> {
+        std::mem::take(self).into_vec()
     }
 
     /// Number of significant bits (0 for the value zero).
     pub fn bit_len(&self) -> u64 {
-        match self.limbs.last() {
-            None => 0,
-            Some(&hi) => {
-                (self.limbs.len() as u64 - 1) * LIMB_BITS as u64 + (32 - hi.leading_zeros()) as u64
-            }
+        match &self.repr {
+            Repr::Inline(l) => u64::from(128 - join_u128(l).leading_zeros()),
+            Repr::Heap(v) => match v.last() {
+                None => 0,
+                Some(&hi) => {
+                    (v.len() as u64 - 1) * LIMB_BITS as u64 + (32 - hi.leading_zeros()) as u64
+                }
+            },
         }
     }
 
     /// Number of trailing zero bits; `None` for the value zero.
     pub fn trailing_zeros(&self) -> Option<u64> {
-        for (i, &l) in self.limbs.iter().enumerate() {
+        for (i, &l) in self.limbs().iter().enumerate() {
             if l != 0 {
                 return Some(i as u64 * LIMB_BITS as u64 + l.trailing_zeros() as u64);
             }
@@ -99,84 +174,58 @@ impl BigUint {
     /// The value of bit `i` (little-endian bit numbering).
     pub fn bit(&self, i: u64) -> bool {
         let limb = (i / LIMB_BITS as u64) as usize;
-        match self.limbs.get(limb) {
+        match self.limbs().get(limb) {
             None => false,
             Some(&l) => (l >> (i % LIMB_BITS as u64)) & 1 == 1,
         }
     }
 
-    fn normalize(&mut self) {
-        while self.limbs.last() == Some(&0) {
-            self.limbs.pop();
-        }
-    }
-
-    // ---- addition / subtraction kernels -------------------------------
+    // ---- addition / subtraction ----------------------------------------
 
     fn add_assign_ref(&mut self, rhs: &BigUint) {
-        if self.limbs.len() < rhs.limbs.len() {
-            self.limbs.resize(rhs.limbs.len(), 0);
-        }
-        let mut carry = 0u64;
-        for (i, a) in self.limbs.iter_mut().enumerate() {
-            let b = *rhs.limbs.get(i).unwrap_or(&0) as u64;
-            let sum = *a as u64 + b + carry;
-            *a = sum as u32;
-            carry = sum >> LIMB_BITS;
-            if carry == 0 && i >= rhs.limbs.len() {
-                break;
+        if let (Some(a), Some(b)) = (self.to_u128(), rhs.to_u128()) {
+            if let Some(s) = a.checked_add(b) {
+                *self = BigUint::from(s);
+                return;
             }
         }
-        if carry != 0 {
-            self.limbs.push(carry as u32);
-        }
+        let mut limbs = self.take_vec();
+        add_limbs(&mut limbs, rhs.limbs());
+        *self = BigUint::from_limbs(limbs);
     }
 
     /// `self -= rhs`; panics if `rhs > self`.
     fn sub_assign_ref(&mut self, rhs: &BigUint) {
-        assert!(
-            self.limbs.len() >= rhs.limbs.len(),
-            "BigUint subtraction underflow"
-        );
-        let mut borrow = 0i64;
-        for (i, a) in self.limbs.iter_mut().enumerate() {
-            let b = *rhs.limbs.get(i).unwrap_or(&0) as i64;
-            let diff = *a as i64 - b - borrow;
-            if diff < 0 {
-                *a = (diff + (1i64 << LIMB_BITS)) as u32;
-                borrow = 1;
-            } else {
-                *a = diff as u32;
-                borrow = 0;
-            }
-            if borrow == 0 && i >= rhs.limbs.len() {
-                break;
-            }
+        if let (Some(a), Some(b)) = (self.to_u128(), rhs.to_u128()) {
+            assert!(a >= b, "BigUint subtraction underflow");
+            *self = BigUint::from(a - b);
+            return;
         }
-        assert_eq!(borrow, 0, "BigUint subtraction underflow");
-        self.normalize();
+        let mut limbs = self.take_vec();
+        sub_limbs(&mut limbs, rhs.limbs());
+        *self = BigUint::from_limbs(limbs);
     }
 
     // ---- multiplication ------------------------------------------------
 
     /// Multiply by a single limb in place.
     pub fn mul_limb(&mut self, m: u32) {
-        if m == 0 {
-            self.limbs.clear();
+        if let Some(p) = self.to_u128().and_then(|a| a.checked_mul(u128::from(m))) {
+            *self = BigUint::from(p);
             return;
         }
-        if m == 1 || self.is_zero() {
-            return;
-        }
+        // A heap operand, or an inline one whose product needs a fifth limb.
+        let mut limbs = self.take_vec();
         let mut carry = 0u64;
-        for a in self.limbs.iter_mut() {
+        for a in limbs.iter_mut() {
             let prod = *a as u64 * m as u64 + carry;
             *a = prod as u32;
             carry = prod >> LIMB_BITS;
         }
         if carry != 0 {
-            self.limbs.push(carry as u32);
+            limbs.push(carry as u32);
         }
+        *self = BigUint::from_limbs(limbs);
     }
 
     /// Schoolbook product of limb slices into a fresh vector.
@@ -220,38 +269,10 @@ impl BigUint {
         let z2 = &a1 * &b1;
         let z1 = &(&a0 + &a1) * &(&b0 + &b1) - &z0 - &z2;
 
-        let mut out = z0;
-        out.add_shifted(&z1, half);
-        out.add_shifted(&z2, 2 * half);
-        out.limbs
-    }
-
-    /// `self += other << (limb_shift * 32)`.
-    fn add_shifted(&mut self, other: &BigUint, limb_shift: usize) {
-        if other.is_zero() {
-            return;
-        }
-        let needed = other.limbs.len() + limb_shift;
-        if self.limbs.len() < needed {
-            self.limbs.resize(needed, 0);
-        }
-        let mut carry = 0u64;
-        for (i, &o) in other.limbs.iter().enumerate() {
-            let idx = i + limb_shift;
-            let t = self.limbs[idx] as u64 + o as u64 + carry;
-            self.limbs[idx] = t as u32;
-            carry = t >> LIMB_BITS;
-        }
-        let mut k = needed;
-        while carry != 0 {
-            if k == self.limbs.len() {
-                self.limbs.push(0);
-            }
-            let t = self.limbs[k] as u64 + carry;
-            self.limbs[k] = t as u32;
-            carry = t >> LIMB_BITS;
-            k += 1;
-        }
+        let mut out = z0.into_vec();
+        add_shifted(&mut out, z1.limbs(), half);
+        add_shifted(&mut out, z2.limbs(), 2 * half);
+        out
     }
 
     // ---- division ------------------------------------------------------
@@ -259,13 +280,19 @@ impl BigUint {
     /// Divide by a single limb, returning the remainder.
     pub fn div_rem_limb(&mut self, d: u32) -> u32 {
         assert!(d != 0, "division by zero");
+        if let Some(a) = self.to_u128() {
+            let q = a / u128::from(d);
+            *self = BigUint::from(q);
+            return (a - q * u128::from(d)) as u32;
+        }
+        let mut limbs = self.take_vec();
         let mut rem = 0u64;
-        for a in self.limbs.iter_mut().rev() {
+        for a in limbs.iter_mut().rev() {
             let cur = (rem << LIMB_BITS) | *a as u64;
             *a = (cur / d as u64) as u32;
             rem = cur % d as u64;
         }
-        self.normalize();
+        *self = BigUint::from_limbs(limbs);
         rem as u32
     }
 
@@ -275,25 +302,29 @@ impl BigUint {
     /// the trial quotient digit is off by at most two.
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
+        if let (Some(a), Some(d)) = (self.to_u128(), divisor.to_u128()) {
+            let q = a / d;
+            return (BigUint::from(q), BigUint::from(a - q * d));
+        }
         if self < divisor {
             return (BigUint::zero(), self.clone());
         }
-        if divisor.limbs.len() == 1 {
+        if let [d] = divisor.limbs() {
             let mut q = self.clone();
-            let r = q.div_rem_limb(divisor.limbs[0]);
-            return (q, BigUint::from(r as u64));
+            let r = q.div_rem_limb(*d);
+            return (q, BigUint::from(r));
         }
 
         // Normalize: shift so the divisor's top limb has its high bit set.
-        let shift = divisor.limbs.last().unwrap().leading_zeros(); // prs-lint: allow(panic, reason = "divisor is nonzero (checked above), so it has a top limb")
+        let shift = divisor.limbs().last().unwrap().leading_zeros(); // prs-lint: allow(panic, reason = "divisor is nonzero (checked above), so it has a top limb")
         let u = self << shift; // dividend
         let v = divisor << shift; // divisor
-        let n = v.limbs.len();
-        let m = u.limbs.len() - n;
+        let vn = v.limbs();
+        let n = vn.len();
+        let m = u.limbs().len() - n;
 
-        let mut un = u.limbs.clone();
+        let mut un = u.into_vec();
         un.push(0); // u has m+n+1 digits now
-        let vn = &v.limbs;
         let v_hi = vn[n - 1] as u64;
         let v_lo = vn[n - 2] as u64;
 
@@ -368,26 +399,37 @@ impl BigUint {
         acc
     }
 
+    /// `self >>= bits` in place: a heap value reuses its own buffer.
+    pub(crate) fn shr_in_place(&mut self, bits: u32) {
+        if let Some(a) = self.to_u128() {
+            *self = BigUint::from(a.checked_shr(bits).unwrap_or(0));
+            return;
+        }
+        let mut limbs = self.take_vec();
+        let limb_shift = (bits / LIMB_BITS) as usize;
+        if limb_shift >= limbs.len() {
+            return; // `take_vec` left zero behind
+        }
+        limbs.drain(..limb_shift);
+        shr_bits(&mut limbs, bits % LIMB_BITS);
+        *self = BigUint::from_limbs(limbs);
+    }
+
     /// Convert to `u64` if it fits.
     pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u64),
-            2 => Some((self.limbs[1] as u64) << LIMB_BITS | self.limbs[0] as u64),
+        match self.repr {
+            Repr::Inline([lo, hi, 0, 0]) => Some(u64::from(hi) << LIMB_BITS | u64::from(lo)),
             _ => None,
         }
     }
 
-    /// Convert to `u128` if it fits.
+    /// Convert to `u128` if it fits (exactly when the value is inline).
+    #[inline]
     pub fn to_u128(&self) -> Option<u128> {
-        if self.limbs.len() > 4 {
-            return None;
+        match &self.repr {
+            Repr::Inline(l) => Some(join_u128(l)),
+            Repr::Heap(_) => None,
         }
-        let mut v = 0u128;
-        for &l in self.limbs.iter().rev() {
-            v = (v << LIMB_BITS) | l as u128;
-        }
-        Some(v)
     }
 
     // prs-lint: allow(float, panic, reason = "the one sanctioned exact→float bridge: feeds display and the f64 proposer only; to_u64 cannot fail after the bit_len checks")
@@ -404,28 +446,125 @@ impl BigUint {
     }
 }
 
+// ---- slice kernels ----------------------------------------------------------
+
+/// Drop most-significant zero limbs.
+fn trim(limbs: &mut Vec<u32>) {
+    while limbs.last() == Some(&0) {
+        limbs.pop();
+    }
+}
+
+/// `acc += rhs`.
+fn add_limbs(acc: &mut Vec<u32>, rhs: &[u32]) {
+    if acc.len() < rhs.len() {
+        acc.resize(rhs.len(), 0);
+    }
+    let mut carry = 0u64;
+    for (i, a) in acc.iter_mut().enumerate() {
+        let b = *rhs.get(i).unwrap_or(&0) as u64;
+        let sum = *a as u64 + b + carry;
+        *a = sum as u32;
+        carry = sum >> LIMB_BITS;
+        if carry == 0 && i >= rhs.len() {
+            break;
+        }
+    }
+    if carry != 0 {
+        acc.push(carry as u32);
+    }
+}
+
+/// `acc -= rhs`; panics if `rhs > acc`.
+fn sub_limbs(acc: &mut Vec<u32>, rhs: &[u32]) {
+    assert!(acc.len() >= rhs.len(), "BigUint subtraction underflow");
+    let mut borrow = 0i64;
+    for (i, a) in acc.iter_mut().enumerate() {
+        let b = *rhs.get(i).unwrap_or(&0) as i64;
+        let diff = *a as i64 - b - borrow;
+        if diff < 0 {
+            *a = (diff + (1i64 << LIMB_BITS)) as u32;
+            borrow = 1;
+        } else {
+            *a = diff as u32;
+            borrow = 0;
+        }
+        if borrow == 0 && i >= rhs.len() {
+            break;
+        }
+    }
+    assert_eq!(borrow, 0, "BigUint subtraction underflow");
+    trim(acc);
+}
+
+/// `acc += other << (limb_shift * 32)`.
+fn add_shifted(acc: &mut Vec<u32>, other: &[u32], limb_shift: usize) {
+    if other.is_empty() {
+        return;
+    }
+    let needed = other.len() + limb_shift;
+    if acc.len() < needed {
+        acc.resize(needed, 0);
+    }
+    let mut carry = 0u64;
+    for (i, &o) in other.iter().enumerate() {
+        let idx = i + limb_shift;
+        let t = acc[idx] as u64 + o as u64 + carry;
+        acc[idx] = t as u32;
+        carry = t >> LIMB_BITS;
+    }
+    let mut k = needed;
+    while carry != 0 {
+        if k == acc.len() {
+            acc.push(0);
+        }
+        let t = acc[k] as u64 + carry;
+        acc[k] = t as u32;
+        carry = t >> LIMB_BITS;
+        k += 1;
+    }
+}
+
+/// Shift right by `bit_shift < 32` bits in place.
+fn shr_bits(limbs: &mut [u32], bit_shift: u32) {
+    if bit_shift == 0 {
+        return;
+    }
+    let mut carry = 0u32;
+    for l in limbs.iter_mut().rev() {
+        let new = (*l >> bit_shift) | carry;
+        carry = *l << (LIMB_BITS - bit_shift);
+        *l = new;
+    }
+}
+
 // ---- From impls ---------------------------------------------------------
+
+impl Default for BigUint {
+    fn default() -> Self {
+        BigUint::zero()
+    }
+}
 
 impl From<u32> for BigUint {
     fn from(v: u32) -> Self {
-        BigUint::from_limbs(vec![v])
+        BigUint {
+            repr: Repr::Inline([v, 0, 0, 0]),
+        }
     }
 }
 
 impl From<u64> for BigUint {
     fn from(v: u64) -> Self {
-        BigUint::from_limbs(vec![v as u32, (v >> LIMB_BITS) as u32])
+        BigUint::from(u128::from(v))
     }
 }
 
 impl From<u128> for BigUint {
     fn from(v: u128) -> Self {
-        BigUint::from_limbs(vec![
-            v as u32,
-            (v >> 32) as u32,
-            (v >> 64) as u32,
-            (v >> 96) as u32,
-        ])
+        BigUint {
+            repr: Repr::Inline(split_u128(v)),
+        }
     }
 }
 
@@ -435,7 +574,27 @@ impl From<usize> for BigUint {
     }
 }
 
-// ---- comparison ----------------------------------------------------------
+// ---- comparison / hashing ---------------------------------------------------
+
+impl PartialEq for BigUint {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Inline(a), Repr::Inline(b)) => a == b,
+            (Repr::Heap(a), Repr::Heap(b)) => a == b,
+            // One form per value: an inline value is below every heap value.
+            _ => false,
+        }
+    }
+}
+
+impl Eq for BigUint {}
+
+impl Hash for BigUint {
+    /// Hashes the limb slice, exactly as a `Vec<u32>` of the limbs would.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.limbs().hash(state);
+    }
+}
 
 impl PartialOrd for BigUint {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -445,18 +604,13 @@ impl PartialOrd for BigUint {
 
 impl Ord for BigUint {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.limbs.len().cmp(&other.limbs.len()) {
-            Ordering::Equal => {
-                for (a, b) in self.limbs.iter().rev().zip(other.limbs.iter().rev()) {
-                    match a.cmp(b) {
-                        Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
-                Ordering::Equal
-            }
-            ord => ord,
+        if let (Some(a), Some(b)) = (self.to_u128(), other.to_u128()) {
+            return a.cmp(&b);
         }
+        let (a, b) = (self.limbs(), other.limbs());
+        a.len()
+            .cmp(&b.len())
+            .then_with(|| a.iter().rev().cmp(b.iter().rev()))
     }
 }
 
@@ -519,10 +673,15 @@ impl SubAssign<&BigUint> for BigUint {
 impl Mul<&BigUint> for &BigUint {
     type Output = BigUint;
     fn mul(self, rhs: &BigUint) -> BigUint {
+        if let (Some(a), Some(b)) = (self.to_u128(), rhs.to_u128()) {
+            if let Some(p) = a.checked_mul(b) {
+                return BigUint::from(p);
+            }
+        }
         if self.is_zero() || rhs.is_zero() {
             return BigUint::zero();
         }
-        BigUint::from_limbs(BigUint::mul_karatsuba(&self.limbs, &rhs.limbs))
+        BigUint::from_limbs(BigUint::mul_karatsuba(self.limbs(), rhs.limbs()))
     }
 }
 
@@ -550,6 +709,11 @@ impl Rem<&BigUint> for &BigUint {
 impl Shl<u32> for &BigUint {
     type Output = BigUint;
     fn shl(self, bits: u32) -> BigUint {
+        if let Some(a) = self.to_u128() {
+            if a.leading_zeros() >= bits {
+                return BigUint::from(a.checked_shl(bits).unwrap_or(0));
+            }
+        }
         if self.is_zero() || bits == 0 {
             return self.clone();
         }
@@ -557,10 +721,10 @@ impl Shl<u32> for &BigUint {
         let bit_shift = bits % LIMB_BITS;
         let mut limbs = vec![0u32; limb_shift];
         if bit_shift == 0 {
-            limbs.extend_from_slice(&self.limbs);
+            limbs.extend_from_slice(self.limbs());
         } else {
             let mut carry = 0u32;
-            for &l in &self.limbs {
+            for &l in self.limbs() {
                 limbs.push((l << bit_shift) | carry);
                 carry = l >> (LIMB_BITS - bit_shift);
             }
@@ -582,28 +746,24 @@ impl Shl<u32> for BigUint {
 impl Shr<u32> for &BigUint {
     type Output = BigUint;
     fn shr(self, bits: u32) -> BigUint {
+        if let Some(a) = self.to_u128() {
+            return BigUint::from(a.checked_shr(bits).unwrap_or(0));
+        }
         let limb_shift = (bits / LIMB_BITS) as usize;
-        if limb_shift >= self.limbs.len() {
+        let Some(kept) = self.limbs().get(limb_shift..) else {
             return BigUint::zero();
-        }
-        let bit_shift = bits % LIMB_BITS;
-        let mut limbs: Vec<u32> = self.limbs[limb_shift..].to_vec();
-        if bit_shift != 0 {
-            let mut carry = 0u32;
-            for l in limbs.iter_mut().rev() {
-                let new = (*l >> bit_shift) | carry;
-                carry = *l << (LIMB_BITS - bit_shift);
-                *l = new;
-            }
-        }
+        };
+        let mut limbs = kept.to_vec();
+        shr_bits(&mut limbs, bits % LIMB_BITS);
         BigUint::from_limbs(limbs)
     }
 }
 
 impl Shr<u32> for BigUint {
     type Output = BigUint;
-    fn shr(self, bits: u32) -> BigUint {
-        &self >> bits
+    fn shr(mut self, bits: u32) -> BigUint {
+        self.shr_in_place(bits);
+        self
     }
 }
 
@@ -618,8 +778,8 @@ impl Shr<u64> for &BigUint {
 
 impl fmt::Display for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.pad_integral(true, "", "0");
+        if let Some(v) = self.to_u128() {
+            return f.pad_integral(true, "", &v.to_string());
         }
         // Repeatedly divide by 1e9 to peel decimal chunks.
         let mut v = self.clone();
@@ -864,5 +1024,48 @@ mod tests {
         assert_eq!(a, big(123456789000));
         let r = a.div_rem_limb(7);
         assert_eq!(r, (123456789000u64 % 7) as u32);
+    }
+
+    #[test]
+    fn one_form_per_value() {
+        // Padding zeros never reach the heap form, and a 2^128 carry does.
+        let padded = BigUint::from_limbs(vec![7, 0, 0, 0, 0, 0]);
+        assert!(matches!(padded.repr, Repr::Inline(_)));
+        assert_eq!(padded, big(7));
+        assert_eq!(padded.limbs(), &[7]);
+        let top = &big(u128::MAX) + &BigUint::one();
+        assert!(matches!(top.repr, Repr::Heap(_)));
+        assert_eq!(top.limbs(), &[0, 0, 0, 0, 1]);
+        // Results that shrink below 2^128 come back inline.
+        let back = &top - &BigUint::one();
+        assert!(matches!(back.repr, Repr::Inline(_)));
+        assert_eq!(back, big(u128::MAX));
+        let shifted = (&big(5) << 200) >> 200u32;
+        assert!(matches!(shifted.repr, Repr::Inline(_)));
+        assert_eq!(shifted, big(5));
+        assert!(BigUint::from_limbs(vec![0, 0, 0, 0, 0]).is_zero());
+    }
+
+    #[test]
+    fn hash_matches_the_limb_vector() {
+        use std::collections::hash_map::DefaultHasher;
+        fn h<T: Hash + ?Sized>(x: &T) -> u64 {
+            let mut s = DefaultHasher::new();
+            x.hash(&mut s);
+            s.finish()
+        }
+        for v in [BigUint::zero(), big(1), big(u128::MAX), &big(1) << 300] {
+            assert_eq!(h(&v), h(&v.limbs().to_vec()));
+        }
+    }
+
+    #[test]
+    fn shr_in_place_matches_shr() {
+        let a = BigUint::from_limbs((1..=9u32).map(|i| i.wrapping_mul(0x9E3779B9)).collect());
+        for s in [0u32, 1, 31, 32, 33, 64, 100, 159, 160, 287, 288, 300] {
+            let mut b = a.clone();
+            b.shr_in_place(s);
+            assert_eq!(b, &a >> s, "shift {s}");
+        }
     }
 }

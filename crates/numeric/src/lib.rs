@@ -10,11 +10,13 @@
 //! combinatorial object — would come out wrong. This crate provides:
 //!
 //! * [`BigUint`] — an arbitrary-precision unsigned integer (little-endian
-//!   `u32` limbs), with schoolbook and Karatsuba multiplication, Knuth
-//!   algorithm-D division, binary GCD, and bit operations.
+//!   `u32` limbs, kept inline with `u128` fast paths below 2¹²⁸), with
+//!   schoolbook and Karatsuba multiplication, Knuth algorithm-D division,
+//!   binary GCD, and bit operations.
 //! * [`BigInt`] — a sign-magnitude signed integer on top of [`BigUint`].
 //! * [`Rational`] — an always-reduced exact rational with total ordering,
-//!   the numeric type used throughout the workspace.
+//!   the numeric type used throughout the workspace; operands below 2⁶³
+//!   take an `i128`/`u128` word path.
 //!
 //! No external bignum crate is used; the offline dependency set does not
 //! include one, and the arithmetic here is simple enough to own (see

@@ -6,10 +6,16 @@
 //! * denominator is strictly positive,
 //! * `gcd(|numerator|, denominator) == 1`,
 //! * zero is represented as `0/1`.
+//!
+//! Word path: when both operands' numerators and denominators are below
+//! 2⁶³, `+`, `-`, `*`, `/` and comparison run on `i128`/`u128`. Cross
+//! products then stay below 2¹²⁶ and cross sums below 2¹²⁷, so nothing can
+//! overflow; larger operands take the limb kernels. A rational in lowest
+//! terms has one representation, so both paths return identical values.
 
 use crate::bigint::{BigInt, Sign};
 use crate::biguint::BigUint;
-use crate::gcd::gcd;
+use crate::gcd::{gcd, gcd_u128, gcd_u64};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -20,6 +26,79 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 pub struct Rational {
     num: BigInt,
     den: BigUint,
+}
+
+/// Bit bound of the word path: numerators and denominators below 2⁶³.
+const WORD_PATH_BITS: u32 = 63;
+
+/// A word-path operand: `±num/den` with `num, den < 2⁶³`, `den > 0`.
+#[derive(Clone, Copy)]
+struct Words {
+    neg: bool,
+    num: u64,
+    den: u64,
+}
+
+impl Words {
+    /// The signed numerator (`|·| < 2⁶³`).
+    fn signed_num(self) -> i128 {
+        let n = i128::from(self.num);
+        if self.neg {
+            -n
+        } else {
+            n
+        }
+    }
+
+    /// `a/b + c/d = (a·d + c·b)/(b·d)`: `|a·d + c·b| < 2¹²⁷`, `b·d < 2¹²⁶`.
+    fn add(self, rhs: Words) -> Rational {
+        let num = self.signed_num() * i128::from(rhs.den) + rhs.signed_num() * i128::from(self.den);
+        let den = u128::from(self.den) * u128::from(rhs.den);
+        let sign = match num.cmp(&0) {
+            Ordering::Less => Sign::Minus,
+            Ordering::Equal => return Rational::zero(),
+            Ordering::Greater => Sign::Plus,
+        };
+        Rational::reduced(sign, num.unsigned_abs(), den)
+    }
+
+    /// Cross-reduced product, as on the limb path; both factors stay below
+    /// 2⁶³, so the product is below 2¹²⁶ and already in lowest terms.
+    fn mul(self, rhs: Words) -> Rational {
+        let g1 = gcd_u64(self.num, rhs.den);
+        let g2 = gcd_u64(rhs.num, self.den);
+        let num = u128::from(self.num / g1) * u128::from(rhs.num / g2);
+        if num == 0 {
+            return Rational::zero();
+        }
+        let den = u128::from(self.den / g2) * u128::from(rhs.den / g1);
+        let sign = if self.neg == rhs.neg {
+            Sign::Plus
+        } else {
+            Sign::Minus
+        };
+        Rational {
+            num: BigInt::from_parts(sign, BigUint::from(num)),
+            den: BigUint::from(den),
+        }
+    }
+
+    fn neg(self) -> Words {
+        Words {
+            neg: !self.neg,
+            ..self
+        }
+    }
+
+    /// Panics on zero, like [`Rational::recip`].
+    fn recip(self) -> Words {
+        assert!(self.num != 0, "reciprocal of zero");
+        Words {
+            neg: self.neg,
+            num: self.den,
+            den: self.num,
+        }
+    }
 }
 
 impl Default for Rational {
@@ -76,6 +155,9 @@ impl Rational {
         if num.is_zero() {
             return Rational::zero();
         }
+        if let (Some(n), Some(d)) = (num.magnitude().to_u128(), den.to_u128()) {
+            return Rational::reduced(num.sign(), n, d);
+        }
         let g = gcd(num.magnitude(), &den);
         if g.is_one() {
             Rational { num, den }
@@ -87,6 +169,28 @@ impl Rational {
                 den: &den / &g,
             }
         }
+    }
+
+    /// `sign · n/d` in lowest terms, for nonzero machine words `n`, `d`.
+    fn reduced(sign: Sign, n: u128, d: u128) -> Rational {
+        let g = if d == 1 { 1 } else { gcd_u128(n, d) };
+        let (n, d) = if g == 1 { (n, d) } else { (n / g, d / g) };
+        Rational {
+            num: BigInt::from_parts(sign, BigUint::from(n)),
+            den: BigUint::from(d),
+        }
+    }
+
+    /// The word-path form, when numerator and denominator are below 2⁶³.
+    #[inline]
+    fn words(&self) -> Option<Words> {
+        let num = self.num.magnitude().to_u64()?;
+        let den = self.den.to_u64()?;
+        ((num | den) >> WORD_PATH_BITS == 0).then_some(Words {
+            neg: self.num.is_negative(),
+            num,
+            den,
+        })
     }
 
     /// Build from a signed big numerator and signed big denominator.
@@ -285,6 +389,12 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        if let (Some(a), Some(b)) = (self.words(), other.words()) {
+            // |a·d|, |c·b| < 2¹²⁶.
+            let lhs = a.signed_num() * i128::from(b.den);
+            let rhs = b.signed_num() * i128::from(a.den);
+            return lhs.cmp(&rhs);
+        }
         // Compare signs first to skip the cross-multiplication when possible.
         fn rank(s: Sign) -> i8 {
             match s {
@@ -338,6 +448,9 @@ impl Neg for Rational {
 impl Add<&Rational> for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
+        if let (Some(a), Some(b)) = (self.words(), rhs.words()) {
+            return a.add(b);
+        }
         // a/b + c/d = (a·d + c·b) / (b·d), then reduce.
         let num = &(&self.num * &BigInt::from(rhs.den.clone()))
             + &(&rhs.num * &BigInt::from(self.den.clone()));
@@ -368,6 +481,9 @@ impl AddAssign for Rational {
 impl Sub<&Rational> for &Rational {
     type Output = Rational;
     fn sub(self, rhs: &Rational) -> Rational {
+        if let (Some(a), Some(b)) = (self.words(), rhs.words()) {
+            return a.add(b.neg());
+        }
         self + &(-rhs)
     }
 }
@@ -394,6 +510,9 @@ impl SubAssign for Rational {
 impl Mul<&Rational> for &Rational {
     type Output = Rational;
     fn mul(self, rhs: &Rational) -> Rational {
+        if let (Some(a), Some(b)) = (self.words(), rhs.words()) {
+            return a.mul(b);
+        }
         // Cross-reduce before multiplying to keep intermediates small.
         let g1 = gcd(self.num.magnitude(), &rhs.den);
         let g2 = gcd(rhs.num.magnitude(), &self.den);
@@ -428,6 +547,9 @@ impl Div<&Rational> for &Rational {
     type Output = Rational;
     #[allow(clippy::suspicious_arithmetic_impl)] // division via exact reciprocal
     fn div(self, rhs: &Rational) -> Rational {
+        if let (Some(a), Some(b)) = (self.words(), rhs.words()) {
+            return a.mul(b.recip());
+        }
         self * &rhs.recip()
     }
 }

@@ -47,5 +47,5 @@ pub mod swarm;
 pub use agent::{AgentId, AgentState, Strategy};
 pub use membership::{MembershipError, MembershipEvent, MembershipOutcome};
 pub use metrics::{attack_impact, jain_fairness, AttackImpact};
-pub use soa::{CsrTopology, SoaSwarm};
+pub use soa::{CapacityError, CsrTopology, SoaSwarm};
 pub use swarm::{Swarm, SwarmConfig, SwarmMetrics};

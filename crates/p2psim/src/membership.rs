@@ -132,7 +132,9 @@ impl SoaSwarm {
             MembershipEvent::Join { capacity, peers } => {
                 self.join(*capacity, peers).map(MembershipOutcome::Joined)
             }
-            MembershipEvent::Leave { agent } => self.leave(*agent).map(|()| MembershipOutcome::Left),
+            MembershipEvent::Leave { agent } => {
+                self.leave(*agent).map(|()| MembershipOutcome::Left)
+            }
             MembershipEvent::Rewire { agent } => self.reciprocity_rewire(*agent),
         }
     }
@@ -275,9 +277,7 @@ impl SoaSwarm {
                 let share = self.capacities[w] / (self.topo.degree(w) + 1) as f64;
                 let better = match added {
                     None => true,
-                    Some((best, best_id)) => {
-                        share > best || (share == best && w < best_id)
-                    }
+                    Some((best, best_id)) => share > best || (share == best && w < best_id),
                 };
                 if better {
                     added = Some((share, w));
@@ -324,7 +324,11 @@ mod tests {
         assert_eq!(v, 4, "newest departure recycled first");
         let v2 = s.join(1.0, &[0]).unwrap();
         assert_eq!(v2, 2);
-        assert_eq!(s.n_slots(), 6, "no slot growth while the free list has room");
+        assert_eq!(
+            s.n_slots(),
+            6,
+            "no slot growth while the free list has room"
+        );
         let v3 = s.join(1.0, &[0]).unwrap();
         assert_eq!(v3, 6, "free list empty: fresh slot appended");
         s.check_invariants().unwrap();
@@ -352,9 +356,16 @@ mod tests {
             Err(MembershipError::UnknownAgent(99))
         );
         assert_eq!(s.join(1.0, &[1, 1]), Err(MembershipError::DuplicatePeer(1)));
-        assert_eq!(s.join(f64::NAN, &[1]), Err(MembershipError::InvalidCapacity));
+        assert_eq!(
+            s.join(f64::NAN, &[1]),
+            Err(MembershipError::InvalidCapacity)
+        );
         assert_eq!(s.join(1.0, &[]), Err(MembershipError::NoPeers));
-        assert_eq!(s.topology().peers(1), &before[..], "failed join left no trace");
+        assert_eq!(
+            s.topology().peers(1),
+            &before[..],
+            "failed join left no trace"
+        );
         assert_eq!(s.n_slots(), 6);
         s.check_invariants().unwrap();
     }

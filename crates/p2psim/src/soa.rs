@@ -60,6 +60,34 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// Why a graph's weights cannot seed the f64 swarm, which plays each
+/// weight's f64 image as that agent's capacity.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CapacityError {
+    /// The agent's weight is beyond the f64 range (its image is infinite).
+    NotFinite(AgentId),
+    /// The agent's weight is positive but its f64 image is zero.
+    Underflow(AgentId),
+}
+
+impl std::fmt::Display for CapacityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CapacityError::NotFinite(v) => {
+                write!(f, "weight of agent {v} has no finite f64 capacity")
+            }
+            CapacityError::Underflow(v) => {
+                write!(
+                    f,
+                    "positive weight of agent {v} underflows to f64 capacity 0"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for CapacityError {}
+
 /// Per-arc payload lanes that must move in lockstep with CSR region edits.
 ///
 /// The topology owns only the adjacency structure (`peer_ids` and the
@@ -534,6 +562,22 @@ impl SoaSwarm {
         Self::with_strategies(g, |_| Strategy::Honest)
     }
 
+    /// [`SoaSwarm::new`] for weights from outside the program: rejects a
+    /// weight whose f64 image is infinite, or zero while the weight is
+    /// positive, since the swarm would play a different instance.
+    pub fn try_new(g: &Graph) -> Result<Self, CapacityError> {
+        for (v, w) in g.weights().iter().enumerate() {
+            let cap = w.to_f64();
+            if !cap.is_finite() {
+                return Err(CapacityError::NotFinite(v));
+            }
+            if cap == 0.0 && w.is_positive() {
+                return Err(CapacityError::Underflow(v));
+            }
+        }
+        Ok(Self::new(g))
+    }
+
     /// Build assigning each agent a strategy (same validity asserts as the
     /// legacy per-agent constructor).
     pub fn with_strategies(g: &Graph, strategy: impl Fn(AgentId) -> Strategy) -> Self {
@@ -854,8 +898,7 @@ impl SoaSwarm {
 
         crossbeam::scope(|scope| {
             let (barrier, outcome, ranges) = (&barrier, &outcome, &ranges);
-            for w in 0..threads {
-                let range = ranges[w].clone();
+            for (w, range) in ranges.iter().cloned().enumerate() {
                 scope.spawn(move |_| {
                     // Bind the Send wrappers whole: edition-2021 disjoint
                     // capture would otherwise capture their raw-pointer
@@ -900,8 +943,7 @@ impl SoaSwarm {
                                 // above ends all respond-pass writes.
                                 unsafe {
                                     deliver_agent(&l, v);
-                                    let after =
-                                        0.5 * (*l.u_cur.add(v) + *l.u_prev.add(v));
+                                    let after = 0.5 * (*l.u_cur.add(v) + *l.u_prev.add(v));
                                     local = local
                                         .max((*l.avg.add(v) - after).abs() / (1.0 + after.abs()));
                                     *l.avg.add(v) = after;
@@ -1022,9 +1064,9 @@ impl SoaSwarm {
             }
             free_seen[v] = true;
         }
-        for v in 0..n {
+        for (v, &seen) in free_seen.iter().enumerate() {
             if !self.alive[v] {
-                if !free_seen[v] {
+                if !seen {
                     return Err(format!("dead slot {v} missing from the free list"));
                 }
                 if self.topo.degree(v) != 0 {
@@ -1095,7 +1137,10 @@ mod tests {
             t.remove_edge(0, 3, &mut ()),
             Err(TopologyError::MissingEdge(0, 3))
         );
-        assert_eq!(t.insert_edge(2, 2, &mut ()), Err(TopologyError::SelfLoop(2)));
+        assert_eq!(
+            t.insert_edge(2, 2, &mut ()),
+            Err(TopologyError::SelfLoop(2))
+        );
     }
 
     #[test]

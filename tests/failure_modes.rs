@@ -91,6 +91,29 @@ fn swarm_with_zero_capacity_agent() {
 }
 
 #[test]
+fn swarm_rejects_weights_without_a_usable_f64_capacity() {
+    use prs::p2psim::CapacityError;
+    // 10^400 has no finite f64 image; the swarm used to run on an infinite
+    // capacity and panic converting it back for the BD cross-check.
+    let text = format!("ring\nweights: 1 2 1{}\n", "0".repeat(400));
+    let g = parse_instance(&text).unwrap();
+    assert_eq!(
+        SoaSwarm::try_new(&g).err(),
+        Some(CapacityError::NotFinite(2))
+    );
+    // 10^-400 is positive but its f64 image is 0: a different instance.
+    let text = format!("ring\nweights: 1 1/1{} 2\n", "0".repeat(400));
+    let g = parse_instance(&text).unwrap();
+    assert_eq!(
+        SoaSwarm::try_new(&g).err(),
+        Some(CapacityError::Underflow(1))
+    );
+    // An exact zero is representable and stays admissible.
+    let g = builders::ring(vec![int(0), int(2), int(3)]).unwrap();
+    assert!(SoaSwarm::try_new(&g).is_ok());
+}
+
+#[test]
 fn ring_instance_rejects_non_positive_weights() {
     // The attack surface requires w > 0; `RingInstance` must reject bad
     // weights at construction with a typed error naming the vertex, not

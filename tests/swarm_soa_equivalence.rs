@@ -150,7 +150,8 @@ mod reference {
                 self.agents[u].received.insert(p, 0.0);
                 self.agents[u].outgoing.insert(p, 0.0);
             }
-            self.agents.push(Agent::new(capacity, sorted, Strategy::Honest));
+            self.agents
+                .push(Agent::new(capacity, sorted, Strategy::Honest));
             self.prev_utilities.push(0.0);
             v
         }
@@ -249,7 +250,10 @@ fn shipped_instances_are_bit_identical() {
     for name in ["figure1", "five_ring", "lower_bound_k6", "star"] {
         let text = std::fs::read_to_string(format!("instances/{name}.prs")).unwrap();
         let g: Graph = parse_instance(&text).unwrap();
-        assert!(g.n() <= 64, "{name} grew beyond the small-n equivalence tier");
+        assert!(
+            g.n() <= 64,
+            "{name} grew beyond the small-n equivalence tier"
+        );
         let mut soa = SoaSwarm::new(&g);
         let mut reference = reference::RefSwarm::with_strategies(&g, |_| Strategy::Honest);
         assert_lockstep(&mut soa, &mut reference, 80);
@@ -272,8 +276,17 @@ fn facade_swarm_matches_soa_engine_exactly() {
 fn churn_script_replays_bit_identically() {
     // Joins precede leaves so the SoA free list stays empty and slot ids
     // match the reference's append-only numbering throughout.
-    let g = builders::ring(vec![int(3), int(7), int(2), int(5), int(4), int(6), int(1), int(8)])
-        .unwrap();
+    let g = builders::ring(vec![
+        int(3),
+        int(7),
+        int(2),
+        int(5),
+        int(4),
+        int(6),
+        int(1),
+        int(8),
+    ])
+    .unwrap();
     let mut soa = SoaSwarm::new(&g);
     let mut reference = reference::RefSwarm::with_strategies(&g, |_| Strategy::Honest);
     assert_lockstep(&mut soa, &mut reference, 5);
