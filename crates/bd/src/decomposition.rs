@@ -22,12 +22,18 @@
 //! graph of the feasible flow: `v` belongs to it iff `v_L` has *no* residual
 //! path to `t`. (Tight sets form a union-closed family; the unreachable set
 //! is exactly their union — see DESIGN.md §3.1 for the exchange argument.)
+//!
+//! Every production round reads "pick a candidate ratio, then certify it":
+//! a float Dinkelbach pass (or a session cache) proposes `α̂`, and
+//! [`certify`] — the one production descent — decides it on the network
+//! scaled by `p·D` to integers (checked `i128`, BigInt on promotion). The
+//! Rational-capacity descent lives on as the test oracle
+//! [`decompose_exact`] in [`crate::reference`].
 
 use crate::error::BdError;
+pub use crate::reference::decompose_exact;
 use prs_flow::network_i128::{overflow_detected, reset_overflow};
-use prs_flow::{
-    stats, Cap, CapI128, CapInt, EdgeId, FlowNetwork, NetworkF64, NetworkI128, NetworkInt, SeedArc,
-};
+use prs_flow::{stats, CapI128, CapInt, EdgeId, NetworkF64, NetworkI128, NetworkInt, SeedArc};
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::{gcd::lcm, BigInt, BigUint, Rational, Sign};
 
@@ -241,88 +247,9 @@ impl Layout {
     }
 }
 
-/// Build the Hall feasibility network for parameter `alpha` on the induced
-/// subgraph `alive`.
-fn feasibility_network(g: &Graph, alive: &VertexSet, alpha: &Rational) -> FlowNetwork {
-    let layout = Layout { n: g.n() };
-    let mut net = FlowNetwork::new(layout.nodes());
-    for v in alive.iter() {
-        net.add_edge(Layout::S, layout.left(v), Cap::Finite(g.weight(v).clone()));
-        net.add_edge(layout.right(v), Layout::T, Cap::Finite(g.weight(v) / alpha));
-        for &u in g.neighbors(v) {
-            if alive.contains(u) {
-                net.add_edge(layout.left(v), layout.right(u), Cap::Infinite);
-            }
-        }
-    }
-    net
-}
-
-/// Find the maximal bottleneck of the induced subgraph on `alive` and its
-/// α-ratio, exactly — single-tier reference: every Dinkelbach step is an
-/// exact max-flow on a freshly built network.
-fn maximal_bottleneck_exact(
-    g: &Graph,
-    alive: &VertexSet,
-    round: usize,
-) -> Result<(VertexSet, Rational), BdError> {
-    let layout = Layout { n: g.n() };
-    let w_alive = g.set_weight_of(alive);
-    debug_assert!(!w_alive.is_zero());
-
-    // α₀ = α(V_alive) = w(Γ(V_alive) ∩ alive) / w(alive) ≤ 1.
-    // prs-lint: allow(panic, reason = "decompose() rejects zero-weight alive sets before every round, so the ratio is defined")
-    let mut alpha = g
-        .alpha_ratio_in(alive, alive)
-        .expect("w(alive) > 0 checked by caller");
-    if alpha.is_zero() {
-        return Err(BdError::ZeroAlpha { round });
-    }
-
-    loop {
-        stats::record_dinkelbach_iterations(1);
-        let mut sp = prs_trace::span("bd", "dinkelbach_iter");
-        sp.attr("engine", || "exact".to_string());
-        let mut net = feasibility_network(g, alive, &alpha);
-        let flow = net.max_flow(Layout::S, Layout::T);
-        if flow == w_alive {
-            // Feasible: α = min_S α(S). Extract the maximal tight set.
-            let reaches = net.residual_reaches_sink(Layout::T);
-            let mut b = VertexSet::empty(g.n());
-            for v in alive.iter() {
-                if !reaches[layout.left(v)] {
-                    b.insert(v);
-                }
-            }
-            debug_assert!(!b.is_empty(), "a tight set must exist at the optimum");
-            return Ok((b, alpha));
-        }
-        // Infeasible: the s-side of the min cut yields a violating set.
-        let side = net.min_cut_source_side(Layout::S);
-        let mut s_set = VertexSet::empty(g.n());
-        for v in alive.iter() {
-            if side[layout.left(v)] {
-                s_set.insert(v);
-            }
-        }
-        // prs-lint: allow(panic, reason = "the s-side of an infeasible cut contains a source arc, hence positive weight; failure is a solver bug")
-        let new_alpha = g
-            .alpha_ratio_in(&s_set, alive)
-            .expect("violating sets have positive weight");
-        if new_alpha.is_zero() {
-            return Err(BdError::ZeroAlpha { round });
-        }
-        debug_assert!(
-            new_alpha < alpha,
-            "Dinkelbach step must strictly decrease α"
-        );
-        alpha = new_alpha;
-    }
-}
-
 /// Which engine holds the current scaled-integer certification build.
 ///
-/// `rebuild_int_only` admits a round to the checked-`i128` tier iff both
+/// `rebuild_int` admits a round to the checked-`i128` tier iff both
 /// endpoint cap totals fit in `i128` (every individual capacity is bounded
 /// by its total, so they then fit too); otherwise — or when the checked
 /// arithmetic trips at runtime — the round promotes to the BigInt engine,
@@ -335,27 +262,30 @@ pub(crate) enum CertEngine {
     Int,
 }
 
-/// Paired exact + float feasibility networks for the two-tier engine.
+/// The float proposal network and the scaled-integer certification
+/// networks of one decomposition round.
 ///
 /// Rebuilt **in place** when the alive set changes (one `clear` per
-/// decomposition round) and re-parameterized capacity-only between
-/// Dinkelbach steps: only the sink arcs `w_u/α` depend on α, so a step is
-/// `set_capacity` over the sink arcs plus `reset_flow` — no allocation.
+/// round and engine) and re-parameterized capacity-only between Dinkelbach
+/// steps — `set_capacity` over the α-dependent arcs plus `reset_flow`, no
+/// allocation.
 pub(crate) struct RoundNets {
-    pub(crate) exact: FlowNetwork,
-    pub(crate) approx: NetworkF64,
-    /// Scaled-integer twin of `exact` for the session's warm certification:
-    /// capacities are multiplied by `p·D` (α = p/q in lowest terms, `D`
-    /// clears the alive weights' denominators), turning every flow step into
-    /// gcd-free big-integer arithmetic. Only meaningful after
-    /// [`RoundNets::rebuild_int_only`] with `cert_engine == CertEngine::Int`.
-    pub(crate) exact_int: NetworkInt,
+    approx: NetworkF64,
+    /// Per alive vertex: `(v, f64 sink edge)`, valid after
+    /// [`RoundNets::rebuild_f64`].
+    approx_sinks: Vec<(VertexId, EdgeId)>,
+    /// The certification network: capacities are multiplied by `p·D`
+    /// (α = p/q in lowest terms, `D` clears the alive weights'
+    /// denominators), turning every flow step into gcd-free big-integer
+    /// arithmetic. Only meaningful after [`RoundNets::rebuild_int`] with
+    /// `cert_engine == CertEngine::Int`.
+    exact_int: NetworkInt,
     /// Checked-`i128` twin of `exact_int` — the certification fast tier.
     /// Same arc order, hence the same `EdgeId`s. Only meaningful when
     /// `cert_engine == CertEngine::I128`.
-    pub(crate) exact_i128: NetworkI128,
-    /// Which engine the last `rebuild_int_only`/`set_alpha_int` targeted.
-    pub(crate) cert_engine: CertEngine,
+    exact_i128: NetworkI128,
+    /// Which engine the last `rebuild_int`/`set_alpha_int` targeted.
+    cert_engine: CertEngine,
     /// `p·D` of the current integer build (positive when valid).
     pub(crate) int_scale: BigInt,
     /// `D` = lcm of the alive weights' denominators (α-independent part of
@@ -366,34 +296,25 @@ pub(crate) struct RoundNets {
     /// Sum of the integer source capacities `Σ w_v·D·p` — the feasibility
     /// target: the scaled network saturates its sources iff the max flow
     /// equals this.
-    pub(crate) int_source_total: BigInt,
-    /// Per alive vertex: `(v, sink edge, f64 sink edge)`. The sink edge is
-    /// valid for whichever engine built last (`exact` after
-    /// [`RoundNets::rebuild`], `exact_int` after
-    /// [`RoundNets::rebuild_int_only`] — the two add arcs in the same order,
-    /// so the ids coincide).
-    ///
-    /// The f64 `EdgeId` is only meaningful after a full [`RoundNets::rebuild`]
-    /// — an integer-only rebuild records a placeholder and flips
-    /// `approx_valid` off.
-    pub(crate) sink_edges: Vec<(VertexId, EdgeId, EdgeId)>,
-    /// Per alive vertex: `(v, exact source edge)`, in `alive` order.
-    pub(crate) source_edges: Vec<(VertexId, EdgeId)>,
-    /// The exact middle arcs `(v, u, edge left(v)→right(u))`, sorted
-    /// lexicographically by `(v, u)` (alive iteration is ascending and
-    /// neighbor lists are sorted). The session reads the certifying flow
-    /// off these arcs and seeds the next warm start from it.
+    int_source_total: BigInt,
+    /// Per alive vertex: `(v, sink edge)` of the certification engine that
+    /// built last (the engines add arcs in the same order, so the ids
+    /// coincide).
+    sink_edges: Vec<(VertexId, EdgeId)>,
+    /// Per alive vertex: `(v, source edge)`, in `alive` order.
+    source_edges: Vec<(VertexId, EdgeId)>,
+    /// The certification middle arcs `(v, u, edge left(v)→right(u))`,
+    /// sorted lexicographically by `(v, u)` (alive iteration is ascending
+    /// and neighbor lists are sorted). The session reads the certifying
+    /// flow off these arcs and seeds the next warm start from it.
     pub(crate) mid_edges: Vec<(VertexId, VertexId, EdgeId)>,
-    /// Whether `approx` mirrors the current alive set (exact-only rebuilds
-    /// leave it stale).
-    approx_valid: bool,
 }
 
 impl RoundNets {
     pub(crate) fn new(n_nodes: usize) -> Self {
         RoundNets {
-            exact: FlowNetwork::new(n_nodes),
             approx: NetworkF64::new(n_nodes),
+            approx_sinks: Vec::new(),
             exact_int: NetworkInt::new(n_nodes),
             exact_i128: NetworkI128::new(n_nodes),
             cert_engine: CertEngine::Int,
@@ -404,41 +325,25 @@ impl RoundNets {
             sink_edges: Vec::new(),
             source_edges: Vec::new(),
             mid_edges: Vec::new(),
-            approx_valid: false,
         }
     }
 
     // prs-lint: allow(float, reason = "two-tier proposer: the approx network is built from to_f64 images and only ever proposes; certification is exact")
-    /// Rebuild both networks for the induced subgraph on `alive` at `alpha`.
-    pub(crate) fn rebuild(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
+    /// Rebuild the float proposal network for the induced subgraph on
+    /// `alive` at `alpha_f`.
+    fn rebuild_f64(&mut self, g: &Graph, alive: &VertexSet, alpha_f: f64) {
         let layout = Layout { n: g.n() };
-        let alpha_f = alpha.to_f64();
-        self.exact.clear(layout.nodes());
         self.approx.clear(layout.nodes());
-        self.approx_valid = true;
-        self.sink_edges.clear();
-        self.source_edges.clear();
-        self.mid_edges.clear();
+        self.approx_sinks.clear();
         for v in alive.iter() {
-            let w = g.weight(v);
-            let s = self
-                .exact
-                .add_edge(Layout::S, layout.left(v), Cap::Finite(w.clone()));
-            let e = self
-                .exact
-                .add_edge(layout.right(v), Layout::T, Cap::Finite(w / alpha));
-            self.approx.add_edge(Layout::S, layout.left(v), w.to_f64());
+            let w = g.weight(v).to_f64();
+            self.approx.add_edge(Layout::S, layout.left(v), w);
             let a = self
                 .approx
-                .add_edge(layout.right(v), Layout::T, w.to_f64() / alpha_f);
-            self.sink_edges.push((v, e, a));
-            self.source_edges.push((v, s));
+                .add_edge(layout.right(v), Layout::T, w / alpha_f);
+            self.approx_sinks.push((v, a));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
-                    let m = self
-                        .exact
-                        .add_edge(layout.left(v), layout.right(u), Cap::Infinite);
-                    self.mid_edges.push((v, u, m));
                     self.approx
                         .add_edge(layout.left(v), layout.right(u), f64::INFINITY);
                 }
@@ -446,29 +351,20 @@ impl RoundNets {
         }
     }
 
-    /// Re-parameterize the exact network to `alpha` (sink caps + flow reset).
-    pub(crate) fn set_alpha_exact(&mut self, g: &Graph, alpha: &Rational) {
-        for &(v, e, _) in &self.sink_edges {
-            self.exact.set_capacity(e, Cap::Finite(g.weight(v) / alpha));
-        }
-        self.exact.reset_flow();
-    }
-
-    /// Rebuild only the scaled-integer network at `alpha = p/q` — the
-    /// session's warm certification path. Every capacity is multiplied by
-    /// the positive constant `p·D`, where `D` is the lcm of the alive
-    /// weights' denominators: source arcs carry `(w_v·D)·p`, sink arcs
-    /// `(w_v·D)·q`, middle arcs stay infinite — all integers, so Dinic runs
-    /// gcd-free. Uniform positive scaling preserves the feasibility
-    /// decision, min cuts, and residual reachability of the rational
-    /// network, so every set extracted here is bit-identical to what
-    /// [`RoundNets::rebuild_exact_only`] at the same `alpha` would yield.
+    /// Rebuild the scaled-integer certification network at `alpha = p/q`.
+    /// Every capacity is multiplied by the positive constant `p·D`, where
+    /// `D` is the lcm of the alive weights' denominators: source arcs carry
+    /// `(w_v·D)·p`, sink arcs `(w_v·D)·q`, middle arcs stay infinite — all
+    /// integers, so Dinic runs gcd-free. Uniform positive scaling preserves
+    /// the feasibility decision, min cuts, and residual reachability of the
+    /// rational network, so every set extracted here is bit-identical to
+    /// what the Rational oracle ([`decompose_exact`]) extracts at the same
+    /// `alpha`.
     ///
-    /// Arcs are added in the exact same order as `rebuild_inner`, so the
-    /// `EdgeId`s recorded in `source_edges` / `sink_edges` / `mid_edges`
-    /// are valid for `exact_int`.
-    pub(crate) fn rebuild_int_only(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
-        self.approx_valid = false;
+    /// Both engines add arcs in the oracle's order, so the `EdgeId`s
+    /// recorded in `source_edges` / `sink_edges` / `mid_edges` are valid
+    /// for whichever engine built last.
+    fn rebuild_int(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
         self.int_weights.clear();
         let mut d = BigUint::one();
         for v in alive.iter() {
@@ -505,8 +401,8 @@ impl RoundNets {
     }
 
     /// Add the certification arcs to the BigInt engine. Arc order matches
-    /// `rebuild` / `build_arcs_i128`, so the recorded `EdgeId`s are valid
-    /// for whichever engine built last.
+    /// `build_arcs_i128`, so the recorded `EdgeId`s are valid for whichever
+    /// engine built last.
     fn build_arcs_int(&mut self, g: &Graph, alive: &VertexSet, caps: &[(BigInt, BigInt)]) {
         let layout = Layout { n: g.n() };
         self.cert_engine = CertEngine::Int;
@@ -525,7 +421,7 @@ impl RoundNets {
                 Layout::T,
                 CapInt::Finite(caps[i].1.clone()),
             );
-            self.sink_edges.push((v, e, EdgeId::default()));
+            self.sink_edges.push((v, e));
             self.source_edges.push((v, s));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
@@ -555,7 +451,7 @@ impl RoundNets {
             let e =
                 self.exact_i128
                     .add_edge(layout.right(v), Layout::T, CapI128::Finite(caps[i].1));
-            self.sink_edges.push((v, e, EdgeId::default()));
+            self.sink_edges.push((v, e));
             self.source_edges.push((v, s));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
@@ -576,7 +472,7 @@ impl RoundNets {
     /// the arc structure are untouched. An i128-tier round whose new
     /// capacities no longer fit promotes to BigInt here (the descent can
     /// only shrink `p`, but `q` can grow without bound).
-    pub(crate) fn set_alpha_int(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
+    fn set_alpha_int(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
         let p = alpha.numer();
         let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
         debug_assert!(p.is_positive(), "bottleneck ratios are positive");
@@ -630,12 +526,7 @@ impl RoundNets {
     /// network at the same α — any seed installed on the i128 network is
     /// gone, so callers must drop their seeded-flow bookkeeping when the
     /// flag comes back `true`.
-    pub(crate) fn cert_max_flow(
-        &mut self,
-        g: &Graph,
-        alive: &VertexSet,
-        alpha: &Rational,
-    ) -> (BigInt, bool) {
+    fn cert_max_flow(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) -> (BigInt, bool) {
         match self.cert_engine {
             CertEngine::I128 => {
                 let flow = self.exact_i128.max_flow(Layout::S, Layout::T);
@@ -665,7 +556,7 @@ impl RoundNets {
     }
 
     /// Engine-dispatched [`prs_flow::Network::residual_reaches_sink`].
-    pub(crate) fn cert_residual_reaches_sink(&self) -> Vec<bool> {
+    fn cert_residual_reaches_sink(&self) -> Vec<bool> {
         match self.cert_engine {
             CertEngine::I128 => self.exact_i128.residual_reaches_sink(Layout::T),
             CertEngine::Int => self.exact_int.residual_reaches_sink(Layout::T),
@@ -673,7 +564,7 @@ impl RoundNets {
     }
 
     /// Engine-dispatched [`prs_flow::Network::min_cut_source_side`].
-    pub(crate) fn cert_min_cut_source_side(&self) -> Vec<bool> {
+    fn cert_min_cut_source_side(&self) -> Vec<bool> {
         match self.cert_engine {
             CertEngine::I128 => self.exact_i128.min_cut_source_side(Layout::S),
             CertEngine::Int => self.exact_int.min_cut_source_side(Layout::S),
@@ -698,7 +589,7 @@ impl RoundNets {
     /// endpoint totals the admission check proved fit — so the clamp can
     /// never change the installed amount, only the (ignored) excess of the
     /// request.
-    pub(crate) fn cert_seed_flow(&mut self, seeds: &[SeedArc<BigInt>]) -> BigInt {
+    fn cert_seed_flow(&mut self, seeds: &[SeedArc<BigInt>]) -> BigInt {
         match self.cert_engine {
             CertEngine::I128 => {
                 let narrowed: Vec<SeedArc<i128>> = seeds
@@ -724,11 +615,71 @@ impl RoundNets {
         }
     }
 
+    /// Preload the freshly built certification network with a previous
+    /// certifying flow pattern, rescaled from the weights it was certified
+    /// on to the current ones (and into the `p·D` integer units). Each
+    /// support arc becomes a [`SeedArc`] request, and the kernel's
+    /// [`seed_flow`](prs_flow::Network::seed_flow) clamps the requests to
+    /// remaining capacity and installs a valid (capacity-respecting,
+    /// conserving) flow. Returns the seeded flow value (the amount already
+    /// routed s→t, in scaled units).
+    ///
+    /// Each middle arc requests `⌊flow·(w'_v/w_v)·pD⌋`; the floor loses at
+    /// most one scaled unit per arc, which the certification max-flow
+    /// recovers from the residual graph: Dinic completes **any** valid flow
+    /// to a maximum flow, so seeding changes only how many augmenting paths
+    /// are needed, never the result.
+    fn seed_from_support(
+        &mut self,
+        g: &Graph,
+        alive: &VertexSet,
+        support: &[SupportArc],
+    ) -> BigInt {
+        if support.is_empty() {
+            return BigInt::zero();
+        }
+        debug_assert!(self.int_scale.is_positive());
+        let mut seeds = Vec::with_capacity(support.len());
+        for (v, u, f, w_then) in support {
+            let (v, u) = (*v, *u);
+            if !alive.contains(v) || !alive.contains(u) {
+                continue;
+            }
+            let Ok(mid) = self
+                .mid_edges
+                .binary_search_by(|probe| (probe.0, probe.1).cmp(&(v, u)))
+            else {
+                continue; // edge no longer present (different topology)
+            };
+            let Ok(vpos) = self.source_edges.binary_search_by(|probe| probe.0.cmp(&v)) else {
+                continue;
+            };
+            let Ok(upos) = self.sink_edges.binary_search_by(|probe| probe.0.cmp(&u)) else {
+                continue;
+            };
+            let w_now = g.weight(v);
+            // desired = ⌊ f · (w'_v / w_v) · p·D ⌋, assembled numerator over
+            // denominator so there is exactly one big division per arc.
+            let num = &(&(f.numer() * w_now.numer())
+                * &BigInt::from_parts(Sign::Plus, w_then.denom().clone()))
+                * &self.int_scale;
+            let den = &(&BigInt::from_parts(Sign::Plus, f.denom().clone())
+                * &BigInt::from_parts(Sign::Plus, w_now.denom().clone()))
+                * w_then.numer();
+            seeds.push(SeedArc {
+                source_edge: self.source_edges[vpos].1,
+                mid_edge: self.mid_edges[mid].2,
+                sink_edge: self.sink_edges[upos].1,
+                desired: &num / &den,
+            });
+        }
+        self.cert_seed_flow(&seeds)
+    }
+
     // prs-lint: allow(float, reason = "two-tier proposer: re-parameterizes the approx network only; certification is exact")
     /// Re-parameterize the float network to `alpha_f`.
     fn set_alpha_f64(&mut self, g: &Graph, alpha_f: f64) {
-        debug_assert!(self.approx_valid, "float network is stale");
-        for &(v, _, a) in &self.sink_edges {
+        for &(v, a) in &self.approx_sinks {
             self.approx.set_capacity(a, g.weight(v).to_f64() / alpha_f);
         }
         self.approx.reset_flow();
@@ -775,6 +726,7 @@ fn propose_f64(
     let w_alive_f: f64 = alive.iter().map(|v| g.weight(v).to_f64()).sum();
     let tol = 1e-9 * (1.0 + w_alive_f);
     let mut alpha_f = alpha0.to_f64();
+    nets.rebuild_f64(g, alive, alpha_f);
     if alpha_f.is_nan() || alpha_f <= 0.0 {
         return None; // α₀ underflowed: nothing useful to propose
     }
@@ -824,86 +776,95 @@ fn propose_f64(
     last_violating
 }
 
-/// Find the maximal bottleneck of the induced subgraph on `alive` — the
-/// two-tier engine.
+/// One middle arc of a certifying flow, in unscaled units:
+/// `(v, u, flow on left(v)→right(u), w_v at certification)`.
+pub(crate) type SupportArc = (VertexId, VertexId, Rational, Rational);
+
+/// A settled certification (see [`certify`]).
+pub(crate) struct Certified {
+    /// The maximal tight set at `alpha`; empty only when a predicted `α̂`
+    /// undershot the round optimum.
+    pub(crate) b: VertexSet,
+    /// The certified ratio.
+    pub(crate) alpha: Rational,
+    /// False iff `α̂` was infeasible and a Dinkelbach descent ran.
+    pub(crate) first_try: bool,
+}
+
+/// The one production Dinkelbach descent: certify a candidate ratio `α̂`
+/// on the scaled-integer network (checked `i128`, BigInt on promotion),
+/// seeded from `support` (a previous certifying flow pattern; empty for a
+/// cold round), and descend exactly from the min cut while infeasible.
+/// `engine` labels the `bd.dinkelbach_iter` spans with the caller's tier.
 ///
-/// Tier 1 ([`propose_f64`]) runs the Dinkelbach descent approximately and
-/// proposes a candidate set `B̂`; its **exact** ratio `α̂ = α(B̂)` seeds
-/// tier 2. Tier 2 is the unchanged exact descent: certify feasibility at
-/// the current α with one exact max-flow; on success extract the maximal
-/// tight set from the exact residual graph, otherwise read a violating set
-/// off the exact min cut and descend. Correctness is by construction:
+/// Correctness is by construction:
 ///
-/// * `α̂ = α(B̂) ≥ α* = min_S α(S)` for *any* set `B̂`, so seeding never
-///   undershoots;
-/// * if `α̂ = α*`, the first certification flow is feasible and extraction
-///   happens on the exact network at the exact optimum — identical to what
-///   the single-tier engine extracts (the maximal tight set is unique);
-/// * if `α̂ > α*`, certification fails and the exact descent proceeds as if
-///   it had started there — every subsequent step is exact.
+/// * `α̂ = α(S) ≥ α* = min_S α(S)` for *any* set `S`, so a candidate read
+///   off a real set never undershoots;
+/// * if `α̂ = α*`, the first flow is feasible and the maximal tight set is
+///   extracted at the exact optimum (it is unique — DESIGN.md §3.1);
+/// * if `α̂ > α*`, the flow is infeasible and the exact descent proceeds as
+///   if it had started there.
 ///
-/// The float tier can therefore change only *how fast* the optimum is
-/// reached (one exact flow on a hit instead of a full descent), never the
-/// result.
-pub(crate) fn maximal_bottleneck(
+/// A *predicted* `α̂` (a stability-cell evaluation) may sit below `α*`:
+/// the first flow is then feasible with slack on every source arc, so
+/// [`Certified::b`] comes back empty — the one signature of an
+/// under-prediction, which only that caller checks for.
+pub(crate) fn certify(
     g: &Graph,
     alive: &VertexSet,
     round: usize,
     nets: &mut RoundNets,
-) -> Result<(VertexSet, Rational), BdError> {
+    alpha_hat: Rational,
+    support: &[SupportArc],
+    engine: &'static str,
+) -> Result<Certified, BdError> {
     let layout = Layout { n: g.n() };
-    let w_alive = g.set_weight_of(alive);
-    debug_assert!(!w_alive.is_zero());
-
-    // prs-lint: allow(panic, reason = "decompose() rejects zero-weight alive sets before every round, so the ratio is defined")
-    let alpha0 = g
-        .alpha_ratio_in(alive, alive)
-        .expect("w(alive) > 0 checked by caller");
-    if alpha0.is_zero() {
-        return Err(BdError::ZeroAlpha { round });
-    }
-    nets.rebuild(g, alive, &alpha0);
-
-    // Tier 1: float proposal, adopted only when its exact ratio is a valid
-    // descent seed (0 < α̂ ≤ 1; anything else keeps α₀).
-    let mut alpha = alpha0.clone();
-    let mut proposed = false;
-    if let Some(candidate) = propose_f64(g, alive, &alpha0, nets) {
-        if let Some(alpha_hat) = g.alpha_ratio_in(&candidate, alive) {
-            if alpha_hat.is_positive() && alpha_hat <= Rational::one() {
-                alpha = alpha_hat;
-                proposed = true;
-            }
-        }
-    }
-
-    // Tier 2: exact certification / descent.
+    nets.rebuild_int(g, alive, &alpha_hat);
+    let mut seeded = nets.seed_from_support(g, alive, support);
+    let mut alpha = alpha_hat;
     let mut first = true;
     loop {
         stats::record_dinkelbach_iterations(1);
-        let mut sp = prs_trace::span("bd", "dinkelbach_iter");
-        sp.attr("engine", || "two_tier".to_string());
-        nets.set_alpha_exact(g, &alpha);
-        let flow = nets.exact.max_flow(Layout::S, Layout::T);
-        if flow == w_alive {
-            if proposed && first {
-                stats::record_fast_path_hits(1);
-            }
-            let reaches = nets.exact.residual_reaches_sink(Layout::T);
+        let mut sp_iter = prs_trace::span("bd", "dinkelbach_iter");
+        sp_iter.attr("engine", || engine.to_string());
+        if !first {
+            nets.set_alpha_int(g, alive, &alpha);
+        }
+        let (mut flow, promoted) = nets.cert_max_flow(g, alive, &alpha);
+        if promoted {
+            // A runtime overflow discarded the i128 network mid-round — and
+            // with it any seed installed there; the BigInt rerun pushed its
+            // whole flow from zero, so nothing must be added back.
+            seeded = BigInt::zero();
+        }
+        if first {
+            // `max_flow` reports only the flow it pushed on top of the seed.
+            flow += &seeded;
+        }
+        // Feasible iff the sources saturate: max flow = Σ (w_v·D)·p.
+        if flow == nets.int_source_total {
+            let reaches = nets.cert_residual_reaches_sink();
             let mut b = VertexSet::empty(g.n());
             for v in alive.iter() {
                 if !reaches[layout.left(v)] {
                     b.insert(v);
                 }
             }
-            debug_assert!(!b.is_empty(), "a tight set must exist at the optimum");
-            return Ok((b, alpha));
+            debug_assert!(
+                first || !b.is_empty(),
+                "a tight set must exist at the optimum"
+            );
+            return Ok(Certified {
+                b,
+                alpha,
+                first_try: first,
+            });
         }
-        if proposed && first {
-            stats::record_fast_path_fallbacks(1);
-        }
+        // Infeasible: the s-side of the min cut yields a violating set with
+        // a strictly smaller ratio.
         first = false;
-        let side = nets.exact.min_cut_source_side(Layout::S);
+        let side = nets.cert_min_cut_source_side();
         let mut s_set = VertexSet::empty(g.n());
         for v in alive.iter() {
             if side[layout.left(v)] {
@@ -925,13 +886,59 @@ pub(crate) fn maximal_bottleneck(
     }
 }
 
+/// Find the maximal bottleneck of the induced subgraph on `alive` with no
+/// cached candidate — the cold round.
+///
+/// Tier 1 ([`propose_f64`]) runs the Dinkelbach descent approximately and
+/// proposes a candidate set `B̂`; its **exact** ratio `α̂ = α(B̂)` (or `α₀`
+/// when nothing usable is proposed) goes to [`certify`] with an empty seed.
+/// The float tier can therefore change only *how fast* the optimum is
+/// reached (one exact flow on a hit instead of a full descent), never the
+/// result.
+pub(crate) fn maximal_bottleneck(
+    g: &Graph,
+    alive: &VertexSet,
+    round: usize,
+    nets: &mut RoundNets,
+) -> Result<(VertexSet, Rational), BdError> {
+    // prs-lint: allow(panic, reason = "decompose() rejects zero-weight alive sets before every round, so the ratio is defined")
+    let alpha0 = g
+        .alpha_ratio_in(alive, alive)
+        .expect("w(alive) > 0 checked by caller");
+    if alpha0.is_zero() {
+        return Err(BdError::ZeroAlpha { round });
+    }
+    // Tier 1: float proposal, adopted only when its exact ratio is a valid
+    // descent seed (0 < α̂ ≤ 1; anything else keeps α₀).
+    let proposal = propose_f64(g, alive, &alpha0, nets)
+        .and_then(|candidate| g.alpha_ratio_in(&candidate, alive))
+        .filter(|a| a.is_positive() && *a <= Rational::one());
+    let proposed = proposal.is_some();
+    // Tier 2: exact certification / descent.
+    let c = certify(
+        g,
+        alive,
+        round,
+        nets,
+        proposal.unwrap_or(alpha0),
+        &[],
+        "two_tier",
+    )?;
+    if proposed && c.first_try {
+        stats::record_fast_path_hits(1);
+    } else if proposed {
+        stats::record_fast_path_fallbacks(1);
+    }
+    Ok((c.b, c.alpha))
+}
+
 /// Compute the bottleneck decomposition of `g` (Definition 2), exactly.
 ///
-/// This is the two-tier engine: a floating-point Dinkelbach pass proposes
-/// each round's optimum, one exact max-flow certifies it, and any
-/// disagreement falls back to the exact descent — so the result is
-/// bit-identical to [`decompose_exact`] while typically an order of
-/// magnitude cheaper in exact arithmetic. Flow networks are rebuilt in
+/// Each round a floating-point Dinkelbach pass proposes the optimum and
+/// one max-flow on the scaled-integer network certifies it (checked `i128`,
+/// promoting to BigInt when a capacity outgrows the word); a miss resumes
+/// the exact descent on the same network. The result is bit-identical to
+/// the Rational oracle [`decompose_exact`]. Flow networks are rebuilt in
 /// place across rounds and re-parameterized capacity-only inside each
 /// round's descent.
 ///
@@ -939,31 +946,17 @@ pub(crate) fn maximal_bottleneck(
 /// empty graphs, subgraphs whose minimum α-ratio is 0 (isolated
 /// positive-weight agents), or residues of total weight 0.
 pub fn decompose(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
-    decompose_driver(g, true)
-}
-
-/// Compute the bottleneck decomposition with the single-tier exact engine:
-/// every Dinkelbach step is an exact max-flow on a freshly built network.
-///
-/// Kept as the reference implementation; `decompose` must agree with it on
-/// every input (asserted by the cross-engine property suite).
-pub fn decompose_exact(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
-    decompose_driver(g, false)
-}
-
-fn decompose_driver(g: &Graph, two_tier: bool) -> Result<BottleneckDecomposition, BdError> {
-    let mut nets = two_tier.then(|| RoundNets::new(2 + 2 * g.n().max(1)));
-    drive(g, |g, alive, round| match &mut nets {
-        Some(nets) => maximal_bottleneck(g, alive, round, nets),
-        None => maximal_bottleneck_exact(g, alive, round),
+    let mut nets = RoundNets::new(2 + 2 * g.n().max(1));
+    drive(g, |g, alive, round| {
+        maximal_bottleneck(g, alive, round, &mut nets)
     })
 }
 
 /// The shared round loop of every decomposition engine: peel maximal
 /// bottlenecks off the alive set until it is empty, classifying vertices as
 /// it goes. `solve_round(g, alive, round)` supplies each round's
-/// `(B, α)` — the single-tier descent, the two-tier engine, or the session's
-/// warm-started solver.
+/// `(B, α)` — the cold round, the session's cached candidates, or the
+/// Rational oracle in [`crate::reference`].
 pub(crate) fn drive<F>(g: &Graph, mut solve_round: F) -> Result<BottleneckDecomposition, BdError>
 where
     F: FnMut(&Graph, &VertexSet, usize) -> Result<(VertexSet, Rational), BdError>,

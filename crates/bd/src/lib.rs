@@ -11,16 +11,24 @@
 //!   Hall-type feasibility network decides `min_S α(S) ≥ α`, min-cuts yield
 //!   strictly better candidates until the optimum is hit, and residual
 //!   reachability extracts the (unique) maximal bottleneck.
+//! * **One round solver.** Every round of [`decompose`] and of a
+//!   [`DecompositionSession`] picks a candidate ratio — a float proposal, a
+//!   cached shape, or the previous round's bottleneck — and certifies it
+//!   with one Dinkelbach descent on the Hall network scaled by `p·D` to
+//!   integers: checked `i128` first, BigInt when a capacity outgrows the
+//!   word. Uniform scaling preserves every decision, so the results are
+//!   bit-identical to the Rational-capacity descent [`decompose_exact`].
 //! * **Class partition** (Definition 4): every agent is a B-class or C-class
 //!   vertex (both, in the terminal `B_k = C_k`, `α_k = 1` pair).
 //! * **BD Allocation Mechanism** (Definition 5): the per-pair bipartite
 //!   max-flow allocation whose utilities obey Proposition 6
 //!   (`U_v = w_v·α_i` for `v ∈ B_i`, `U_v = w_v/α_i` for `v ∈ C_i`), and
 //!   which is the fixed point of the proportional response dynamics.
-//! * A brute-force [`reference`] implementation (exhaustive subset scan)
-//!   used as a test oracle on small instances.
+//! * Two test oracles in [`reference`]: [`decompose_exact`], the
+//!   Rational-capacity descent that shares no arithmetic with the scaled
+//!   ladder, and an exhaustive subset scan for small instances.
 //!
-//! Everything is computed in exact rational arithmetic; α-ratio ties —
+//! Everything is computed in exact arithmetic; α-ratio ties —
 //! which decide the combinatorial shape of the decomposition — are resolved
 //! exactly, never by floating-point luck.
 //!

@@ -1,15 +1,112 @@
-//! Brute-force reference implementation of the bottleneck decomposition.
+//! Reference implementations of the bottleneck decomposition — the test
+//! oracles the production engine ([`crate::decompose`] and the session)
+//! is checked against.
 //!
-//! Enumerates all `2^n − 1` candidate sets per round to find the minimum
-//! α-ratio and the maximal bottleneck (the union of all minimizers — tight
-//! sets are union-closed). Exponential, only for cross-checking the
-//! flow-based algorithm on small instances in tests and experiments.
+//! * [`decompose_exact`] runs the Dinkelbach descent on the Rational
+//!   [`FlowNetwork`]: every step is an exact max-flow on a freshly built,
+//!   unscaled network. It shares nothing with the production path but the
+//!   round loop, so it catches any fault of the scaled-integer ladder.
+//! * [`brute_force_decompose`] enumerates all `2^n − 1` candidate sets per
+//!   round to find the minimum α-ratio and the maximal bottleneck (the
+//!   union of all minimizers — tight sets are union-closed). Exponential,
+//!   only for small instances.
 
-use crate::decomposition::{BottleneckDecomposition, BottleneckPair};
+use crate::decomposition::{drive, BottleneckDecomposition, BottleneckPair, Layout};
 use crate::error::BdError;
 use crate::AgentClass;
+use prs_flow::{stats, Cap, FlowNetwork};
 use prs_graph::{Graph, VertexSet};
 use prs_numeric::Rational;
+
+/// Build the Hall feasibility network for parameter `alpha` on the induced
+/// subgraph `alive`, with Rational capacities.
+fn feasibility_network(g: &Graph, alive: &VertexSet, alpha: &Rational) -> FlowNetwork {
+    let layout = Layout { n: g.n() };
+    let mut net = FlowNetwork::new(layout.nodes());
+    for v in alive.iter() {
+        net.add_edge(Layout::S, layout.left(v), Cap::Finite(g.weight(v).clone()));
+        net.add_edge(layout.right(v), Layout::T, Cap::Finite(g.weight(v) / alpha));
+        for &u in g.neighbors(v) {
+            if alive.contains(u) {
+                net.add_edge(layout.left(v), layout.right(u), Cap::Infinite);
+            }
+        }
+    }
+    net
+}
+
+/// Find the maximal bottleneck of the induced subgraph on `alive` and its
+/// α-ratio: the Dinkelbach descent from `α₀ = α(V_alive)`, one Rational
+/// max-flow on a freshly built network per step.
+fn maximal_bottleneck_exact(
+    g: &Graph,
+    alive: &VertexSet,
+    round: usize,
+) -> Result<(VertexSet, Rational), BdError> {
+    let layout = Layout { n: g.n() };
+    let w_alive = g.set_weight_of(alive);
+    debug_assert!(!w_alive.is_zero());
+
+    // α₀ = α(V_alive) = w(Γ(V_alive) ∩ alive) / w(alive) ≤ 1.
+    // prs-lint: allow(panic, reason = "decompose_exact() rejects zero-weight alive sets before every round, so the ratio is defined")
+    let mut alpha = g
+        .alpha_ratio_in(alive, alive)
+        .expect("w(alive) > 0 checked by caller");
+    if alpha.is_zero() {
+        return Err(BdError::ZeroAlpha { round });
+    }
+
+    loop {
+        stats::record_dinkelbach_iterations(1);
+        let mut sp = prs_trace::span("bd", "dinkelbach_iter");
+        sp.attr("engine", || "exact".to_string());
+        let mut net = feasibility_network(g, alive, &alpha);
+        let flow = net.max_flow(Layout::S, Layout::T);
+        if flow == w_alive {
+            // Feasible: α = min_S α(S). Extract the maximal tight set.
+            let reaches = net.residual_reaches_sink(Layout::T);
+            let mut b = VertexSet::empty(g.n());
+            for v in alive.iter() {
+                if !reaches[layout.left(v)] {
+                    b.insert(v);
+                }
+            }
+            debug_assert!(!b.is_empty(), "a tight set must exist at the optimum");
+            return Ok((b, alpha));
+        }
+        // Infeasible: the s-side of the min cut yields a violating set.
+        let side = net.min_cut_source_side(Layout::S);
+        let mut s_set = VertexSet::empty(g.n());
+        for v in alive.iter() {
+            if side[layout.left(v)] {
+                s_set.insert(v);
+            }
+        }
+        // prs-lint: allow(panic, reason = "the s-side of an infeasible cut contains a source arc, hence positive weight; failure is a solver bug")
+        let new_alpha = g
+            .alpha_ratio_in(&s_set, alive)
+            .expect("violating sets have positive weight");
+        if new_alpha.is_zero() {
+            return Err(BdError::ZeroAlpha { round });
+        }
+        debug_assert!(
+            new_alpha < alpha,
+            "Dinkelbach step must strictly decrease α"
+        );
+        alpha = new_alpha;
+    }
+}
+
+/// Compute the bottleneck decomposition with the Rational descent: every
+/// Dinkelbach step is an exact max-flow on a freshly built, unscaled
+/// network.
+///
+/// Kept as the test oracle; [`crate::decompose`] and every session path
+/// must agree with it on every input (asserted by the cross-engine
+/// property suites).
+pub fn decompose_exact(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
+    drive(g, maximal_bottleneck_exact)
+}
 
 /// Minimum α-ratio over nonempty positive-weight subsets of `alive`, with
 /// the union of all minimizing sets (= the maximal bottleneck).

@@ -31,9 +31,14 @@
 //!    the current weights, so inside a known `ShapeInterval` the flow is
 //!    (nearly) maximal before the first BFS.
 //! 3. **Descent** — at a breakpoint the certification is infeasible and the
-//!    unchanged exact Dinkelbach descent resumes from the min cut (still on
-//!    the integer network); with no usable candidate at all, the standard
-//!    two-tier engine runs on the session's arenas.
+//!    exact Dinkelbach descent resumes from the min cut (still on the
+//!    integer network); with no usable candidate at all, the cold round's
+//!    float proposal is certified on the same network instead.
+//!
+//! Every path but replay is the same two steps — pick a candidate ratio,
+//! then certify it with the one production descent (`certify` in
+//! `decomposition.rs`) — so cold, warm, and incremental rounds differ only
+//! in where the candidate and the seed flow come from.
 //!
 //! ## The delta API
 //!
@@ -65,13 +70,13 @@
 //! enforce this against cold [`decompose`](crate::decompose) calls.
 
 use crate::decomposition::{
-    drive, maximal_bottleneck, AgentClass, BottleneckDecomposition, Layout, RoundNets,
+    certify, drive, maximal_bottleneck, AgentClass, BottleneckDecomposition, RoundNets, SupportArc,
 };
 use crate::delta::{Delta, EdgeOp, StabilityCell, UpdateOutcome};
 use crate::error::BdError;
-use prs_flow::{stats, SeedArc};
+use prs_flow::stats;
 use prs_graph::{Graph, VertexId, VertexSet};
-use prs_numeric::{BigInt, Rational, Sign};
+use prs_numeric::Rational;
 
 /// How many MRU cache entries a warm-start probe inspects per round.
 /// Sweeps alternate between at most two shapes near a breakpoint (the
@@ -86,28 +91,16 @@ const PROBE_WINDOW: usize = 4;
 #[non_exhaustive]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Seed each round from cached shape certificates (default `true`).
-    /// With this off the session still amortizes arena allocation but every
-    /// round runs the plain two-tier descent.
-    pub warm_start: bool,
-    /// Maximum number of cached shape certificates (default `32`; `0`
-    /// disables the cache entirely).
+    /// Maximum number of cached shape certificates (default `32`). `0`
+    /// disables the cache entirely: the session still amortizes arena
+    /// allocation, but every round outside the delta path is cold.
     pub cache_capacity: usize,
 }
 
 impl SessionConfig {
-    /// The default configuration: warm starts on, 32 cached shapes.
+    /// The default configuration: 32 cached shapes.
     pub fn new() -> Self {
-        SessionConfig {
-            warm_start: true,
-            cache_capacity: 32,
-        }
-    }
-
-    /// Enable or disable warm-starting from cached shapes.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
+        SessionConfig { cache_capacity: 32 }
     }
 
     /// Set the shape-cache capacity (`0` disables caching).
@@ -139,6 +132,26 @@ pub struct SessionStats {
     pub warm_starts: u64,
 }
 
+impl SessionStats {
+    /// Count one served round as a hit or a miss, here and in the
+    /// process-global [`prs_flow::stats`].
+    fn record_round(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+            stats::record_session_hits(1);
+        } else {
+            self.misses += 1;
+            stats::record_session_misses(1);
+        }
+    }
+
+    /// Count one round seeded from a cached or previous certificate.
+    fn record_warm_start(&mut self) {
+        self.warm_starts += 1;
+        stats::record_session_warm_starts(1);
+    }
+}
+
 /// One certified round of a memoized decomposition: the answer `(B, α)`
 /// plus everything needed to (a) replay it verbatim when the round's exact
 /// inputs recur and (b) seed the certification max-flow when only the
@@ -167,7 +180,7 @@ struct CertData {
     /// `w'` seeds the arc `left(v)→right(u)` with `flow · w'_v / w_v` —
     /// a straight clone when `w'_v = w_v`, the common case in a sweep where
     /// only one vertex's weight moves per grid point.
-    support: Vec<(VertexId, VertexId, Rational, Rational)>,
+    support: Vec<SupportArc>,
 }
 
 /// One memoized decomposition: the certified per-round bottleneck sets and
@@ -176,9 +189,8 @@ struct CertData {
 /// The capacity signature is implicit: `rounds[i]` is only *used* as a
 /// candidate, never trusted — its α-ratio is recomputed exactly against the
 /// current weights, and the seeded flow is clamped to the current capacities
-/// before [`max_flow`](prs_flow::FlowNetwork::max_flow) completes it, so a
-/// stale entry costs one wasted certification flow at worst and can never
-/// corrupt a result.
+/// before the certification max-flow completes it, so a stale entry costs
+/// one wasted certification flow at worst and can never corrupt a result.
 struct ShapeEntry {
     n: usize,
     rounds: Vec<RoundCert>,
@@ -478,12 +490,10 @@ impl DecompositionSession {
                 stats::record_delta_recertified(1);
             }
             Ok(UpdateOutcome::Recomputed) => {
+                // A routine tier (it serves about half of a churn stream),
+                // so it is counted, not raised as an anomaly.
                 sp.attr("tier", || "recomputed".to_string());
                 stats::record_delta_recomputed(1);
-                // A full recompute under a delta that was expected to serve
-                // incrementally is the service-level anomaly the flight
-                // recorder exists for: capture the rounds leading up to it.
-                prs_trace::metrics::anomaly("delta_recomputed");
             }
             Err(_) => {
                 sp.attr("tier", || "rejected".to_string());
@@ -613,7 +623,6 @@ impl DecompositionSession {
         let mut recert_rounds = 0usize;
         let mut clean = true;
         let result = {
-            let cfg = self.cfg.clone();
             let nets = &mut self.nets;
             let cache = &self.cache;
             let local = &mut self.local;
@@ -646,12 +655,9 @@ impl DecompositionSession {
                 }
                 if !prefix_intact {
                     // Structural break: serve the remaining rounds through
-                    // the general warm solver (MRU replay, warm
-                    // certification, cold two-tier).
+                    // the general solver (MRU replay, cached shape, cold).
                     *clean = false;
-                    return solve_round_warm(
-                        g, alive, round, &cfg, nets, cache, local, certified, true,
-                    );
+                    return solve_round_warm(g, alive, round, nets, cache, local, certified, true);
                 }
                 let pair = &prev_bd.pairs()[round];
                 if !diff.visible_in(alive) {
@@ -663,10 +669,8 @@ impl DecompositionSession {
                     let mut sp = prs_trace::span("bd", "session_round");
                     sp.attr("round", || round.to_string());
                     sp.attr("path", || "delta_replay".to_string());
-                    local.hits += 1;
-                    local.warm_starts += 1;
-                    stats::record_session_hits(1);
-                    stats::record_session_warm_starts(1);
+                    local.record_round(true);
+                    local.record_warm_start();
                     if let Some(rc) = prev_certs.get(round) {
                         certified.push(rc.clone());
                     }
@@ -676,81 +680,63 @@ impl DecompositionSession {
                 // from the previous certifying flow.
                 let mut sp = prs_trace::span("bd", "session_round");
                 sp.attr("round", || round.to_string());
-                local.warm_starts += 1;
-                stats::record_session_warm_starts(1);
-                let support: &[(VertexId, VertexId, Rational, Rational)] = prev_certs
+                local.record_warm_start();
+                let support = prev_certs
                     .get(round)
-                    .map_or(&[], |rc| rc.data.support.as_slice());
+                    .map_or(&[][..], |rc| rc.data.support.as_slice());
                 let one = Rational::one();
-                let mut attempt = None;
-                if let (Some(c), Some(x)) = (cell, focus_x.as_ref()) {
-                    // A matching stability cell predicts this round's ratio
-                    // outright. The certification flow adjudicates: a
-                    // feasible flow with no tight set means the prediction
-                    // undershot the optimum (a lying cell) and the exact
-                    // candidate ratio below retries.
-                    if let Some(alpha_hat) = c.alpha_curve(round).and_then(|m| m.eval(x)) {
-                        if alpha_hat.is_positive() && alpha_hat <= one {
-                            sp.attr("cell", || "predicted".to_string());
-                            match certify_with_candidate(
-                                g, alive, round, nets, alpha_hat, support, true,
-                            )? {
-                                CertAttempt::Undershot => {}
-                                done => attempt = Some(done),
-                            }
-                        }
-                    }
+                let in_range = |a: &Rational| a.is_positive() && *a <= one;
+                let mut settled = None;
+                // A matching stability cell predicts this round's ratio
+                // outright. The certification flow adjudicates: a feasible
+                // flow with no tight set means the prediction undershot the
+                // optimum (a lying cell) and the exact candidate retries.
+                let predicted = cell
+                    .zip(focus_x.as_ref())
+                    .and_then(|(c, x)| c.alpha_curve(round)?.eval(x))
+                    .filter(in_range);
+                if let Some(alpha_hat) = predicted {
+                    sp.attr("cell", || "predicted".to_string());
+                    let c = certify(g, alive, round, nets, alpha_hat, support, "session")?;
+                    settled = (!c.b.is_empty()).then_some(c);
                 }
-                if attempt.is_none() {
+                if settled.is_none() {
                     // Exact candidate ratio of the previous bottleneck:
                     // α(B_prev) ≥ α* always, so certification either
-                    // confirms it (tight set extraction included) or the
-                    // descent walks down from it.
-                    if let Some(alpha_hat) = g.alpha_ratio_in(&pair.b, alive) {
-                        if alpha_hat.is_positive() && alpha_hat <= one {
-                            attempt = Some(certify_with_candidate(
-                                g, alive, round, nets, alpha_hat, support, false,
-                            )?);
-                        }
+                    // confirms it or the descent walks down from it.
+                    if let Some(alpha_hat) = g.alpha_ratio_in(&pair.b, alive).filter(in_range) {
+                        settled = Some(certify(
+                            g, alive, round, nets, alpha_hat, support, "session",
+                        )?);
                     }
                 }
-                match attempt {
-                    Some(CertAttempt::Certified {
-                        b,
-                        alpha,
-                        first_try,
-                    }) => {
-                        if first_try {
-                            sp.attr("path", || "delta_recert".to_string());
-                            local.hits += 1;
-                            stats::record_session_hits(1);
-                            *recert_rounds += 1;
-                        } else {
-                            // Crossed a breakpoint: the exact descent ran;
-                            // the result is still bit-identical but the
-                            // serve is no longer a pure recertification.
-                            sp.attr("path", || "delta_descent".to_string());
-                            local.misses += 1;
-                            stats::record_session_misses(1);
-                            *clean = false;
-                        }
-                        certified.push(snapshot_cert_int(nets, g, alive, &b, &alpha));
-                        Ok((b, alpha))
+                let (b, alpha) = match settled {
+                    Some(c) if c.first_try => {
+                        sp.attr("path", || "delta_recert".to_string());
+                        local.record_round(true);
+                        *recert_rounds += 1;
+                        (c.b, c.alpha)
                     }
-                    Some(CertAttempt::Undershot) | None => {
-                        // No usable candidate (the mutation pushed the
-                        // previous bottleneck's ratio out of (0, 1], or the
-                        // cell prediction failed without an exact backup):
-                        // plain two-tier round.
-                        sp.attr("path", || "cold".to_string());
-                        local.misses += 1;
-                        stats::record_session_misses(1);
+                    Some(c) => {
+                        // Crossed a breakpoint: the exact descent ran; the
+                        // result is still bit-identical but the serve is no
+                        // longer a pure recertification.
+                        sp.attr("path", || "delta_descent".to_string());
+                        local.record_round(false);
                         *clean = false;
-                        let (b, alpha) = maximal_bottleneck(g, alive, round, nets)?;
-                        certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
-                        Ok((b, alpha))
+                        (c.b, c.alpha)
                     }
-                }
+                    None => {
+                        // No usable candidate: the mutation pushed the
+                        // previous bottleneck's ratio out of (0, 1].
+                        sp.attr("path", || "cold".to_string());
+                        local.record_round(false);
+                        *clean = false;
+                        maximal_bottleneck(g, alive, round, nets)?
+                    }
+                };
+                certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
+                Ok((b, alpha))
             })
         };
         result.map(|bd| (bd, certified, recert_rounds, clean))
@@ -784,15 +770,12 @@ impl DecompositionSession {
         let collect = force_collect || self.cfg.cache_capacity > 0;
         let mut certified: Vec<RoundCert> = Vec::new();
         let result = {
-            let cfg = self.cfg.clone();
             let nets = &mut self.nets;
             let cache = &self.cache;
             let local = &mut self.local;
             let certified = &mut certified;
             drive(g, |g, alive, round| {
-                solve_round_warm(
-                    g, alive, round, &cfg, nets, cache, local, certified, collect,
-                )
+                solve_round_warm(g, alive, round, nets, cache, local, certified, collect)
             })
         };
         result.map(|bd| (bd, certified))
@@ -867,143 +850,24 @@ fn retain_cells(cells: &mut Vec<StabilityCell>, diff: &GraphDiff, g: &Graph) {
     }
 }
 
-/// The result of one warm certification attempt (see
-/// [`certify_with_candidate`]).
-enum CertAttempt {
-    /// The round settled: `b` is the maximal tight set at the certified
-    /// `alpha`; `first_try` is false iff a Dinkelbach descent ran.
-    Certified {
-        b: VertexSet,
-        alpha: Rational,
-        first_try: bool,
-    },
-    /// Feasible at `α̂` with slack everywhere — no tight set exists, so the
-    /// *predicted* `α̂` sits strictly below the round optimum. Only possible
-    /// (and only reported) when the caller opted into predictions;
-    /// candidate ratios `α(S)` of real sets are always ≥ the optimum.
-    Undershot,
-}
-
-/// Certify a candidate ratio `α̂` on the scaled-integer network, seeded
-/// from `support` (a previous certifying flow pattern), descending exactly
-/// when infeasible. The shared engine behind both the MRU warm path and the
-/// delta recertification path.
+/// One session round: pick a candidate, certify it, take one snapshot.
 ///
-/// With `allow_undershoot`, `α̂` may be a *prediction* (a stability-cell
-/// evaluation) rather than the ratio of a concrete set: feasibility with an
-/// empty tight set then reports [`CertAttempt::Undershot`] instead of
-/// settling, and the caller retries with an exact candidate. This is what
-/// makes cell predictions safe to use directly as certification parameters:
-/// a feasible flow **with** a nonempty tight set proves `α̂` equals the
-/// round optimum (some set attains it), infeasibility proves `α̂` is above
-/// it (descent resumes as usual), and the empty-tight-set case is exactly
-/// the signature of an under-prediction.
-#[allow(clippy::too_many_arguments)]
-fn certify_with_candidate(
-    g: &Graph,
-    alive: &VertexSet,
-    round: usize,
-    nets: &mut RoundNets,
-    alpha_hat: Rational,
-    support: &[(VertexId, VertexId, Rational, Rational)],
-    allow_undershoot: bool,
-) -> Result<CertAttempt, BdError> {
-    let layout = Layout { n: g.n() };
-    // Build the *scaled-integer* network directly at α̂: multiplying every
-    // capacity by `p·D` (α̂ = p/q in lowest terms, `D` clears the alive
-    // weights' denominators) turns each Dinic step from a gcd-normalized
-    // rational operation into a plain big-integer one, while preserving the
-    // feasibility decision, min cuts, and residual reachability — so the
-    // extracted sets are bit-identical to the rational network's. Then seed
-    // it with the cached round's certifying flow pattern rescaled to the
-    // current weights: inside a known `ShapeInterval` the seed is already
-    // (nearly) maximal, so certification does little more than one
-    // confirming BFS instead of a full augmenting-path run.
-    nets.rebuild_int_only(g, alive, &alpha_hat);
-    let mut seeded = seed_certification_flow_int(nets, g, alive, support);
-    let mut alpha = alpha_hat;
-    let mut first = true;
-    loop {
-        stats::record_dinkelbach_iterations(1);
-        let mut sp_iter = prs_trace::span("bd", "dinkelbach_iter");
-        sp_iter.attr("engine", || "session".to_string());
-        if !first {
-            nets.set_alpha_int(g, alive, &alpha);
-        }
-        let (mut flow, promoted) = nets.cert_max_flow(g, alive, &alpha);
-        if promoted {
-            // A runtime overflow discarded the i128 network mid-round — and
-            // with it any seed installed there; the BigInt rerun pushed its
-            // whole flow from zero, so nothing must be added back.
-            seeded = BigInt::zero();
-        }
-        if first {
-            // `max_flow` reports only the flow it pushed on top of the seed.
-            flow += &seeded;
-        }
-        // Feasible iff the sources saturate: max flow = Σ (w_v·D)·p.
-        if flow == nets.int_source_total {
-            let reaches = nets.cert_residual_reaches_sink();
-            let mut b = VertexSet::empty(g.n());
-            for v in alive.iter() {
-                if !reaches[layout.left(v)] {
-                    b.insert(v);
-                }
-            }
-            if b.is_empty() && allow_undershoot && first {
-                return Ok(CertAttempt::Undershot);
-            }
-            debug_assert!(!b.is_empty(), "a tight set must exist at the optimum");
-            return Ok(CertAttempt::Certified {
-                b,
-                alpha,
-                first_try: first,
-            });
-        }
-        // Breakpoint crossed: the candidate's ratio is no longer the
-        // minimum. Continue the unchanged exact descent from the min cut —
-        // no float-tier re-entry; misses are rare and the pure descent from
-        // α̂ is already close.
-        first = false;
-        let side = nets.cert_min_cut_source_side();
-        let mut s_set = VertexSet::empty(g.n());
-        for v in alive.iter() {
-            if side[layout.left(v)] {
-                s_set.insert(v);
-            }
-        }
-        // prs-lint: allow(panic, reason = "the s-side of an infeasible cut contains a source arc, hence positive weight; failure is a solver bug")
-        let new_alpha = g
-            .alpha_ratio_in(&s_set, alive)
-            .expect("violating sets have positive weight");
-        if new_alpha.is_zero() {
-            return Err(BdError::ZeroAlpha { round });
-        }
-        debug_assert!(
-            new_alpha < alpha,
-            "Dinkelbach step must strictly decrease α"
-        );
-        alpha = new_alpha;
-    }
-}
-
-/// One session round, fastest path first:
+/// The candidate is, cheapest first:
 ///
 /// 1. **Replay**: a cached round whose exact inputs (alive set, weights,
 ///    induced adjacency) match the current ones returns its certified
 ///    `(B, α)` verbatim — zero flow work. Sound because the round solver is
 ///    a pure function of those inputs.
-/// 2. **Warm certification**: otherwise probe the shape cache for the best
-///    candidate set, build the exact network at its ratio `α̂`, seed it with
-///    the cached certifying flow, and run a single certification max-flow.
-/// 3. **Fallback**: no usable candidate → the standard two-tier engine;
-///    certification fails at a breakpoint → the unchanged exact descent.
+/// 2. **Cached shape**: the best candidate set in the MRU probe window; its
+///    ratio `α̂` is certified seeded with the cached certifying flow.
+/// 3. **Cold**: the float proposal of [`maximal_bottleneck`].
+///
+/// A certification that fails at a breakpoint resumes the exact descent.
 #[allow(clippy::too_many_arguments)]
 fn solve_round_warm(
     g: &Graph,
     alive: &VertexSet,
     round: usize,
-    cfg: &SessionConfig,
     nets: &mut RoundNets,
     cache: &[ShapeEntry],
     local: &mut SessionStats,
@@ -1014,84 +878,39 @@ fn solve_round_warm(
     // round: `replay`, `warm_hit`, `warm_descent`, or `cold`.
     let mut sp = prs_trace::span("bd", "session_round");
     sp.attr("round", || round.to_string());
-    if cfg.warm_start {
-        if let Some(rc) = replay_candidate(g, alive, round, cache) {
-            sp.attr("path", || "replay".to_string());
-            local.hits += 1;
-            local.warm_starts += 1;
-            stats::record_session_hits(1);
-            stats::record_session_warm_starts(1);
-            if collect {
-                certified.push(rc.clone());
-            }
-            return Ok((rc.b.clone(), rc.alpha.clone()));
-        }
-    }
-
-    let warm = if cfg.warm_start {
-        best_warm_candidate(g, alive, round, cache)
-    } else {
-        None
-    };
-
-    let Some((alpha_hat, entry_idx)) = warm else {
-        // Cold round: the plain two-tier engine (float proposal + exact
-        // certification), reusing this session's arenas.
-        sp.attr("path", || "cold".to_string());
-        local.misses += 1;
-        stats::record_session_misses(1);
-        let (b, alpha) = maximal_bottleneck(g, alive, round, nets)?;
+    if let Some(rc) = replay_candidate(g, alive, round, cache) {
+        sp.attr("path", || "replay".to_string());
+        local.record_round(true);
+        local.record_warm_start();
         if collect {
-            certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
+            certified.push(rc.clone());
         }
-        return Ok((b, alpha));
-    };
-
-    local.warm_starts += 1;
-    stats::record_session_warm_starts(1);
-
-    match certify_with_candidate(
-        g,
-        alive,
-        round,
-        nets,
-        alpha_hat,
-        &cache[entry_idx].rounds[round].data.support,
-        false,
-    )? {
-        CertAttempt::Certified {
-            b,
-            alpha,
-            first_try,
-        } => {
-            if first_try {
-                sp.attr("path", || "warm_hit".to_string());
-                local.hits += 1;
-                stats::record_session_hits(1);
-            } else {
-                sp.attr("path", || "warm_descent".to_string());
-                local.misses += 1;
-                stats::record_session_misses(1);
-            }
-            if collect {
-                certified.push(snapshot_cert_int(nets, g, alive, &b, &alpha));
-            }
-            Ok((b, alpha))
-        }
-        CertAttempt::Undershot => {
-            // Unreachable with `allow_undershoot = false` (candidate ratios
-            // of real sets are ≥ the optimum); recover through the standard
-            // two-tier engine rather than asserting.
-            sp.attr("path", || "cold".to_string());
-            local.misses += 1;
-            stats::record_session_misses(1);
-            let (b, alpha) = maximal_bottleneck(g, alive, round, nets)?;
-            if collect {
-                certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
-            }
-            Ok((b, alpha))
-        }
+        return Ok((rc.b.clone(), rc.alpha.clone()));
     }
+    let (b, alpha) = match best_warm_candidate(g, alive, round, cache) {
+        Some((alpha_hat, idx)) => {
+            local.record_warm_start();
+            let support = &cache[idx].rounds[round].data.support;
+            let c = certify(g, alive, round, nets, alpha_hat, support, "session")?;
+            let path = if c.first_try {
+                "warm_hit"
+            } else {
+                "warm_descent"
+            };
+            sp.attr("path", || path.to_string());
+            local.record_round(c.first_try);
+            (c.b, c.alpha)
+        }
+        None => {
+            sp.attr("path", || "cold".to_string());
+            local.record_round(false);
+            maximal_bottleneck(g, alive, round, nets)?
+        }
+    };
+    if collect {
+        certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
+    }
+    Ok((b, alpha))
 }
 
 /// Find a cached round whose exact inputs — alive set, weights on it, and
@@ -1142,42 +961,6 @@ fn replay_candidate<'a>(
     None
 }
 
-/// Snapshot a freshly certified round into a [`RoundCert`]: the answer, the
-/// inputs it was solved on, and the certifying max-flow's middle-arc
-/// pattern (read off the exact network, which every solve path leaves at
-/// the feasible optimum).
-fn snapshot_cert(
-    nets: &RoundNets,
-    g: &Graph,
-    alive: &VertexSet,
-    b: &VertexSet,
-    alpha: &Rational,
-) -> RoundCert {
-    let mut weights = Vec::with_capacity(alive.len());
-    for v in alive.iter() {
-        weights.push(g.weight(v).clone());
-    }
-    let mut adj = Vec::with_capacity(nets.mid_edges.len());
-    let mut support = Vec::new();
-    for &(v, u, e) in &nets.mid_edges {
-        adj.push((v, u));
-        let f = nets.exact.flow_on(e);
-        if f.is_positive() {
-            support.push((v, u, f.clone(), g.weight(v).clone()));
-        }
-    }
-    RoundCert {
-        b: b.clone(),
-        alpha: alpha.clone(),
-        data: std::sync::Arc::new(CertData {
-            alive: alive.clone(),
-            weights,
-            adj,
-            support,
-        }),
-    }
-}
-
 /// Probe the MRU front of the cache for this round's best warm seed: the
 /// candidate set with the smallest exact α-ratio among usable entries
 /// (`0 < α̂ ≤ 1`, candidate alive), together with the cache index it came
@@ -1213,13 +996,13 @@ fn best_warm_candidate(
     best
 }
 
-/// Snapshot a round certified on the *integer* network (BigInt or the
-/// checked-i128 fast tier — whichever the round settled on): identical to
-/// [`snapshot_cert`] except the middle-arc flows are read off the active
-/// scaled engine and divided back by the scale `p·D`, so the cached
-/// support is in true (unscaled) flow units regardless of which engine
-/// certifies next time.
-fn snapshot_cert_int(
+/// Snapshot a freshly certified round into a [`RoundCert`]: the answer,
+/// the inputs it was solved on, and the certifying max-flow's middle-arc
+/// pattern. The flows are read off whichever scaled engine (checked `i128`
+/// or BigInt) settled the round and divided back by the scale `p·D`, so
+/// the cached support is in true (unscaled) flow units regardless of which
+/// engine certifies next time.
+fn snapshot_cert(
     nets: &RoundNets,
     g: &Graph,
     alive: &VertexSet,
@@ -1253,68 +1036,6 @@ fn snapshot_cert_int(
     }
 }
 
-/// Preload the scaled-integer network with the cached certifying flow
-/// pattern, rescaled from the cached weights to the current ones (and into
-/// the `p·D` integer units). The session translates each cached support
-/// arc into a [`SeedArc`] request — resolving vertices to edge ids and
-/// computing the rescaled amount — and the kernel's
-/// [`seed_flow`](prs_flow::Network::seed_flow) clamps the requests to
-/// remaining capacity and installs a valid (capacity-respecting,
-/// conserving) flow. Returns the seeded flow value (the amount already
-/// routed s→t, in scaled units).
-///
-/// Each middle arc requests `⌊flow·(w'_v/w_v)·pD⌋`; the floor loses at
-/// most one scaled unit per arc, which the certification max-flow recovers
-/// from the residual graph: Dinic completes **any** valid flow to a
-/// maximum flow, so seeding changes only how many augmenting paths are
-/// needed, never the result.
-fn seed_certification_flow_int(
-    nets: &mut RoundNets,
-    g: &Graph,
-    alive: &VertexSet,
-    support: &[(VertexId, VertexId, Rational, Rational)],
-) -> BigInt {
-    if support.is_empty() {
-        return BigInt::zero();
-    }
-    debug_assert!(nets.int_scale.is_positive());
-    let mut seeds = Vec::with_capacity(support.len());
-    for (v, u, f, w_then) in support {
-        let (v, u) = (*v, *u);
-        if !alive.contains(v) || !alive.contains(u) {
-            continue;
-        }
-        let Ok(mid) = nets
-            .mid_edges
-            .binary_search_by(|probe| (probe.0, probe.1).cmp(&(v, u)))
-        else {
-            continue; // edge no longer present (different topology)
-        };
-        let Ok(vpos) = nets.source_edges.binary_search_by(|probe| probe.0.cmp(&v)) else {
-            continue;
-        };
-        let Ok(upos) = nets.sink_edges.binary_search_by(|probe| probe.0.cmp(&u)) else {
-            continue;
-        };
-        let w_now = g.weight(v);
-        // desired = ⌊ f · (w'_v / w_v) · p·D ⌋, assembled numerator over
-        // denominator so there is exactly one big division per arc.
-        let num = &(&(f.numer() * w_now.numer())
-            * &BigInt::from_parts(Sign::Plus, w_then.denom().clone()))
-            * &nets.int_scale;
-        let den = &(&BigInt::from_parts(Sign::Plus, f.denom().clone())
-            * &BigInt::from_parts(Sign::Plus, w_now.denom().clone()))
-            * w_then.numer();
-        seeds.push(SeedArc {
-            source_edge: nets.source_edges[vpos].1,
-            mid_edge: nets.mid_edges[mid].2,
-            sink_edge: nets.sink_edges[upos].1,
-            desired: &num / &den,
-        });
-    }
-    nets.cert_seed_flow(&seeds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1343,29 +1064,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_off_never_warm_starts() {
-        let cfg = SessionConfig::new().with_warm_start(false);
+    fn cache_capacity_zero_disables_caching() {
+        // With no cache every round is cold: no warm start, no hit.
+        let cfg = SessionConfig::new().with_cache_capacity(0);
         let mut session = DecompositionSession::detached_with_config(cfg);
         for k in 1..10 {
             let g = path_graph(int(k));
             assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
         }
+        assert_eq!(session.cache_len(), 0);
         let s = session.stats();
         assert_eq!(s.warm_starts, 0);
         assert_eq!(s.hits, 0);
         assert!(s.misses > 0);
-    }
-
-    #[test]
-    fn cache_capacity_zero_disables_caching() {
-        let cfg = SessionConfig::new().with_cache_capacity(0);
-        let mut session = DecompositionSession::detached_with_config(cfg);
-        for k in 1..6 {
-            let g = path_graph(int(k));
-            session.decompose(&g).unwrap();
-        }
-        assert_eq!(session.cache_len(), 0);
-        assert_eq!(session.stats().hits, 0);
     }
 
     #[test]
@@ -1421,10 +1132,7 @@ mod tests {
 
     #[test]
     fn config_builders_compose() {
-        let cfg = SessionConfig::new()
-            .with_warm_start(false)
-            .with_cache_capacity(7);
-        assert!(!cfg.warm_start);
+        let cfg = SessionConfig::new().with_cache_capacity(7);
         assert_eq!(cfg.cache_capacity, 7);
         assert_eq!(SessionConfig::default(), SessionConfig::new());
     }

@@ -1,16 +1,18 @@
 //! Certification round-trip under adversarial weight magnitudes.
 //!
-//! The session's warm path re-certifies a remembered decomposition shape
-//! on the scaled-integer network (capacities × `p · D`); the cold path
-//! derives the shape from scratch on the rational engine. With weights
-//! like `2⁻ᵏ` next to `2ᵏ` the scale factor `p · D` is hundreds of bits
-//! wide, so any truncation anywhere in the chain would make the two paths
-//! disagree. These tests pin the equality on exactly those instances —
-//! including the paper's lower-bound family, whose ratios approach the
-//! tight bound of 2 through precisely this kind of scale separation.
+//! Every production round certifies on the scaled-integer network
+//! (capacities × `p · D`): the session's warm path re-certifies a
+//! remembered decomposition shape, the cold path certifies a float
+//! proposal. With weights like `2⁻ᵏ` next to `2ᵏ` the scale factor `p · D`
+//! is hundreds of bits wide, so any truncation anywhere in the chain would
+//! make the ladder disagree with the Rational oracle `decompose_exact`,
+//! which never scales. These tests pin the equality on exactly those
+//! instances — including the paper's lower-bound family, whose ratios
+//! approach the tight bound of 2 through precisely this kind of scale
+//! separation.
 
 use proptest::prelude::*;
-use prs_bd::{decompose, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, decompose_exact, DecompositionSession, SessionConfig};
 use prs_graph::builders;
 use prs_numeric::Rational;
 
@@ -43,6 +45,7 @@ proptest! {
         let cold = decompose(&g).unwrap();
         prop_assert_eq!(&first, &cold);
         prop_assert_eq!(&second, &cold);
+        prop_assert_eq!(&cold, &decompose_exact(&g).unwrap());
         // The certified utilities conserve total weight exactly even at
         // 400-bit scale separation.
         let total: Rational = (0..g.n()).map(|v| cold.utility(&g, v)).sum();
@@ -68,7 +71,9 @@ proptest! {
                 eps,
             ];
             let g = builders::ring(w).unwrap();
+            let oracle = decompose_exact(&g).unwrap();
             prop_assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
+            prop_assert_eq!(decompose(&g).unwrap(), oracle);
         }
         let stats = session.stats();
         prop_assert!(stats.hits + stats.warm_starts > 0,

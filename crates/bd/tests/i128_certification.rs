@@ -1,16 +1,16 @@
 //! The checked-i128 certification fast tier: routing and promotion.
 //!
-//! The session's warm certification path now tries the `i128` engine
-//! before BigInt. Two things must hold: shipped-scale instances run
-//! entirely on the fast tier (promotion count exactly zero), and
-//! adversarial scale separation promotes — with results bit-identical to
-//! the cold rational engine either way.
+//! Every certification round — cold `decompose` and the session alike —
+//! tries the `i128` engine before BigInt. Two things must hold:
+//! small-weight instances run entirely on the fast tier (promotion count
+//! exactly zero), and adversarial scale separation promotes — with results
+//! bit-identical to the Rational oracle `decompose_exact` either way.
 //!
-//! Both phases live in a single `#[test]`: the promotion counter is
+//! All phases live in a single `#[test]`: the promotion counter is
 //! process-global, so a concurrently running promoting test would make a
 //! "promotions == 0" window assertion flaky.
 
-use prs_bd::{decompose, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, decompose_exact, DecompositionSession, SessionConfig};
 use prs_flow::stats;
 use prs_graph::builders;
 use prs_numeric::{int, Rational};
@@ -21,7 +21,7 @@ fn pow2(e: i32) -> Rational {
 
 #[test]
 fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
-    // Phase 1 — shipped-scale weights: the warm certification must run on
+    // Phase 1 — small weights: the warm certification must run on
     // the i128 engine (i128 max-flows move) and never promote.
     let before = stats::snapshot();
     let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
@@ -29,6 +29,8 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     let g2 = builders::ring(vec![int(4), int(1), int(4), int(1), int(5)]).unwrap();
     assert_eq!(session.decompose(&g1).unwrap(), decompose(&g1).unwrap());
     assert_eq!(session.decompose(&g2).unwrap(), decompose(&g2).unwrap());
+    assert_eq!(decompose(&g1).unwrap(), decompose_exact(&g1).unwrap());
+    assert_eq!(decompose(&g2).unwrap(), decompose_exact(&g2).unwrap());
     let delta = stats::snapshot().since(&before);
     assert!(
         delta.i128_max_flows > 0,
@@ -42,7 +44,7 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     // Phase 2 — adversarial scale separation: weights 2^±200 make the
     // p·D-scaled capacities hundreds of bits wide, so the admission test
     // fails and the round promotes to BigInt. The decomposition is still
-    // bit-identical to the cold rational engine.
+    // bit-identical to the Rational oracle.
     let before = stats::snapshot();
     let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
     for j in 0..2i32 {
@@ -51,6 +53,7 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
         let w = vec![eps.clone(), int(1), int(1), big, eps];
         let g = builders::ring(w).unwrap();
         assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
+        assert_eq!(decompose(&g).unwrap(), decompose_exact(&g).unwrap());
     }
     let delta = stats::snapshot().since(&before);
     let s = session.stats();
@@ -61,5 +64,16 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     assert!(
         delta.i128_promotions > 0,
         "400-bit scale separation must promote to BigInt: {delta:?}"
+    );
+
+    // Phase 3 — cold `decompose` certifies on the same ladder, so the
+    // family promotes without any session involved.
+    let g = builders::ring(vec![pow2(-200), int(1), int(1), pow2(200), pow2(-200)]).unwrap();
+    let before = stats::snapshot();
+    assert_eq!(decompose(&g).unwrap(), decompose_exact(&g).unwrap());
+    let delta = stats::snapshot().since(&before);
+    assert!(
+        delta.i128_promotions > 0,
+        "cold decompose must promote the 2^±200 family too: {delta:?}"
     );
 }

@@ -1174,9 +1174,10 @@ fn e18_collusion() {
     );
 }
 
-/// `bench` — the exact engine vs the two-tier (float-prefiltered) engine on
-/// the decomposition hot path, plus the flow-instrumentation counters,
-/// written to `BENCH_seed.json`.
+/// `bench` — the Rational oracle (`decompose_exact`) vs the production
+/// two-tier engine (float proposal, scaled-integer certification) on the
+/// decomposition hot path, plus the flow-instrumentation counters, written
+/// to `BENCH_seed.json`.
 ///
 /// Both engines return bit-identical decompositions (the float tier only
 /// proposes; an exact pass certifies — see DESIGN.md §3.1), so the timings
@@ -1185,9 +1186,9 @@ fn e18_collusion() {
 ///
 /// A second set of "session workloads" times whole sweeps and attack
 /// optimizations with warm-started [`DecompositionSession`]s (the default)
-/// against session-less cold runs (`warm_start(false)`,
-/// `cache_capacity(0)`), asserting identical results and recording the
-/// `session_hits`/`session_misses`/`session_warm_starts` counter deltas.
+/// against cold runs (`cache_capacity(0)`), asserting identical results and
+/// recording the `session_hits`/`session_misses`/`session_warm_starts`
+/// counter deltas.
 fn bench_two_tier(quick: bool) {
     use prs_core::bd::{decompose as decompose_two_tier, decompose_exact};
     use prs_core::flow::stats;
@@ -1428,7 +1429,6 @@ fn bench_two_tier(quick: bool) {
         let cold_cfg = SweepConfig::new()
             .with_grid(sweep_grid)
             .with_refine_bits(20)
-            .with_warm_start(false)
             .with_cache_capacity(0);
         let session_cfg = SweepConfig::new()
             .with_grid(sweep_grid)
@@ -1464,7 +1464,6 @@ fn bench_two_tier(quick: bool) {
             .with_grid(24)
             .with_zoom_levels(3)
             .with_keep(2)
-            .with_warm_start(false)
             .with_cache_capacity(0);
         let session_cfg = AttackConfig::new()
             .with_grid(24)
@@ -1691,7 +1690,7 @@ fn bench_two_tier(quick: bool) {
             }
             let noop_ms = t0.elapsed().as_secs_f64() * 1e3 / events as f64;
             let delta = stats::snapshot().since(&before);
-            let flows = delta.exact_max_flows + delta.i128_max_flows;
+            let flows = delta.exact_max_flows + delta.i128_max_flows + delta.int_max_flows;
             assert_eq!(flows, 0, "Unchanged tier invoked the flow engine");
             assert_eq!(delta.delta_unchanged, events as u64);
             tch.row(vec![

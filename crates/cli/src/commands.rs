@@ -1109,6 +1109,7 @@ mod tests {
         assert_eq!(out.matches(": ok").count(), 8, "{out}");
         assert!(out.contains("flow-engine stats"), "{out}");
         assert!(out.contains("exact max-flows"), "{out}");
+        assert!(out.contains("int max-flows"), "{out}");
         assert!(out.contains("fast-path"), "{out}");
         assert!(out.contains("session"), "{out}");
     }
@@ -1127,6 +1128,7 @@ mod tests {
         let body = json_line.trim_start().trim_start_matches("json ");
         assert!(body.starts_with('{') && body.ends_with('}'), "{body}");
         assert!(body.contains("\"exact_max_flows\""), "{body}");
+        assert!(body.contains("\"int_max_flows\""), "{body}");
     }
 
     #[test]

@@ -60,10 +60,8 @@ pub struct SweepConfig {
     /// Bisection steps used to localize each breakpoint
     /// (final width = cell width / 2^bits).
     pub refine_bits: u32,
-    /// Warm-start decompositions from per-worker session caches
-    /// (default `true`; results are bit-identical either way).
-    pub warm_start: bool,
-    /// Shape-cache capacity of each worker session (default `32`).
+    /// Shape-cache capacity of each worker session (default `32`; `0` runs
+    /// every decomposition cold, with bit-identical results).
     pub cache_capacity: usize,
 }
 
@@ -73,7 +71,6 @@ impl SweepConfig {
         SweepConfig {
             grid: 64,
             refine_bits: 30,
-            warm_start: true,
             cache_capacity: 32,
         }
     }
@@ -90,12 +87,6 @@ impl SweepConfig {
         self
     }
 
-    /// Enable or disable session warm-starts.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
     /// Set the per-session shape-cache capacity.
     pub fn with_cache_capacity(mut self, cap: usize) -> Self {
         self.cache_capacity = cap;
@@ -104,9 +95,7 @@ impl SweepConfig {
 
     /// The session configuration implied by these sweep knobs.
     pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new()
-            .with_warm_start(self.warm_start)
-            .with_cache_capacity(self.cache_capacity)
+        SessionConfig::new().with_cache_capacity(self.cache_capacity)
     }
 }
 

@@ -21,9 +21,11 @@
 //!
 //! Four backends instantiate the kernel:
 //!
-//! * [`FlowNetwork`] = `Network<Rational>` — the exact certifying engine.
-//! * [`NetworkInt`] = `Network<BigInt>` — uniformly scaled integers for the
-//!   session's warm certification path (same decisions, cheaper arithmetic).
+//! * [`FlowNetwork`] = `Network<Rational>` — unscaled exact capacities:
+//!   the Definition-5 allocation and `prs-bd`'s reference oracle.
+//! * [`NetworkInt`] = `Network<BigInt>` — uniformly scaled integers for
+//!   every certification round that outgrows `i128` (same decisions,
+//!   cheaper arithmetic than `Rational`).
 //! * [`NetworkI128`] = `Network<i128>` — the checked machine-word fast tier
 //!   of the scaled-integer certifier; overflow poisons the run (see
 //!   [`network_i128`]) and promotes the round back to [`NetworkInt`].

@@ -1,11 +1,12 @@
 //! The exact-rational engine: [`Network`] over [`Rational`] capacities.
 //!
-//! This is the certifying engine — every residual comparison is a
-//! gcd-normalized cross-multiplication, so saturation, min cuts, and
-//! tight sets are decided exactly. Termination does not depend on
-//! capacity magnitudes (Dinic's phase bound is purely combinatorial),
-//! and the result carries no rounding: summing ten `1/10` capacities
-//! yields exactly `1`.
+//! Every residual comparison is a gcd-normalized cross-multiplication, so
+//! saturation, min cuts, and tight sets are decided exactly on unscaled
+//! capacities: the Definition-5 allocation runs here, and so does the
+//! Rational oracle the scaled-integer certifier is tested against.
+//! Termination does not depend on capacity magnitudes (Dinic's phase bound
+//! is purely combinatorial), and the result carries no rounding: summing
+//! ten `1/10` capacities yields exactly `1`.
 
 use crate::capacity::{exact_capacity_arith, Capacity};
 use crate::kernel::Network;

@@ -6,14 +6,13 @@
 //! `p · D`, where `α = p/q` is the parameter and `D` clears the weight
 //! denominators — the feasibility decision and the residual structure
 //! (min cuts, tight sets) are invariant under uniform scaling, while every
-//! arithmetic step becomes a plain big-integer add or compare. The
-//! session's warm certification path builds this network; the result it
-//! extracts is bit-identical to the rational engine's because only the
-//! *representation* of the capacities changes.
+//! arithmetic step becomes a plain big-integer add or compare. Every
+//! certification round that outgrows the checked-`i128` tier promotes to
+//! this network; the result it extracts is bit-identical to the rational
+//! engine's because only the *representation* of the capacities changes.
 //!
-//! Counter routing note: this engine shares the `exact_*` counters in
-//! [`crate::stats`] with the rational one — both are exact engines, and
-//! the certification accounting predates the int/rational split.
+//! It records into its own `int_*` counters in [`crate::stats`], so
+//! promoted certification flows never mix with the rational engine's.
 
 use crate::capacity::{exact_capacity_arith, Cap, Capacity};
 use crate::kernel::Network;
@@ -37,13 +36,13 @@ impl Capacity for BigInt {
     const SPAN_MAX_FLOW: &'static str = "int_max_flow";
 
     fn record_bfs_phase() {
-        stats::record_exact_bfs_phases(1);
+        stats::record_int_bfs_phases(1);
     }
     fn record_augmenting_path() {
-        stats::record_exact_augmenting_paths(1);
+        stats::record_int_augmenting_paths(1);
     }
     fn record_max_flow() {
-        stats::record_exact_max_flows(1);
+        stats::record_int_max_flows(1);
     }
 }
 

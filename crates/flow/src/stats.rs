@@ -37,6 +37,13 @@ pub struct FlowStats {
     pub i128_augmenting_paths: u64,
     /// Checked-i128 max-flow computations run to completion.
     pub i128_max_flows: u64,
+    /// BigInt (scaled-integer) engine Dinic BFS phases.
+    pub int_bfs_phases: u64,
+    /// BigInt engine augmenting paths pushed.
+    pub int_augmenting_paths: u64,
+    /// BigInt max-flow computations run to completion (promoted
+    /// certification rounds).
+    pub int_max_flows: u64,
     /// Certification rounds promoted from the i128 tier to BigInt
     /// (build-time width rejection or a runtime checked-arithmetic trip).
     pub i128_promotions: u64,
@@ -121,6 +128,11 @@ impl FlowStats {
                 .i128_augmenting_paths
                 .saturating_sub(earlier.i128_augmenting_paths),
             i128_max_flows: self.i128_max_flows.saturating_sub(earlier.i128_max_flows),
+            int_bfs_phases: self.int_bfs_phases.saturating_sub(earlier.int_bfs_phases),
+            int_augmenting_paths: self
+                .int_augmenting_paths
+                .saturating_sub(earlier.int_augmenting_paths),
+            int_max_flows: self.int_max_flows.saturating_sub(earlier.int_max_flows),
             i128_promotions: self.i128_promotions.saturating_sub(earlier.i128_promotions),
             dinkelbach_iterations: self
                 .dinkelbach_iterations
@@ -161,6 +173,9 @@ impl FlowStats {
             ("i128 max-flows", self.i128_max_flows),
             ("i128 BFS phases", self.i128_bfs_phases),
             ("i128 augmenting paths", self.i128_augmenting_paths),
+            ("int max-flows", self.int_max_flows),
+            ("int BFS phases", self.int_bfs_phases),
+            ("int augmenting paths", self.int_augmenting_paths),
             ("i128 promotions", self.i128_promotions),
             ("Dinkelbach iterations", self.dinkelbach_iterations),
             ("fast-path hits", self.fast_path_hits),
@@ -209,7 +224,9 @@ impl FlowStats {
                 "\"exact_augmenting_paths\": {}, \"f64_max_flows\": {}, ",
                 "\"f64_bfs_phases\": {}, \"f64_augmenting_paths\": {}, ",
                 "\"i128_max_flows\": {}, \"i128_bfs_phases\": {}, ",
-                "\"i128_augmenting_paths\": {}, \"i128_promotions\": {}, ",
+                "\"i128_augmenting_paths\": {}, \"int_max_flows\": {}, ",
+                "\"int_bfs_phases\": {}, \"int_augmenting_paths\": {}, ",
+                "\"i128_promotions\": {}, ",
                 "\"dinkelbach_iterations\": {}, \"fast_path_hits\": {}, ",
                 "\"fast_path_fallbacks\": {}, \"networks_built\": {}, ",
                 "\"networks_reused\": {}, \"session_hits\": {}, ",
@@ -226,6 +243,9 @@ impl FlowStats {
             self.i128_max_flows,
             self.i128_bfs_phases,
             self.i128_augmenting_paths,
+            self.int_max_flows,
+            self.int_bfs_phases,
+            self.int_augmenting_paths,
             self.i128_promotions,
             self.dinkelbach_iterations,
             self.fast_path_hits,
@@ -291,6 +311,9 @@ counters! {
     I128_BFS("flow.i128_bfs_phases") => i128_bfs_phases, record_i128_bfs_phases;
     I128_AUG("flow.i128_augmenting_paths") => i128_augmenting_paths, record_i128_augmenting_paths;
     I128_FLOWS("flow.i128_max_flows") => i128_max_flows, record_i128_max_flows;
+    INT_BFS("flow.int_bfs_phases") => int_bfs_phases, record_int_bfs_phases;
+    INT_AUG("flow.int_augmenting_paths") => int_augmenting_paths, record_int_augmenting_paths;
+    INT_FLOWS("flow.int_max_flows") => int_max_flows, record_int_max_flows;
     I128_PROMOTIONS("bd.i128_promotions") => i128_promotions, record_i128_promotions;
     DINKELBACH("bd.dinkelbach_iterations") => dinkelbach_iterations, record_dinkelbach_iterations;
     FAST_HITS("bd.fast_path_hits") => fast_path_hits, record_fast_path_hits;
@@ -484,5 +507,35 @@ mod tests {
             .collect();
         assert!(names.contains(&"flow.i128_max_flows"), "{names:?}");
         assert!(names.contains(&"bd.i128_promotions"), "{names:?}");
+    }
+
+    #[test]
+    fn int_counters_round_trip() {
+        let before = snapshot();
+        record_int_bfs_phases(2);
+        record_int_augmenting_paths(3);
+        record_int_max_flows(1);
+        let delta = snapshot().since(&before);
+        assert!(delta.int_bfs_phases >= 2);
+        assert!(delta.int_augmenting_paths >= 3);
+        assert!(delta.int_max_flows >= 1);
+        let s = FlowStats {
+            int_max_flows: 4,
+            int_bfs_phases: 5,
+            int_augmenting_paths: 6,
+            ..FlowStats::default()
+        };
+        for row in ["int max-flows", "int BFS phases", "int augmenting paths"] {
+            assert!(s.render().contains(row), "{}", s.render());
+        }
+        let json = s.to_json();
+        assert!(json.contains("\"int_max_flows\": 4"), "{json}");
+        assert!(json.contains("\"int_bfs_phases\": 5"), "{json}");
+        assert!(json.contains("\"int_augmenting_paths\": 6"), "{json}");
+        let names: Vec<&str> = prs_trace::counter_values()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert!(names.contains(&"flow.int_max_flows"), "{names:?}");
     }
 }

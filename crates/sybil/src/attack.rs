@@ -53,10 +53,8 @@ pub struct AttackConfig {
     pub zoom_levels: usize,
     /// Number of best cells carried to the next level.
     pub keep: usize,
-    /// Warm-start decompositions from per-worker session caches
-    /// (default `true`; results are bit-identical either way).
-    pub warm_start: bool,
-    /// Shape-cache capacity of each worker session (default `32`).
+    /// Shape-cache capacity of each worker session (default `32`; `0` runs
+    /// every decomposition cold, with bit-identical results).
     pub cache_capacity: usize,
 }
 
@@ -67,7 +65,6 @@ impl AttackConfig {
             grid: 48,
             zoom_levels: 6,
             keep: 3,
-            warm_start: true,
             cache_capacity: 32,
         }
     }
@@ -90,12 +87,6 @@ impl AttackConfig {
         self
     }
 
-    /// Enable or disable session warm-starts.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
     /// Set the per-session shape-cache capacity.
     pub fn with_cache_capacity(mut self, cap: usize) -> Self {
         self.cache_capacity = cap;
@@ -104,9 +95,7 @@ impl AttackConfig {
 
     /// The session configuration implied by these optimizer knobs.
     pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new()
-            .with_warm_start(self.warm_start)
-            .with_cache_capacity(self.cache_capacity)
+        SessionConfig::new().with_cache_capacity(self.cache_capacity)
     }
 }
 

@@ -145,10 +145,8 @@ pub struct GeneralAttackConfig {
     pub grid: usize,
     /// Cap on the number of copies `m` (≤ d_v is enforced separately).
     pub max_copies: usize,
-    /// Warm-start decompositions from a session cache (default `true`;
-    /// results are bit-identical either way).
-    pub warm_start: bool,
-    /// Shape-cache capacity of the search session (default `32`).
+    /// Shape-cache capacity of the search session (default `32`; `0` runs
+    /// every decomposition cold, with bit-identical results).
     pub cache_capacity: usize,
 }
 
@@ -158,7 +156,6 @@ impl GeneralAttackConfig {
         GeneralAttackConfig {
             grid: 12,
             max_copies: 3,
-            warm_start: true,
             cache_capacity: 32,
         }
     }
@@ -175,12 +172,6 @@ impl GeneralAttackConfig {
         self
     }
 
-    /// Enable or disable session warm-starts.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
     /// Set the session shape-cache capacity.
     pub fn with_cache_capacity(mut self, cap: usize) -> Self {
         self.cache_capacity = cap;
@@ -189,9 +180,7 @@ impl GeneralAttackConfig {
 
     /// The session configuration implied by these search knobs.
     pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new()
-            .with_warm_start(self.warm_start)
-            .with_cache_capacity(self.cache_capacity)
+        SessionConfig::new().with_cache_capacity(self.cache_capacity)
     }
 }
 

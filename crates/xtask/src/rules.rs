@@ -222,11 +222,13 @@ impl LintConfig {
             // module is carved back out via `float_boundary_exempt`.
             "crates/flow/src".to_string(),
             // The decomposition driver, the session replay/certify paths,
-            // and the delta-mutation vocabulary (cells evaluate exact
-            // Möbius curves; a float anywhere here could skew an α̂).
+            // the delta-mutation vocabulary (cells evaluate exact Möbius
+            // curves; a float anywhere here could skew an α̂), and the
+            // Rational oracle every one of them is tested against.
             "crates/bd/src/decomposition.rs".to_string(),
             "crates/bd/src/session.rs".to_string(),
             "crates/bd/src/delta.rs".to_string(),
+            "crates/bd/src/reference.rs".to_string(),
             // The trace recorder: instrumented from inside the exact kernels,
             // so its own arithmetic (timing, percentiles, JSON export) must
             // stay integer-only too.
@@ -288,31 +290,25 @@ impl LintConfig {
             non_exhaustive_fields: BTreeMap::from([
                 (
                     "AttackConfig".to_string(),
-                    [
-                        "grid",
-                        "zoom_levels",
-                        "keep",
-                        "warm_start",
-                        "cache_capacity",
-                    ]
-                    .map(String::from)
-                    .to_vec(),
+                    ["grid", "zoom_levels", "keep", "cache_capacity"]
+                        .map(String::from)
+                        .to_vec(),
                 ),
                 (
                     "GeneralAttackConfig".to_string(),
-                    ["grid", "max_copies", "warm_start", "cache_capacity"]
+                    ["grid", "max_copies", "cache_capacity"]
                         .map(String::from)
                         .to_vec(),
                 ),
                 (
                     "SweepConfig".to_string(),
-                    ["grid", "refine_bits", "warm_start", "cache_capacity"]
+                    ["grid", "refine_bits", "cache_capacity"]
                         .map(String::from)
                         .to_vec(),
                 ),
                 (
                     "SessionConfig".to_string(),
-                    ["warm_start", "cache_capacity"].map(String::from).to_vec(),
+                    ["cache_capacity"].map(String::from).to_vec(),
                 ),
                 (
                     "TraceConfig".to_string(),

@@ -164,11 +164,8 @@ fn prelude_alone_supports_the_swarm_workflow() {
 // touching component crates.
 #[test]
 fn prelude_alone_supports_the_session_workflow() {
-    let mut session = DecompositionSession::detached_with_config(
-        SessionConfig::new()
-            .with_warm_start(true)
-            .with_cache_capacity(8),
-    );
+    let mut session =
+        DecompositionSession::detached_with_config(SessionConfig::new().with_cache_capacity(8));
     let g = builders::ring(vec![int(5), int(1), int(4), int(2)]).unwrap();
     let bd = session.decompose(&g).unwrap();
     assert_eq!(bd.utilities(&g).iter().sum::<Rational>(), g.total_weight());

@@ -5,7 +5,8 @@
 //! bound (`< 1/2^SUB_BITS`, exact below `2^SUB_BITS` ns) — for the two
 //! service-critical span kinds, `bd.session_round` and
 //! `flow.i128_max_flow`. The snapshot must not drain anything: the full
-//! event buffer is still there for `take()` afterwards.
+//! event buffer is still there for `take()` afterwards. A `Recomputed`
+//! delta serve is routine work, so it must not raise an anomaly.
 
 use prs::prelude::*;
 use prs::trace;
@@ -92,4 +93,21 @@ fn streaming_snapshot_matches_post_hoc_span_stats_within_bound() {
             );
         }
     }
+
+    // `Recomputed` serves about half of a churn stream: it is counted
+    // (`bd.delta_recomputed`), never raised as an anomaly that would make
+    // an armed flight recorder dump.
+    let anomalies = metrics::anomaly_count();
+    let mut session = DecompositionSession::new(ring());
+    let out = session.apply(Delta::SetWeight { v: 0, w: int(2) });
+    assert_eq!(
+        out,
+        Ok(UpdateOutcome::Recomputed),
+        "cold delta state recomputes"
+    );
+    assert_eq!(
+        metrics::anomaly_count(),
+        anomalies,
+        "a Recomputed serve must leave the anomaly count unchanged"
+    );
 }
