@@ -16,14 +16,18 @@ use crate::error::BdError;
 use crate::session::{DecompositionSession, SessionConfig};
 use prs_graph::Graph;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Worker count for `count` independent jobs: the machine's parallelism,
-/// capped by the job count, at least 1.
+/// capped by the job count, at least 1. The parallelism is read once per
+/// process (on Linux each read re-parses the cgroup CPU quota).
 pub fn worker_threads(count: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     hw.min(count).max(1)
 }
 

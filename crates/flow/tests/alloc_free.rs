@@ -1,0 +1,154 @@
+//! Allocation guard for the Dinic kernel's certification round trip.
+//!
+//! Once a network is warm, its BFS queue, DFS path, levels and arc cursors
+//! are scratch buffers it keeps, and `seed_flow` adds in place, so neither
+//! a capacity-only re-run (`reset_flow` + `max_flow`) nor a rebuild round
+//! (`clear` + `add_edge`s + `seed_flow` + `max_flow`) may allocate;
+//! `residual_reaches_sink` may allocate only its result and one stack sized
+//! to the node count. Checked on the checked-`i128` certification tier and
+//! the `f64` proposer with a counting global allocator that counts only
+//! the allocations of the thread that asks.
+
+use prs_flow::testkit::{fin, TestCapacity};
+use prs_flow::{Cap, Network, NodeId, SeedArc};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every allocation and reallocation made on
+/// a thread while that thread's `COUNTING` flag is up.
+struct Counting;
+
+impl Counting {
+    fn note() {
+        // `try_with`: a thread's locals may already be gone while it exits.
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            }
+        });
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments;
+// counting touches only const-initialized thread-locals, which never
+// allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `f`, returning its value and the allocations it made on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const AGENTS: usize = 31;
+const NODES: usize = 2 + 2 * AGENTS;
+const S: NodeId = 0;
+const T: NodeId = 1;
+
+/// (Re)build the Hall network of a 31-agent ring in place — `s → v_L`
+/// (`w_v`), `v_L → u_R` (∞) for both ring neighbours `u`, `u_R → t`
+/// (`3·w_u/4`) — and write one seed request per middle arc, plus a repeat
+/// on every third, into `seeds` (cleared, so its storage is reused).
+fn build<C: TestCapacity>(net: &mut Network<C>, seeds: &mut Vec<SeedArc<C>>) {
+    let weight = |v: usize| 1 + (7 * v % 11) as i64;
+    let (left, right) = (|v: usize| 2 + v, |v: usize| 2 + AGENTS + v);
+    net.clear(NODES);
+    seeds.clear();
+    let sources: [usize; AGENTS] =
+        std::array::from_fn(|v| net.add_edge(S, left(v), fin::<C>(weight(v), 1)));
+    let sinks: [usize; AGENTS] =
+        std::array::from_fn(|u| net.add_edge(right(u), T, fin::<C>(3 * weight(u), 4)));
+    for (v, &source_edge) in sources.iter().enumerate() {
+        for u in [(v + AGENTS - 1) % AGENTS, (v + 1) % AGENTS] {
+            let mid = net.add_edge(left(v), right(u), Cap::Infinite);
+            let route = SeedArc {
+                source_edge,
+                mid_edge: mid,
+                sink_edge: sinks[u],
+                desired: C::from_ratio(weight(v), 4),
+            };
+            if v % 3 == 0 {
+                seeds.push(SeedArc {
+                    desired: C::from_ratio(1, 2),
+                    ..route
+                });
+            }
+            seeds.push(route);
+        }
+    }
+}
+
+/// Warm a network with one cold and one seeded round, then count.
+fn certification_round_trip<C: TestCapacity>() {
+    let mut net = Network::<C>::new(NODES);
+    let mut seeds = Vec::new();
+    build(&mut net, &mut seeds);
+    net.max_flow(S, T);
+    build(&mut net, &mut seeds);
+    net.seed_flow(&seeds);
+    net.max_flow(S, T);
+
+    let (cold, n) = allocations(|| {
+        net.reset_flow();
+        net.max_flow(S, T)
+    });
+    assert_eq!(n, 0, "{}: reset_flow + max_flow allocated", C::ENGINE);
+
+    let (warm, n) = allocations(|| {
+        build(&mut net, &mut seeds);
+        let mut total = net.seed_flow(&seeds);
+        total.add_assign_ref(&net.max_flow(S, T));
+        total
+    });
+    assert_eq!(
+        n,
+        0,
+        "{}: clear + rebuild + seed_flow + max_flow allocated",
+        C::ENGINE
+    );
+    C::assert_feq(&warm, &cold);
+    assert!(net.check_capacities() && net.check_conservation(S, T));
+
+    let (reaches, n) = allocations(|| net.residual_reaches_sink(T));
+    assert!(
+        n <= 2,
+        "{}: residual_reaches_sink made {n} allocations",
+        C::ENGINE
+    );
+    assert!(reaches[T] && !reaches[S]);
+}
+
+#[test]
+fn warm_certification_rounds_allocate_nothing() {
+    let (_, n) = allocations(|| Vec::<u8>::with_capacity(1));
+    assert_eq!(n, 1, "the counter must see this thread's allocations");
+    certification_round_trip::<i128>();
+    certification_round_trip::<f64>();
+}
