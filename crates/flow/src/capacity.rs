@@ -79,7 +79,7 @@ pub trait Capacity: Clone + PartialEq + std::fmt::Debug {
     fn add_assign_ref(&mut self, rhs: &Self);
     /// `self -= rhs` by reference.
     fn sub_assign_ref(&mut self, rhs: &Self);
-    /// `-self` by reference (preset flows mirror onto reverse arcs).
+    /// `-self` by reference.
     fn neg_ref(&self) -> Self;
     /// `lhs - rhs` by reference (residual capacity, remaining supply).
     fn sub_ref(lhs: &Self, rhs: &Self) -> Self;
