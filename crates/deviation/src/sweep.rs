@@ -50,8 +50,7 @@ pub struct ShapeInterval {
 /// Sweep parameters.
 ///
 /// Construct via [`SweepConfig::new`] + `with_*` builders; the struct is
-/// `#[non_exhaustive]` so new knobs (like the session cache controls) land
-/// without breaking callers.
+/// `#[non_exhaustive]` so new knobs land without breaking callers.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
@@ -60,9 +59,6 @@ pub struct SweepConfig {
     /// Bisection steps used to localize each breakpoint
     /// (final width = cell width / 2^bits).
     pub refine_bits: u32,
-    /// Shape-cache capacity of each worker session (default `32`; `0` runs
-    /// every decomposition cold, with bit-identical results).
-    pub cache_capacity: usize,
 }
 
 impl SweepConfig {
@@ -71,7 +67,6 @@ impl SweepConfig {
         SweepConfig {
             grid: 64,
             refine_bits: 30,
-            cache_capacity: 32,
         }
     }
 
@@ -85,17 +80,6 @@ impl SweepConfig {
     pub fn with_refine_bits(mut self, bits: u32) -> Self {
         self.refine_bits = bits;
         self
-    }
-
-    /// Set the per-session shape-cache capacity.
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-
-    /// The session configuration implied by these sweep knobs.
-    pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new().with_cache_capacity(self.cache_capacity)
     }
 }
 
@@ -202,7 +186,7 @@ pub fn sweep<F: GraphFamily + Sync>(fam: &F, cfg: &SweepConfig) -> SweepResult {
     assert!(lo < hi, "degenerate domain");
     let grid = cfg.grid.max(1);
     let width = &(&hi - &lo) / &Rational::from_integer(grid as i64);
-    let pool = SessionPool::new(cfg.session_config());
+    let pool = SessionPool::new(SessionConfig::new());
 
     // Grid pass (boundary points where the decomposition is undefined are
     // skipped — see `sample`).

@@ -79,8 +79,6 @@ pub trait Capacity: Clone + PartialEq + std::fmt::Debug {
     fn add_assign_ref(&mut self, rhs: &Self);
     /// `self -= rhs` by reference.
     fn sub_assign_ref(&mut self, rhs: &Self);
-    /// `-self` by reference.
-    fn neg_ref(&self) -> Self;
     /// `lhs - rhs` by reference (residual capacity, remaining supply).
     fn sub_ref(lhs: &Self, rhs: &Self) -> Self;
 
@@ -132,9 +130,6 @@ macro_rules! exact_capacity_arith {
         }
         fn sub_assign_ref(&mut self, rhs: &Self) {
             *self -= rhs;
-        }
-        fn neg_ref(&self) -> Self {
-            -self
         }
         fn sub_ref(lhs: &Self, rhs: &Self) -> Self {
             lhs - rhs

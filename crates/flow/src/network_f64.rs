@@ -94,9 +94,6 @@ impl Capacity for f64 {
     fn sub_assign_ref(&mut self, rhs: &Self) {
         *self -= rhs;
     }
-    fn neg_ref(&self) -> Self {
-        -self
-    }
     fn sub_ref(lhs: &Self, rhs: &Self) -> Self {
         lhs - rhs
     }

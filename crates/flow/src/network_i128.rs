@@ -119,15 +119,6 @@ impl Capacity for i128 {
             }
         };
     }
-    fn neg_ref(&self) -> Self {
-        match self.checked_neg() {
-            Some(v) => v,
-            None => {
-                poison();
-                i128::MAX
-            }
-        }
-    }
     fn sub_ref(lhs: &Self, rhs: &Self) -> Self {
         match lhs.checked_sub(*rhs) {
             Some(v) => v,
@@ -189,10 +180,6 @@ mod tests {
         assert!(overflow_detected());
 
         reset_overflow();
-        assert_eq!(i128::MIN.neg_ref(), i128::MAX);
-        assert!(overflow_detected());
-
-        reset_overflow();
         let mut v = i128::MIN;
         v.sub_assign_ref(&1);
         assert_eq!(v, i128::MIN);
@@ -206,7 +193,6 @@ mod tests {
         v.add_assign_ref(&1);
         assert_eq!(v, i128::MAX);
         assert_eq!(i128::sub_ref(&i128::MAX, &i128::MAX), 0);
-        assert_eq!((-5i128).neg_ref(), 5);
         assert!(!overflow_detected());
     }
 

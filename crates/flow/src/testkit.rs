@@ -217,7 +217,9 @@ pub fn assert_outflow_equals_value<C: TestCapacity>(
     let mut net = integral_network::<C>(n, edges);
     let flow = net.max_flow(s, t);
     C::assert_feq(&net.outflow(s), &flow);
-    C::assert_feq(&net.outflow(t), &flow.neg_ref());
+    let mut sink = net.outflow(t);
+    sink.add_assign_ref(&flow);
+    C::assert_feq(&sink, &C::zero());
 }
 
 // ---------------------------------------------------------------------------

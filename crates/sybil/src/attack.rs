@@ -42,8 +42,7 @@ impl SplitSample {
 /// Optimizer configuration.
 ///
 /// Construct via [`AttackConfig::new`] + `with_*` builders; the struct is
-/// `#[non_exhaustive]` so new knobs (like the session cache controls) land
-/// without breaking callers.
+/// `#[non_exhaustive]` so new knobs land without breaking callers.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct AttackConfig {
@@ -53,9 +52,6 @@ pub struct AttackConfig {
     pub zoom_levels: usize,
     /// Number of best cells carried to the next level.
     pub keep: usize,
-    /// Shape-cache capacity of each worker session (default `32`; `0` runs
-    /// every decomposition cold, with bit-identical results).
-    pub cache_capacity: usize,
 }
 
 impl AttackConfig {
@@ -65,7 +61,6 @@ impl AttackConfig {
             grid: 48,
             zoom_levels: 6,
             keep: 3,
-            cache_capacity: 32,
         }
     }
 
@@ -85,17 +80,6 @@ impl AttackConfig {
     pub fn with_keep(mut self, keep: usize) -> Self {
         self.keep = keep;
         self
-    }
-
-    /// Set the per-session shape-cache capacity.
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-
-    /// The session configuration implied by these optimizer knobs.
-    pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new().with_cache_capacity(self.cache_capacity)
     }
 }
 
@@ -179,7 +163,7 @@ pub fn best_sybil_split(ring: &Graph, v: VertexId, cfg: &AttackConfig) -> SybilO
     let mut evals = 0usize;
     // One pool for the whole optimization: zoom-level evaluations warm-start
     // from the shapes the level-0 grid certified.
-    let pool = SessionPool::new(cfg.session_config());
+    let pool = SessionPool::new(SessionConfig::new());
 
     let grid_pts = |lo: &Rational, hi: &Rational, m: usize| -> Vec<Rational> {
         let width = &(hi - lo) / &Rational::from_integer(m as i64);

@@ -20,7 +20,7 @@
 
 // prs-lint: allow-file(panic, reason = "splits of a validated graph are valid by construction, degenerate decompose failures are handled as None, and anything else is a solver bug the search must abort on")
 
-use prs_bd::{decompose, BdError, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, BdError, DecompositionSession};
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
 
@@ -136,8 +136,7 @@ pub fn attack_payoff_in(
 /// Configuration for the general-graph attack search.
 ///
 /// Construct via [`GeneralAttackConfig::new`] + `with_*` builders; the
-/// struct is `#[non_exhaustive]` so new knobs (like the session cache
-/// controls) land without breaking callers.
+/// struct is `#[non_exhaustive]` so new knobs land without breaking callers.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct GeneralAttackConfig {
@@ -145,9 +144,6 @@ pub struct GeneralAttackConfig {
     pub grid: usize,
     /// Cap on the number of copies `m` (≤ d_v is enforced separately).
     pub max_copies: usize,
-    /// Shape-cache capacity of the search session (default `32`; `0` runs
-    /// every decomposition cold, with bit-identical results).
-    pub cache_capacity: usize,
 }
 
 impl GeneralAttackConfig {
@@ -156,7 +152,6 @@ impl GeneralAttackConfig {
         GeneralAttackConfig {
             grid: 12,
             max_copies: 3,
-            cache_capacity: 32,
         }
     }
 
@@ -170,17 +165,6 @@ impl GeneralAttackConfig {
     pub fn with_max_copies(mut self, m: usize) -> Self {
         self.max_copies = m;
         self
-    }
-
-    /// Set the session shape-cache capacity.
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-
-    /// The session configuration implied by these search knobs.
-    pub fn session_config(&self) -> SessionConfig {
-        SessionConfig::new().with_cache_capacity(self.cache_capacity)
     }
 }
 
@@ -248,7 +232,7 @@ pub fn best_general_sybil(
     let mut evals = 0usize;
     // One session for the whole search: weight placements within (and often
     // across) partitions revisit the same decomposition shapes.
-    let mut session = DecompositionSession::detached_with_config(cfg.session_config());
+    let mut session = DecompositionSession::detached();
 
     let max_m = d.min(cfg.max_copies).max(1);
     for partition in enumerate_partitions(d, max_m) {

@@ -33,8 +33,7 @@ pub struct SpanStats {
 impl Trace {
     /// Per-span-kind timing rows, sorted by `(layer, name)`. The same
     /// aggregation the human [`summary`](Trace::summary) prints, exposed
-    /// structurally for the bench harness (`BENCH_seed.json` rows) and
-    /// programmatic consumers.
+    /// structurally for programmatic consumers.
     pub fn span_stats(&self) -> Vec<SpanStats> {
         let mut groups: BTreeMap<(&'static str, &'static str), Vec<u64>> = BTreeMap::new();
         for ev in &self.events {

@@ -28,7 +28,8 @@
 //!
 //! Everything is gated by the same single state word as event recording
 //! (see `STATE` in the crate root): with every subsystem off, a span is
-//! one relaxed atomic load — asserted by the `metrics_overhead` bench row.
+//! one relaxed atomic load — `crates/trace/tests/disabled_overhead.rs`
+//! holds it under 50 ns/span in an optimized build.
 
 use crate::{instant, span, Counter, TraceEvent, BIT_FLIGHT, BIT_METRICS, BIT_SLO};
 use std::cell::{Cell, RefCell};

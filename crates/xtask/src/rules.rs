@@ -290,21 +290,15 @@ impl LintConfig {
             non_exhaustive_fields: BTreeMap::from([
                 (
                     "AttackConfig".to_string(),
-                    ["grid", "zoom_levels", "keep", "cache_capacity"]
-                        .map(String::from)
-                        .to_vec(),
+                    ["grid", "zoom_levels", "keep"].map(String::from).to_vec(),
                 ),
                 (
                     "GeneralAttackConfig".to_string(),
-                    ["grid", "max_copies", "cache_capacity"]
-                        .map(String::from)
-                        .to_vec(),
+                    ["grid", "max_copies"].map(String::from).to_vec(),
                 ),
                 (
                     "SweepConfig".to_string(),
-                    ["grid", "refine_bits", "cache_capacity"]
-                        .map(String::from)
-                        .to_vec(),
+                    ["grid", "refine_bits"].map(String::from).to_vec(),
                 ),
                 (
                     "SessionConfig".to_string(),

@@ -2,15 +2,18 @@
 //! streaming histograms' mid-run `snapshot()` must agree with the
 //! post-hoc `span_stats()` aggregation — same counts and sums exactly,
 //! and p50/p90/p99 within the histogram's documented relative-error
-//! bound (`< 1/2^SUB_BITS`, exact below `2^SUB_BITS` ns) — for the two
-//! service-critical span kinds, `bd.session_round` and
-//! `flow.i128_max_flow`. The snapshot must not drain anything: the full
-//! event buffer is still there for `take()` afterwards. A `Recomputed`
-//! delta serve is routine work, so it must not raise an anomaly.
+//! bound (`< 1/2^SUB_BITS`, exact below `2^SUB_BITS` ns) — for every
+//! span kind, among them the two service-critical ones, `bd.session_round`
+//! and `flow.i128_max_flow`. The snapshot must not drain anything: the full
+//! event buffer is still there for `take()` afterwards. Both sides must
+//! see the same set of span kinds, which includes the delta tier's
+//! `bd.delta_apply`. A `Recomputed` delta serve is routine work, so it
+//! must not raise an anomaly.
 
 use prs::prelude::*;
 use prs::trace;
 use prs::trace::metrics;
+use std::collections::BTreeSet;
 
 fn ring() -> Graph {
     builders::ring(vec![int(3), int(1), int(4), int(1), int(5), int(9)]).unwrap()
@@ -35,6 +38,11 @@ fn streaming_snapshot_matches_post_hoc_span_stats_within_bound() {
     // (snapshot is a read, not a drain).
     let fam2 = MisreportFamily::new(ring(), 1);
     let _ = sweep(&fam2, &SweepConfig::new().with_grid(12).with_refine_bits(8));
+    // One delta serve, so the window holds the delta tier's span as well.
+    let mut served = DecompositionSession::new(ring());
+    served
+        .apply(Delta::SetWeight { v: 2, w: int(7) })
+        .expect("valid delta");
 
     let live = metrics::snapshot();
     metrics::disable();
@@ -47,6 +55,19 @@ fn streaming_snapshot_matches_post_hoc_span_stats_within_bound() {
     assert_eq!(t.dropped, 0, "sweep overflowed the trace buffer");
     let post = t.span_stats();
 
+    // The live histograms and the post-hoc aggregation saw the same span
+    // kinds, the delta tier's included.
+    let live_kinds: BTreeSet<_> = live.iter().map(|r| (r.layer, r.name)).collect();
+    let post_kinds: BTreeSet<_> = post.iter().map(|r| (r.layer, r.name)).collect();
+    assert_eq!(
+        live_kinds, post_kinds,
+        "live and post-hoc span kinds differ"
+    );
+    assert!(
+        live_kinds.contains(&("bd", "delta_apply")),
+        "no bd.delta_apply span in {live_kinds:?}"
+    );
+
     for row in &mid {
         let after = live
             .iter()
@@ -58,15 +79,15 @@ fn streaming_snapshot_matches_post_hoc_span_stats_within_bound() {
         );
     }
 
-    for (layer, name) in [("bd", "session_round"), ("flow", "i128_max_flow")] {
+    for kind in [("bd", "session_round"), ("flow", "i128_max_flow")] {
+        assert!(post_kinds.contains(&kind), "no span_stats row for {kind:?}");
+    }
+    for p in &post {
+        let (layer, name) = (p.layer, p.name);
         let l = live
             .iter()
             .find(|r| (r.layer, r.name) == (layer, name))
-            .unwrap_or_else(|| panic!("no live histogram for {layer}.{name}: {live:?}"));
-        let p = post
-            .iter()
-            .find(|r| (r.layer, r.name) == (layer, name))
-            .unwrap_or_else(|| panic!("no span_stats row for {layer}.{name}"));
+            .expect("live and post-hoc span kinds are equal");
         assert_eq!(l.count, p.count, "{layer}.{name}: counts must match");
         assert_eq!(
             l.sum_ns, p.total_ns,
