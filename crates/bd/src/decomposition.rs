@@ -33,9 +33,10 @@
 use crate::error::BdError;
 pub use crate::reference::decompose_exact;
 use prs_flow::network_i128::{overflow_detected, reset_overflow};
-use prs_flow::{stats, CapI128, CapInt, EdgeId, NetworkF64, NetworkI128, NetworkInt, SeedArc};
+use prs_flow::{stats, Cap, Capacity, EdgeId, Network, NetworkF64, SeedArc};
 use prs_graph::{Graph, VertexId, VertexSet};
-use prs_numeric::{gcd::lcm, BigInt, BigUint, Rational, Sign};
+use prs_numeric::gcd::{lcm, lcm_u128};
+use prs_numeric::{BigInt, BigUint, Rational};
 
 /// Which side of its bottleneck pair an agent is on (Definition 4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -262,52 +263,175 @@ pub(crate) enum CertEngine {
     Int,
 }
 
+/// The arc ids of the current certification build. Both engines add arcs
+/// in the oracle's order, so the ids are valid for whichever engine built
+/// last.
+#[derive(Default)]
+pub(crate) struct CertEdges {
+    /// Per alive vertex: `(v, source edge)`, in `alive` order.
+    source: Vec<(VertexId, EdgeId)>,
+    /// Per alive vertex: `(v, sink edge)`, in `alive` order.
+    sink: Vec<(VertexId, EdgeId)>,
+    /// The middle arcs `(v, u, edge left(v)→right(u))`, sorted
+    /// lexicographically by `(v, u)` (alive iteration is ascending and
+    /// neighbor lists are sorted). The session reads the certifying flow
+    /// off these arcs and seeds the next warm start from it.
+    pub(crate) mid: Vec<(VertexId, VertexId, EdgeId)>,
+}
+
+/// One certification engine and the scratch its rounds reuse.
+struct CertNet<C: Capacity> {
+    net: Network<C>,
+    /// `(source, sink)` capacity per alive vertex, in `alive` order, at the
+    /// α the network was last built or re-parameterized for.
+    caps: Vec<(C, C)>,
+    /// The seed requests of the last warm start.
+    seeds: Vec<SeedArc<C>>,
+}
+
+impl<C: Capacity> CertNet<C> {
+    fn new(n_nodes: usize) -> Self {
+        CertNet {
+            net: Network::new(n_nodes),
+            caps: Vec::new(),
+            seeds: Vec::new(),
+        }
+    }
+
+    /// Build the certification arcs at `caps`, in the oracle's order, and
+    /// record their ids in `edges`.
+    fn build(&mut self, edges: &mut CertEdges, g: &Graph, alive: &VertexSet) {
+        let layout = Layout { n: g.n() };
+        self.net.clear(layout.nodes());
+        edges.source.clear();
+        edges.sink.clear();
+        edges.mid.clear();
+        for (v, (src, snk)) in alive.iter().zip(&self.caps) {
+            let s = self
+                .net
+                .add_edge(Layout::S, layout.left(v), Cap::Finite(src.clone()));
+            let e = self
+                .net
+                .add_edge(layout.right(v), Layout::T, Cap::Finite(snk.clone()));
+            edges.source.push((v, s));
+            edges.sink.push((v, e));
+            for &u in g.neighbors(v) {
+                if alive.contains(u) {
+                    let m = self
+                        .net
+                        .add_edge(layout.left(v), layout.right(u), Cap::Infinite);
+                    edges.mid.push((v, u, m));
+                }
+            }
+        }
+    }
+
+    /// Rewrite the source and sink arcs to `caps` and zero the flow.
+    fn set_caps(&mut self, edges: &CertEdges) {
+        for ((&(_, s), &(_, e)), (src, snk)) in edges.source.iter().zip(&edges.sink).zip(&self.caps)
+        {
+            self.net.set_capacity(s, Cap::Finite(src.clone()));
+            self.net.set_capacity(e, Cap::Finite(snk.clone()));
+        }
+        self.net.reset_flow();
+    }
+
+    /// The feasibility test: the flow saturates every source arc, i.e. it
+    /// equals `Σ w_v·D·p`.
+    fn saturated(&self, edges: &CertEdges) -> bool {
+        edges.source.iter().all(|&(_, e)| self.net.is_saturated(e))
+    }
+
+    /// Add a previous certifying flow onto the fresh build's zero flow:
+    /// each support arc `(v, u, F, c₀)` still present requests
+    /// `rescale(F, c, c₀)` on `s → v_L → u_R → t`, where `c` is v's current
+    /// source capacity, and the kernel's
+    /// [`seed_flow`](prs_flow::Network::seed_flow) clamps every request to
+    /// the remaining capacity, installing a valid flow.
+    fn seed<S>(
+        &mut self,
+        edges: &CertEdges,
+        arcs: &[SupportArc<S>],
+        rescale: impl Fn(&S, &C, &S) -> C,
+    ) {
+        self.seeds.clear();
+        for (v, u, f, c0) in arcs {
+            let Ok(mid) = edges
+                .mid
+                .binary_search_by(|probe| (probe.0, probe.1).cmp(&(*v, *u)))
+            else {
+                continue; // edge no longer present (different topology)
+            };
+            let Ok(vpos) = edges.source.binary_search_by_key(v, |s| s.0) else {
+                continue;
+            };
+            let Ok(upos) = edges.sink.binary_search_by_key(u, |s| s.0) else {
+                continue;
+            };
+            self.seeds.push(SeedArc {
+                source_edge: edges.source[vpos].1,
+                mid_edge: edges.mid[mid].2,
+                sink_edge: edges.sink[upos].1,
+                desired: rescale(f, &self.caps[vpos].0, c0),
+            });
+        }
+        self.net.seed_flow(&self.seeds);
+        debug_assert!(self.net.check_capacities());
+        debug_assert!(self.net.check_conservation(Layout::S, Layout::T));
+    }
+
+    /// The middle arcs carrying positive flow, as `(v, u, F, c₀)` in `mid`
+    /// order, in a Vec sized once.
+    fn support(&self, edges: &CertEdges) -> Vec<SupportArc<C>> {
+        let carries = |e: EdgeId| self.net.flow_on(e).is_positive();
+        let mut arcs = Vec::with_capacity(edges.mid.iter().filter(|m| carries(m.2)).count());
+        for &(v, u, e) in &edges.mid {
+            if !carries(e) {
+                continue;
+            }
+            if let Ok(vpos) = edges.source.binary_search_by_key(&v, |s| s.0) {
+                arcs.push((v, u, self.net.flow_on(e).clone(), self.caps[vpos].0.clone()));
+            }
+        }
+        arcs
+    }
+}
+
 /// The float proposal network and the scaled-integer certification
 /// networks of one decomposition round.
 ///
 /// Rebuilt **in place** when the alive set changes (one `clear` per
 /// round and engine) and re-parameterized capacity-only between Dinkelbach
-/// steps — `set_capacity` over the α-dependent arcs plus `reset_flow`, no
-/// allocation.
+/// steps — `set_capacity` over the α-dependent arcs plus `reset_flow`. The
+/// scaled weights, capacities and seed requests live in scratch buffers
+/// kept across rounds, so a warm round on the `i128` tier allocates only
+/// what it returns.
+///
+/// Every certification capacity is multiplied by `p·D` (α = p/q in lowest
+/// terms, `D` the lcm of the alive weights' denominators): source arcs
+/// carry `(w_v·D)·p`, sink arcs `(w_v·D)·q`, middle arcs stay infinite —
+/// all integers, so Dinic runs gcd-free. They are computed with checked
+/// `u128`/`i128` words and recomputed in BigInt only when a word operation
+/// overflows; the round promotes to the BigInt engine exactly when a
+/// capacity or an endpoint total does not fit `i128`.
 pub(crate) struct RoundNets {
     approx: NetworkF64,
-    /// Per alive vertex: `(v, f64 sink edge)`, valid after
+    /// Per alive vertex: `(f64 sink edge, w_v as f64)`, valid after
     /// [`RoundNets::rebuild_f64`].
-    approx_sinks: Vec<(VertexId, EdgeId)>,
-    /// The certification network: capacities are multiplied by `p·D`
-    /// (α = p/q in lowest terms, `D` clears the alive weights'
-    /// denominators), turning every flow step into gcd-free big-integer
-    /// arithmetic. Only meaningful after [`RoundNets::rebuild_int`] with
-    /// `cert_engine == CertEngine::Int`.
-    exact_int: NetworkInt,
-    /// Checked-`i128` twin of `exact_int` — the certification fast tier.
-    /// Same arc order, hence the same `EdgeId`s. Only meaningful when
-    /// `cert_engine == CertEngine::I128`.
-    exact_i128: NetworkI128,
-    /// Which engine the last `rebuild_int`/`set_alpha_int` targeted.
+    approx_sinks: Vec<(EdgeId, f64)>, // prs-lint: allow(float, reason = "the proposer's weight images")
+    /// The checked-`i128` fast tier.
+    exact_i128: CertNet<i128>,
+    /// The BigInt fallback. Same arc order, hence the same `EdgeId`s.
+    exact_int: CertNet<BigInt>,
+    /// Which engine the last build or re-parameterization targeted.
     cert_engine: CertEngine,
-    /// `p·D` of the current integer build (positive when valid).
-    pub(crate) int_scale: BigInt,
-    /// `D` = lcm of the alive weights' denominators (α-independent part of
-    /// the scale, kept so a Dinkelbach step can re-parameterize in place).
-    int_d: BigInt,
-    /// Scaled integer weight `w_v·D` per alive vertex, in `alive` order.
-    int_weights: Vec<BigInt>,
-    /// Sum of the integer source capacities `Σ w_v·D·p` — the feasibility
-    /// target: the scaled network saturates its sources iff the max flow
-    /// equals this.
-    int_source_total: BigInt,
-    /// Per alive vertex: `(v, sink edge)` of the certification engine that
-    /// built last (the engines add arcs in the same order, so the ids
-    /// coincide).
-    sink_edges: Vec<(VertexId, EdgeId)>,
-    /// Per alive vertex: `(v, source edge)`, in `alive` order.
-    source_edges: Vec<(VertexId, EdgeId)>,
-    /// The certification middle arcs `(v, u, edge left(v)→right(u))`,
-    /// sorted lexicographically by `(v, u)` (alive iteration is ascending
-    /// and neighbor lists are sorted). The session reads the certifying
-    /// flow off these arcs and seeds the next warm start from it.
-    pub(crate) mid_edges: Vec<(VertexId, VertexId, EdgeId)>,
+    /// True iff `D` and every `w_v·D` fit `u128`: the scaled weights are
+    /// then in `word_weights`, otherwise in `big_weights` (alive order).
+    words: bool,
+    word_weights: Vec<u128>,
+    big_weights: Vec<BigInt>,
+    /// The arc ids of the current certification build.
+    pub(crate) edges: CertEdges,
 }
 
 impl RoundNets {
@@ -315,16 +439,13 @@ impl RoundNets {
         RoundNets {
             approx: NetworkF64::new(n_nodes),
             approx_sinks: Vec::new(),
-            exact_int: NetworkInt::new(n_nodes),
-            exact_i128: NetworkI128::new(n_nodes),
+            exact_i128: CertNet::new(n_nodes),
+            exact_int: CertNet::new(n_nodes),
             cert_engine: CertEngine::Int,
-            int_scale: BigInt::zero(),
-            int_d: BigInt::zero(),
-            int_weights: Vec::new(),
-            int_source_total: BigInt::zero(),
-            sink_edges: Vec::new(),
-            source_edges: Vec::new(),
-            mid_edges: Vec::new(),
+            words: false,
+            word_weights: Vec::new(),
+            big_weights: Vec::new(),
+            edges: CertEdges::default(),
         }
     }
 
@@ -341,7 +462,7 @@ impl RoundNets {
             let a = self
                 .approx
                 .add_edge(layout.right(v), Layout::T, w / alpha_f);
-            self.approx_sinks.push((v, a));
+            self.approx_sinks.push((a, w));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
                     self.approx
@@ -351,118 +472,29 @@ impl RoundNets {
         }
     }
 
-    /// Rebuild the scaled-integer certification network at `alpha = p/q`.
-    /// Every capacity is multiplied by the positive constant `p·D`, where
-    /// `D` is the lcm of the alive weights' denominators: source arcs carry
-    /// `(w_v·D)·p`, sink arcs `(w_v·D)·q`, middle arcs stay infinite — all
-    /// integers, so Dinic runs gcd-free. Uniform positive scaling preserves
+    /// Rebuild the scaled-integer certification network at `alpha = p/q`
+    /// on the engine its capacities fit. Uniform positive scaling preserves
     /// the feasibility decision, min cuts, and residual reachability of the
     /// rational network, so every set extracted here is bit-identical to
     /// what the Rational oracle ([`decompose_exact`]) extracts at the same
     /// `alpha`.
-    ///
-    /// Both engines add arcs in the oracle's order, so the `EdgeId`s
-    /// recorded in `source_edges` / `sink_edges` / `mid_edges` are valid
-    /// for whichever engine built last.
     fn rebuild_int(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
-        self.int_weights.clear();
-        let mut d = BigUint::one();
-        for v in alive.iter() {
-            d = lcm(&d, g.weight(v).denom());
+        debug_assert!(alpha.is_positive(), "bottleneck ratios are positive");
+        self.words = word_weights(g, alive, &mut self.word_weights).is_some();
+        if !self.words {
+            big_weights(g, alive, &mut self.big_weights);
         }
-        let d = BigInt::from_parts(Sign::Plus, d);
-        let p = alpha.numer();
-        let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
-        debug_assert!(p.is_positive(), "bottleneck ratios are positive");
-        let mut total = BigInt::zero();
-        let mut caps = Vec::with_capacity(alive.len());
-        for v in alive.iter() {
-            let w = g.weight(v);
-            // w_v·D is integral because denom(w_v) divides D.
-            let iw = w.numer() * &(&d / &BigInt::from_parts(Sign::Plus, w.denom().clone()));
-            let src_cap = &iw * p;
-            let snk_cap = &iw * &q;
-            total += &src_cap;
-            caps.push((src_cap, snk_cap));
-            self.int_weights.push(iw);
-        }
-        if let Some(caps128) = admit_i128(&caps) {
-            self.build_arcs_i128(g, alive, &caps128);
+        if self.admit_i128(alpha) {
+            self.cert_engine = CertEngine::I128;
+            reset_overflow();
+            self.exact_i128.build(&mut self.edges, g, alive);
         } else {
             // Build-time promotion: some p·D-scaled capacity (or an endpoint
             // total) does not fit in i128 — go straight to BigInt.
             stats::record_i128_promotions(1);
             prs_trace::metrics::anomaly("i128_promotion_build");
-            self.build_arcs_int(g, alive, &caps);
-        }
-        self.int_scale = p * &d;
-        self.int_d = d;
-        self.int_source_total = total;
-    }
-
-    /// Add the certification arcs to the BigInt engine. Arc order matches
-    /// `build_arcs_i128`, so the recorded `EdgeId`s are valid for whichever
-    /// engine built last.
-    fn build_arcs_int(&mut self, g: &Graph, alive: &VertexSet, caps: &[(BigInt, BigInt)]) {
-        let layout = Layout { n: g.n() };
-        self.cert_engine = CertEngine::Int;
-        self.exact_int.clear(layout.nodes());
-        self.sink_edges.clear();
-        self.source_edges.clear();
-        self.mid_edges.clear();
-        for (i, v) in alive.iter().enumerate() {
-            let s = self.exact_int.add_edge(
-                Layout::S,
-                layout.left(v),
-                CapInt::Finite(caps[i].0.clone()),
-            );
-            let e = self.exact_int.add_edge(
-                layout.right(v),
-                Layout::T,
-                CapInt::Finite(caps[i].1.clone()),
-            );
-            self.sink_edges.push((v, e));
-            self.source_edges.push((v, s));
-            for &u in g.neighbors(v) {
-                if alive.contains(u) {
-                    let m =
-                        self.exact_int
-                            .add_edge(layout.left(v), layout.right(u), CapInt::Infinite);
-                    self.mid_edges.push((v, u, m));
-                }
-            }
-        }
-    }
-
-    /// Add the certification arcs to the checked-`i128` fast tier. Same arc
-    /// order as `build_arcs_int` — the engines are `EdgeId`-compatible.
-    fn build_arcs_i128(&mut self, g: &Graph, alive: &VertexSet, caps: &[(i128, i128)]) {
-        let layout = Layout { n: g.n() };
-        self.cert_engine = CertEngine::I128;
-        reset_overflow();
-        self.exact_i128.clear(layout.nodes());
-        self.sink_edges.clear();
-        self.source_edges.clear();
-        self.mid_edges.clear();
-        for (i, v) in alive.iter().enumerate() {
-            let s = self
-                .exact_i128
-                .add_edge(Layout::S, layout.left(v), CapI128::Finite(caps[i].0));
-            let e =
-                self.exact_i128
-                    .add_edge(layout.right(v), Layout::T, CapI128::Finite(caps[i].1));
-            self.sink_edges.push((v, e));
-            self.source_edges.push((v, s));
-            for &u in g.neighbors(v) {
-                if alive.contains(u) {
-                    let m = self.exact_i128.add_edge(
-                        layout.left(v),
-                        layout.right(u),
-                        CapI128::Infinite,
-                    );
-                    self.mid_edges.push((v, u, m));
-                }
-            }
+            self.cert_engine = CertEngine::Int;
+            self.exact_int.build(&mut self.edges, g, alive);
         }
     }
 
@@ -473,234 +505,233 @@ impl RoundNets {
     /// capacities no longer fit promotes to BigInt here (the descent can
     /// only shrink `p`, but `q` can grow without bound).
     fn set_alpha_int(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
-        let p = alpha.numer();
-        let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
-        debug_assert!(p.is_positive(), "bottleneck ratios are positive");
-        debug_assert_eq!(self.int_weights.len(), self.source_edges.len());
-        let mut total = BigInt::zero();
-        let mut caps = Vec::with_capacity(self.int_weights.len());
-        for iw in &self.int_weights {
-            let src_cap = iw * p;
-            total += &src_cap;
-            caps.push((src_cap, iw * &q));
+        if self.cert_engine == CertEngine::Int {
+            self.big_caps(alpha);
+            self.exact_int.set_caps(&self.edges);
+        } else if self.admit_i128(alpha) {
+            reset_overflow();
+            self.exact_i128.set_caps(&self.edges);
+        } else {
+            // Mid-descent promotion: the BigInt twin was never built this
+            // round, so construct it outright (same arc order → the
+            // recorded EdgeIds stay valid).
+            stats::record_i128_promotions(1);
+            prs_trace::metrics::anomaly("i128_promotion_descent");
+            self.cert_engine = CertEngine::Int;
+            self.exact_int.build(&mut self.edges, g, alive);
         }
-        match self.cert_engine {
-            CertEngine::I128 => match admit_i128(&caps) {
-                Some(caps128) => {
-                    reset_overflow();
-                    for (i, &(src, snk)) in caps128.iter().enumerate() {
-                        self.exact_i128
-                            .set_capacity(self.source_edges[i].1, CapI128::Finite(src));
-                        self.exact_i128
-                            .set_capacity(self.sink_edges[i].1, CapI128::Finite(snk));
-                    }
-                    self.exact_i128.reset_flow();
-                }
-                None => {
-                    // Mid-descent promotion: the BigInt twin was never built
-                    // this round, so construct it outright (same arc order →
-                    // the recorded EdgeIds stay valid).
-                    stats::record_i128_promotions(1);
-                    prs_trace::metrics::anomaly("i128_promotion_descent");
-                    self.build_arcs_int(g, alive, &caps);
-                }
-            },
-            CertEngine::Int => {
-                for (i, (src, snk)) in caps.into_iter().enumerate() {
-                    self.exact_int
-                        .set_capacity(self.source_edges[i].1, CapInt::Finite(src));
-                    self.exact_int
-                        .set_capacity(self.sink_edges[i].1, CapInt::Finite(snk));
-                }
-                self.exact_int.reset_flow();
-            }
-        }
-        self.int_scale = p * &self.int_d;
-        self.int_source_total = total;
     }
 
-    /// Run the certification max-flow on the active engine, returning the
-    /// pushed flow in BigInt units and whether a *runtime* overflow promoted
-    /// the round mid-flight. On promotion the poisoned i128 result is
-    /// discarded and the max-flow reruns cold on a freshly built BigInt
-    /// network at the same α — any seed installed on the i128 network is
-    /// gone, so callers must drop their seeded-flow bookkeeping when the
-    /// flag comes back `true`.
-    fn cert_max_flow(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) -> (BigInt, bool) {
-        match self.cert_engine {
-            CertEngine::I128 => {
-                let flow = self.exact_i128.max_flow(Layout::S, Layout::T);
-                if !overflow_detected() {
-                    return (BigInt::from(flow), false);
-                }
-                // The admission check bounds every partial sum by an endpoint
-                // total that fits, so this is defense-in-depth rather than an
-                // expected path — but soundness must not depend on that
-                // argument staying true under refactors. (The poison flag
-                // itself already tripped the flight recorder inside
-                // `prs_flow`; this anomaly marks the promotion decision.)
-                stats::record_i128_promotions(1);
-                prs_trace::metrics::anomaly("i128_promotion_runtime");
-                let p = alpha.numer();
-                let q = BigInt::from_parts(Sign::Plus, alpha.denom().clone());
-                let caps: Vec<(BigInt, BigInt)> = self
-                    .int_weights
-                    .iter()
-                    .map(|iw| (iw * p, iw * &q))
-                    .collect();
-                self.build_arcs_int(g, alive, &caps);
-                (self.exact_int.max_flow(Layout::S, Layout::T), true)
+    /// Compute the `i128` capacities at `alpha = p/q` into the fast tier's
+    /// scratch and report whether every capacity and both endpoint totals
+    /// fit — the admission test of the fast tier. Runs on words; on a word
+    /// overflow the capacities are recomputed in BigInt and narrowed, so the
+    /// answer is exactly "fits `i128`". On `false`, `exact_int.caps` holds
+    /// the BigInt capacities.
+    fn admit_i128(&mut self, alpha: &Rational) -> bool {
+        let fit = |c: u128| i128::try_from(c).ok();
+        if let (true, Some(p), Some(q)) = (
+            self.words,
+            alpha.numer().magnitude().to_u128(),
+            alpha.denom().to_u128(),
+        ) {
+            let caps = self
+                .word_weights
+                .iter()
+                .map(|&w| Some((fit(w.checked_mul(p)?)?, fit(w.checked_mul(q)?)?)));
+            if admit(caps, &mut self.exact_i128.caps).is_some() {
+                return true;
             }
-            CertEngine::Int => (self.exact_int.max_flow(Layout::S, Layout::T), false),
         }
+        self.big_caps(alpha);
+        let caps = self
+            .exact_int
+            .caps
+            .iter()
+            .map(|(s, k)| Some((s.to_i128()?, k.to_i128()?)));
+        admit(caps, &mut self.exact_i128.caps).is_some()
+    }
+
+    /// The BigInt capacities `(w_v·D·p, w_v·D·q)` at `alpha = p/q`, into
+    /// `exact_int.caps`.
+    fn big_caps(&mut self, alpha: &Rational) {
+        let (p, q) = (alpha.numer(), BigInt::from(alpha.denom().clone()));
+        let caps = &mut self.exact_int.caps;
+        caps.clear();
+        if self.words {
+            caps.extend(self.word_weights.iter().map(|&w| {
+                let w = BigInt::from(BigUint::from(w));
+                (&w * p, &w * &q)
+            }));
+        } else {
+            caps.extend(self.big_weights.iter().map(|w| (w * p, w * &q)));
+        }
+    }
+
+    /// Run the certification max-flow on the active engine, on top of any
+    /// seed, and report whether it saturates every source arc. A *runtime*
+    /// overflow on the `i128` tier discards the poisoned result and reruns
+    /// the max-flow cold on a freshly built BigInt network at the same α
+    /// (the seed goes with the discarded network).
+    fn cert_feasible(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) -> bool {
+        if self.cert_engine == CertEngine::I128 {
+            self.exact_i128.net.max_flow(Layout::S, Layout::T);
+            if !overflow_detected() {
+                return self.exact_i128.saturated(&self.edges);
+            }
+            // The admission check bounds every partial sum by an endpoint
+            // total that fits, so this is defense-in-depth rather than an
+            // expected path — but soundness must not depend on that
+            // argument staying true under refactors. (The poison flag
+            // itself already tripped the flight recorder inside
+            // `prs_flow`; this anomaly marks the promotion decision.)
+            stats::record_i128_promotions(1);
+            prs_trace::metrics::anomaly("i128_promotion_runtime");
+            self.big_caps(alpha);
+            self.cert_engine = CertEngine::Int;
+            self.exact_int.build(&mut self.edges, g, alive);
+        }
+        self.exact_int.net.max_flow(Layout::S, Layout::T);
+        self.exact_int.saturated(&self.edges)
     }
 
     /// Engine-dispatched [`prs_flow::Network::residual_reaches_sink`].
     fn cert_residual_reaches_sink(&self) -> Vec<bool> {
         match self.cert_engine {
-            CertEngine::I128 => self.exact_i128.residual_reaches_sink(Layout::T),
-            CertEngine::Int => self.exact_int.residual_reaches_sink(Layout::T),
+            CertEngine::I128 => self.exact_i128.net.residual_reaches_sink(Layout::T),
+            CertEngine::Int => self.exact_int.net.residual_reaches_sink(Layout::T),
         }
     }
 
     /// Engine-dispatched [`prs_flow::Network::min_cut_source_side`].
     fn cert_min_cut_source_side(&self) -> Vec<bool> {
         match self.cert_engine {
-            CertEngine::I128 => self.exact_i128.min_cut_source_side(Layout::S),
-            CertEngine::Int => self.exact_int.min_cut_source_side(Layout::S),
+            CertEngine::I128 => self.exact_i128.net.min_cut_source_side(Layout::S),
+            CertEngine::Int => self.exact_int.net.min_cut_source_side(Layout::S),
         }
     }
 
-    /// Flow on `e` in the active certification engine, widened to BigInt.
-    pub(crate) fn cert_flow_on(&self, e: EdgeId) -> BigInt {
+    /// The certifying flow of the active engine, kept in its width.
+    pub(crate) fn support(&self) -> Support {
         match self.cert_engine {
-            CertEngine::I128 => BigInt::from(*self.exact_i128.flow_on(e)),
-            CertEngine::Int => self.exact_int.flow_on(e).clone(),
-        }
-    }
-
-    /// Seed the active certification engine with the given flow requests
-    /// (desired amounts in scaled BigInt units), returning the total flow
-    /// actually installed.
-    ///
-    /// On the i128 tier each `desired` is narrowed with a clamp to
-    /// `i128::MAX`: the kernel's `seed_flow` caps every request by the
-    /// remaining source supply and sink room, and those are bounded by
-    /// endpoint totals the admission check proved fit — so the clamp can
-    /// never change the installed amount, only the (ignored) excess of the
-    /// request.
-    fn cert_seed_flow(&mut self, seeds: &[SeedArc<BigInt>]) -> BigInt {
-        match self.cert_engine {
-            CertEngine::I128 => {
-                let narrowed: Vec<SeedArc<i128>> = seeds
-                    .iter()
-                    .map(|s| SeedArc {
-                        source_edge: s.source_edge,
-                        mid_edge: s.mid_edge,
-                        sink_edge: s.sink_edge,
-                        desired: s.desired.to_i128().unwrap_or(i128::MAX),
-                    })
-                    .collect();
-                let total = self.exact_i128.seed_flow(&narrowed);
-                debug_assert!(self.exact_i128.check_capacities());
-                debug_assert!(self.exact_i128.check_conservation(Layout::S, Layout::T));
-                BigInt::from(total)
-            }
-            CertEngine::Int => {
-                let total = self.exact_int.seed_flow(seeds);
-                debug_assert!(self.exact_int.check_capacities());
-                debug_assert!(self.exact_int.check_conservation(Layout::S, Layout::T));
-                total
-            }
+            CertEngine::I128 => Support::I128(self.exact_i128.support(&self.edges)),
+            CertEngine::Int => Support::Int(self.exact_int.support(&self.edges)),
         }
     }
 
     /// Preload the freshly built certification network with a previous
-    /// certifying flow pattern, rescaled from the weights and scale it was
-    /// certified on to the current ones. Each support arc becomes a
-    /// [`SeedArc`] request, and the kernel's
-    /// [`seed_flow`](prs_flow::Network::seed_flow) clamps the requests to
-    /// remaining capacity and adds them onto the zero flow of the fresh
-    /// build, installing a valid (capacity-respecting, conserving) flow.
-    /// Returns the seeded flow value (the amount already routed s→t, in
-    /// scaled units).
+    /// certifying flow pattern. A support arc holds the flow `F` of a
+    /// network whose source arc at `v` had capacity `c₀`; where that arc
+    /// now has capacity `c`, it requests `⌊F·c/c₀⌋`. That is the old flow
+    /// rescaled to the current weight and scale: `c₀ = w_v·S₀` and
+    /// `c = w'_v·S`, so the request is `⌊(F/S₀)·(w'_v/w_v)·S⌋`.
     ///
-    /// A support arc holds the scaled flow `F` of a network at scale `S₀`,
-    /// i.e. the true flow `f = F/S₀`. At the current scale `S` it requests
-    /// `⌊F·w'_v·S / (S₀·w_v)⌋ = ⌊f·(w'_v/w_v)·S⌋` with one big division and
-    /// no rational normalization.
     /// The floor loses at most one scaled unit per arc, which the
     /// certification max-flow recovers from the residual graph: Dinic
     /// completes **any** valid flow to a maximum flow, so seeding changes
     /// only how many augmenting paths are needed, never the result.
-    fn seed_from_support(&mut self, g: &Graph, alive: &VertexSet, support: &Support) -> BigInt {
-        if support.arcs.is_empty() {
-            return BigInt::zero();
-        }
-        debug_assert!(self.int_scale.is_positive() && support.scale.is_positive());
-        let mut seeds = Vec::with_capacity(support.arcs.len());
-        for (v, u, f, w_then) in &support.arcs {
-            let (v, u) = (*v, *u);
-            if !alive.contains(v) || !alive.contains(u) {
-                continue;
+    fn seed_from_support(&mut self, support: &Support) {
+        let edges = &self.edges;
+        match (self.cert_engine, support) {
+            (CertEngine::I128, Support::I128(arcs)) => {
+                self.exact_i128
+                    .seed(edges, arcs, |f, c, c0| rescale_i128(*f, *c, *c0))
             }
-            let Ok(mid) = self
-                .mid_edges
-                .binary_search_by(|probe| (probe.0, probe.1).cmp(&(v, u)))
-            else {
-                continue; // edge no longer present (different topology)
-            };
-            let Ok(vpos) = self.source_edges.binary_search_by(|probe| probe.0.cmp(&v)) else {
-                continue;
-            };
-            let Ok(upos) = self.sink_edges.binary_search_by(|probe| probe.0.cmp(&u)) else {
-                continue;
-            };
-            let w_now = g.weight(v);
-            let num = &(&(f * w_now.numer())
-                * &BigInt::from_parts(Sign::Plus, w_then.denom().clone()))
-                * &self.int_scale;
-            let den = &(&support.scale * &BigInt::from_parts(Sign::Plus, w_now.denom().clone()))
-                * w_then.numer();
-            seeds.push(SeedArc {
-                source_edge: self.source_edges[vpos].1,
-                mid_edge: self.mid_edges[mid].2,
-                sink_edge: self.sink_edges[upos].1,
-                desired: &num / &den,
-            });
+            (CertEngine::I128, Support::Int(arcs)) => {
+                self.exact_i128
+                    .seed(edges, arcs, |f, c, c0| match (f.to_i128(), c0.to_i128()) {
+                        (Some(f), Some(c0)) => rescale_i128(f, *c, c0),
+                        _ => rescale_big(f, &BigInt::from(*c), c0)
+                            .to_i128()
+                            .unwrap_or(*c),
+                    })
+            }
+            (CertEngine::Int, Support::I128(arcs)) => {
+                self.exact_int.seed(edges, arcs, |f, c, c0| {
+                    rescale_big(&BigInt::from(*f), c, &BigInt::from(*c0))
+                })
+            }
+            (CertEngine::Int, Support::Int(arcs)) => self.exact_int.seed(edges, arcs, rescale_big),
         }
-        self.cert_seed_flow(&seeds)
     }
 
     // prs-lint: allow(float, reason = "two-tier proposer: re-parameterizes the approx network only; certification is exact")
     /// Re-parameterize the float network to `alpha_f`.
-    fn set_alpha_f64(&mut self, g: &Graph, alpha_f: f64) {
-        for &(v, a) in &self.approx_sinks {
-            self.approx.set_capacity(a, g.weight(v).to_f64() / alpha_f);
+    fn set_alpha_f64(&mut self, alpha_f: f64) {
+        for &(a, w) in &self.approx_sinks {
+            self.approx.set_capacity(a, w / alpha_f);
         }
         self.approx.reset_flow();
     }
 }
 
-/// Try to narrow a full set of scaled certification capacities to `i128` —
-/// the admission test of the fast tier. Succeeds iff every capacity *and*
-/// both endpoint totals fit (the `checked_add` chain proves the totals,
-/// which in turn bound every partial sum the kernel can form: a flow value
-/// never exceeds an endpoint total, so an admitted network cannot overflow
-/// at runtime). Returns `None` on the first miss, which the callers count
-/// as one promotion to BigInt.
-fn admit_i128(caps: &[(BigInt, BigInt)]) -> Option<Vec<(i128, i128)>> {
-    let mut src_total: i128 = 0;
-    let mut snk_total: i128 = 0;
-    let mut out = Vec::with_capacity(caps.len());
-    for (src, snk) in caps {
-        let s = src.to_i128()?;
-        let k = snk.to_i128()?;
-        src_total = src_total.checked_add(s)?;
-        snk_total = snk_total.checked_add(k)?;
-        out.push((s, k));
+/// `w_v·D` per alive vertex in machine words, `D` the lcm of the alive
+/// weights' denominators; `None` when `D` or a product does not fit `u128`.
+fn word_weights(g: &Graph, alive: &VertexSet, out: &mut Vec<u128>) -> Option<()> {
+    out.clear();
+    let mut d = 1;
+    for v in alive.iter() {
+        d = lcm_u128(d, g.weight(v).denom().to_u128()?)?;
     }
-    Some(out)
+    for v in alive.iter() {
+        let w = g.weight(v);
+        // w_v·D is integral because denom(w_v) divides D.
+        out.push(
+            w.numer()
+                .magnitude()
+                .to_u128()?
+                .checked_mul(d / w.denom().to_u128()?)?,
+        );
+    }
+    Some(())
+}
+
+/// [`word_weights`] in BigInt, for an alive set whose words overflow.
+fn big_weights(g: &Graph, alive: &VertexSet, out: &mut Vec<BigInt>) {
+    let mut d = BigUint::one();
+    for v in alive.iter() {
+        d = lcm(&d, g.weight(v).denom());
+    }
+    out.clear();
+    for v in alive.iter() {
+        let w = g.weight(v);
+        out.push(w.numer() * &BigInt::from(&d / w.denom()));
+    }
+}
+
+/// Collect `(source, sink)` capacities into `out`, checking both endpoint
+/// totals on the way; `None` as soon as a capacity (a `None` item) or a
+/// total does not fit `i128`.
+fn admit(
+    caps: impl Iterator<Item = Option<(i128, i128)>>,
+    out: &mut Vec<(i128, i128)>,
+) -> Option<()> {
+    out.clear();
+    let (mut src_total, mut snk_total) = (0i128, 0i128);
+    for cap in caps {
+        let (src, snk) = cap?;
+        src_total = src_total.checked_add(src)?;
+        snk_total = snk_total.checked_add(snk)?;
+        out.push((src, snk));
+    }
+    Some(())
+}
+
+/// `⌊f·c/c₀⌋` in words, through BigInt only when `f·c` overflows. A
+/// support arc's flow never exceeds its source capacity (`f ≤ c₀`), so the
+/// quotient is at most `c` and narrows back.
+fn rescale_i128(f: i128, c: i128, c0: i128) -> i128 {
+    match f.checked_mul(c) {
+        Some(fc) => fc / c0,
+        None => rescale_big(&BigInt::from(f), &BigInt::from(c), &BigInt::from(c0))
+            .to_i128()
+            .unwrap_or(c),
+    }
+}
+
+/// `⌊f·c/c₀⌋` in BigInt.
+fn rescale_big(f: &BigInt, c: &BigInt, c0: &BigInt) -> BigInt {
+    &(f * c) / c0
 }
 
 // prs-lint: allow(float, reason = "tier-1 proposer: every candidate it returns is re-certified by an exact max-flow before adoption (see maximal_bottleneck)")
@@ -719,10 +750,10 @@ fn propose_f64(
 ) -> Option<VertexSet> {
     let _sp = prs_trace::span("bd", "f64_propose");
     let layout = Layout { n: g.n() };
-    let w_alive_f: f64 = alive.iter().map(|v| g.weight(v).to_f64()).sum();
-    let tol = 1e-9 * (1.0 + w_alive_f);
     let mut alpha_f = alpha0.to_f64();
     nets.rebuild_f64(g, alive, alpha_f);
+    let w_alive_f: f64 = nets.approx_sinks.iter().map(|&(_, w)| w).sum();
+    let tol = 1e-9 * (1.0 + w_alive_f);
     if alpha_f.is_nan() || alpha_f <= 0.0 {
         return None; // α₀ underflowed: nothing useful to propose
     }
@@ -731,7 +762,7 @@ fn propose_f64(
     // The exact descent takes at most |alive| strictly decreasing steps;
     // give the float loop the same budget plus slack, then give up.
     for _ in 0..alive.len() + 4 {
-        nets.set_alpha_f64(g, alpha_f);
+        nets.set_alpha_f64(alpha_f);
         let flow = nets.approx.max_flow(Layout::S, Layout::T);
         if flow >= w_alive_f - tol {
             // Float-feasible: extract the unreachable set as the candidate
@@ -772,20 +803,21 @@ fn propose_f64(
     last_violating
 }
 
-/// One middle arc of a certifying flow: `(v, u, F, w_v)`, where `F` is the
-/// flow on `left(v)→right(u)` in the scaled units of the certifying network
-/// and `w_v` the weight it was certified on.
-pub(crate) type SupportArc = (VertexId, VertexId, BigInt, Rational);
+/// One middle arc of a certifying flow: `(v, u, F, c₀)`, where `F` is the
+/// flow on `left(v)→right(u)` and `c₀` the capacity of v's source arc, both
+/// in the units of the certifying network.
+pub(crate) type SupportArc<C> = (VertexId, VertexId, C, C);
 
 /// A certifying flow kept to seed a later round (see
-/// `RoundNets::seed_from_support`): the arcs that carried positive flow,
-/// and the `p·D` scale `S₀` of the network they were read off — stored
-/// once, so an arc's true flow is `F/S₀` without a per-arc normalization.
-pub(crate) struct Support {
-    /// `S₀`, the certifying network's `p·D`.
-    pub(crate) scale: BigInt,
-    /// The positive-flow middle arcs, in `mid_edges` order.
-    pub(crate) arcs: Vec<SupportArc>,
+/// `RoundNets::seed_from_support`): the middle arcs that carried positive
+/// flow, in `mid` order, in the width of the engine that certified them.
+/// `F/c₀` is the share of v's supply the arc carried, so no weight or scale
+/// is stored beside them.
+pub(crate) enum Support {
+    /// Certified on the checked-`i128` tier.
+    I128(Vec<SupportArc<i128>>),
+    /// Certified on the BigInt engine.
+    Int(Vec<SupportArc<BigInt>>),
 }
 
 /// A settled certification (see [`certify`]).
@@ -829,7 +861,9 @@ pub(crate) fn certify(
 ) -> Result<Certified, BdError> {
     let layout = Layout { n: g.n() };
     nets.rebuild_int(g, alive, &alpha_hat);
-    let mut seeded = support.map_or_else(BigInt::zero, |s| nets.seed_from_support(g, alive, s));
+    if let Some(s) = support {
+        nets.seed_from_support(s);
+    }
     let mut alpha = alpha_hat;
     let mut first = true;
     loop {
@@ -839,19 +873,8 @@ pub(crate) fn certify(
         if !first {
             nets.set_alpha_int(g, alive, &alpha);
         }
-        let (mut flow, promoted) = nets.cert_max_flow(g, alive, &alpha);
-        if promoted {
-            // A runtime overflow discarded the i128 network mid-round — and
-            // with it any seed installed there; the BigInt rerun pushed its
-            // whole flow from zero, so nothing must be added back.
-            seeded = BigInt::zero();
-        }
-        if first {
-            // `max_flow` reports only the flow it pushed on top of the seed.
-            flow += &seeded;
-        }
         // Feasible iff the sources saturate: max flow = Σ (w_v·D)·p.
-        if flow == nets.int_source_total {
+        if nets.cert_feasible(g, alive, &alpha) {
             let reaches = nets.cert_residual_reaches_sink();
             let mut b = VertexSet::empty(g.n());
             for v in alive.iter() {
@@ -982,7 +1005,7 @@ where
     let mut round = 0;
 
     while !alive.is_empty() {
-        if g.set_weight_of(&alive).is_zero() {
+        if alive.iter().all(|v| g.weight(v).is_zero()) {
             return Err(BdError::ZeroWeightResidue { round });
         }
         let (b, alpha) = {

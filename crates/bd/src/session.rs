@@ -26,11 +26,13 @@
 //!    (`α̂ = p/q` in lowest terms, `D` the lcm of the alive weights'
 //!    denominators), so source arcs carry `(w_v·D)·p` and sink arcs
 //!    `(w_v·D)·q` — all integers, turning each Dinic step from a
-//!    gcd-normalized rational operation into plain big-integer arithmetic.
-//!    The cached certifying flow stays in the scaled integer units it was
-//!    certified in, beside that round's scale `S₀`; it pre-seeds the
-//!    network rescaled to the current weights and scale, so inside a known
-//!    `ShapeInterval` the flow is (nearly) maximal before the first BFS.
+//!    gcd-normalized rational operation into plain integer arithmetic, in
+//!    checked `i128` words unless a capacity outgrows them. The cached
+//!    certifying flow stays in the units and width it was certified in:
+//!    each arc's flow `F` beside the capacity `c₀` of its source arc. It
+//!    pre-seeds the network with `⌊F·c/c₀⌋` for the current source
+//!    capacity `c`, so inside a known `ShapeInterval` the flow is (nearly)
+//!    maximal before the first BFS.
 //! 3. **Descent** — at a breakpoint the certification is infeasible and the
 //!    exact Dinkelbach descent resumes from the min cut (still on the
 //!    integer network); with no usable candidate at all, the cold round's
@@ -177,9 +179,9 @@ struct CertData {
     /// The alive-induced adjacency `(v, u)` pairs, in network build order.
     adj: Vec<(VertexId, VertexId)>,
     /// The certifying max-flow's middle arcs carrying positive flow, as
-    /// scaled flows `F` with the certifying network's scale `S₀`. A later
-    /// warm start on weights `w'` at scale `S` seeds the arc
-    /// `left(v)→right(u)` with `⌊F·w'_v·S / (S₀·w_v)⌋`.
+    /// flows `F` beside their source arcs' capacities `c₀`. A later warm
+    /// start seeds the arc `left(v)→right(u)` with `⌊F·c/c₀⌋`, where `c` is
+    /// v's source capacity then.
     support: Support,
 }
 
@@ -996,11 +998,10 @@ fn best_warm_candidate(
 
 /// Snapshot a freshly certified round into a [`RoundCert`]: the answer,
 /// the inputs it was solved on, and the certifying max-flow's middle-arc
-/// pattern. Each support arc keeps its flow as the scaled integer `F` read
-/// off whichever engine (checked `i128` or BigInt) settled the round, and
-/// the round's `p·D` scale `S₀` is stored once beside them, so the true
-/// flow `F/S₀` is never normalized here; `seed_from_support` rescales it
-/// for whichever engine certifies next time.
+/// pattern. Each support arc keeps its flow `F` and its source arc's
+/// capacity `c₀` as read off whichever engine (checked `i128` or BigInt)
+/// settled the round, in that engine's width; `seed_from_support` rescales
+/// them for whichever engine certifies next time.
 fn snapshot_cert(
     nets: &RoundNets,
     g: &Graph,
@@ -1008,19 +1009,9 @@ fn snapshot_cert(
     b: &VertexSet,
     alpha: &Rational,
 ) -> RoundCert {
-    debug_assert!(nets.int_scale.is_positive());
     let mut weights = Vec::with_capacity(alive.len());
     for v in alive.iter() {
         weights.push(g.weight(v).clone());
-    }
-    let mut adj = Vec::with_capacity(nets.mid_edges.len());
-    let mut arcs = Vec::new();
-    for &(v, u, e) in &nets.mid_edges {
-        adj.push((v, u));
-        let f = nets.cert_flow_on(e);
-        if f.is_positive() {
-            arcs.push((v, u, f, g.weight(v).clone()));
-        }
     }
     RoundCert {
         b: b.clone(),
@@ -1028,11 +1019,8 @@ fn snapshot_cert(
         data: std::sync::Arc::new(CertData {
             alive: alive.clone(),
             weights,
-            adj,
-            support: Support {
-                scale: nets.int_scale.clone(),
-                arcs,
-            },
+            adj: nets.edges.mid.iter().map(|&(v, u, _)| (v, u)).collect(),
+            support: nets.support(),
         }),
     }
 }

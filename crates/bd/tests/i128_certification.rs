@@ -4,7 +4,8 @@
 //! tries the `i128` engine before BigInt. Two things must hold:
 //! small-weight instances run entirely on the fast tier (promotion count
 //! exactly zero), and adversarial scale separation promotes — with results
-//! bit-identical to the Rational oracle `decompose_exact` either way.
+//! bit-identical to the Rational oracle `decompose_exact` either way. A
+//! word overflow that leaves every capacity inside `i128` must not promote.
 //!
 //! All phases live in a single `#[test]`: the promotion counter is
 //! process-global, so a concurrently running promoting test would make a
@@ -12,8 +13,8 @@
 
 use prs_bd::{decompose, decompose_exact, DecompositionSession, SessionConfig};
 use prs_flow::stats;
-use prs_graph::builders;
-use prs_numeric::{int, Rational};
+use prs_graph::{builders, Graph};
+use prs_numeric::{int, ratio, Rational};
 
 fn pow2(e: i32) -> Rational {
     Rational::from_integer(2).pow(e)
@@ -75,5 +76,34 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     assert!(
         delta.i128_promotions > 0,
         "cold decompose must promote the 2^±200 family too: {delta:?}"
+    );
+
+    // Phase 4 — a word overflow short of the promotion boundary: the
+    // denominators d₁ = 2⁶⁶+1 and d₂ = 2⁶⁶+3 are coprime, so their lcm D
+    // passes 2¹²⁸ and the word lcm overflows, yet every scaled capacity
+    // w_v·D·p or w_v·D·q stays near 2⁶⁸. The build recomputes them in
+    // BigInt and still certifies on the i128 tier.
+    let d1 = &pow2(66) + &int(1);
+    let d2 = &pow2(66) + &int(3);
+    let w = vec![d1.recip(), &int(3) / &d1, d2.recip(), &int(3) / &d2];
+    let g = Graph::new(w, &[(0, 1), (2, 3)]).unwrap();
+    let before = stats::snapshot();
+    let cold = decompose(&g).unwrap();
+    let mut session = DecompositionSession::detached();
+    assert_eq!(session.decompose(&g).unwrap(), cold);
+    let delta = stats::snapshot().since(&before);
+    assert_eq!(cold, decompose_exact(&g).unwrap());
+    assert_eq!(
+        cold.signature(),
+        vec![(vec![1, 3], vec![0, 2], ratio(1, 3))]
+    );
+    assert_eq!(
+        (
+            delta.i128_promotions,
+            delta.int_max_flows,
+            delta.i128_max_flows
+        ),
+        (0, 0, 4),
+        "a word overflow below the i128 boundary must not promote: {delta:?}"
     );
 }

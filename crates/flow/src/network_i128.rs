@@ -28,9 +28,9 @@
 //!   which computes the identical answer without the width limit.
 //!
 //! The session's certification tier additionally rejects at *build* time:
-//! any scaled capacity (or endpoint total) that fails
-//! `BigInt::to_i128` promotes before this engine ever runs, which is why
-//! the runtime flag fires ~never in practice. It exists so "fits at build
+//! any scaled capacity (or endpoint total) that does not fit `i128`
+//! promotes before this engine ever runs, which is why the runtime flag
+//! fires ~never in practice. It exists so "fits at build
 //! time" never has to imply "every intermediate fits" for soundness.
 //!
 //! Results on the non-promoted path are bit-identical to the BigInt

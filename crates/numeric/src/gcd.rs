@@ -104,6 +104,15 @@ pub fn lcm(a: &BigUint, b: &BigUint) -> BigUint {
     &(a / &g) * b
 }
 
+/// `lcm(a, b)` on machine words: zero if either argument is zero, `None`
+/// exactly when the lcm is at least 2¹²⁸.
+pub fn lcm_u128(a: u128, b: u128) -> Option<u128> {
+    if a == 0 || b == 0 {
+        return Some(0);
+    }
+    (a / gcd_u128(a, b)).checked_mul(b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

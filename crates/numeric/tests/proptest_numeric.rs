@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use prs_numeric::gcd::{gcd, lcm};
+use prs_numeric::gcd::{gcd, lcm, lcm_u128};
 use prs_numeric::{BigInt, BigUint, Rational, Sign};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Debug;
@@ -287,6 +287,18 @@ proptest! {
     }
 
     #[test]
+    fn lcm_u128_matches_the_limb_lcm(a in magnitude(), b in magnitude(),
+                                     g in 1u128..(1 << 100), x in 0u128..(1 << 28),
+                                     y in 0u128..(1 << 28)) {
+        // Boundary operands that fit a word, and multiples of a common
+        // factor, whose lcm `g·lcm(x, y)` falls on either side of 2¹²⁸.
+        if let (Some(a), Some(b)) = (a.to_u128(), b.to_u128()) {
+            check_lcm_u128(a, b)?;
+        }
+        check_lcm_u128(g * x, g * y)?;
+    }
+
+    #[test]
     fn bigint_to_i128_at_the_boundaries(x in signed()) {
         prop_assert_eq!(x.to_i128(), x.to_string().parse::<i128>().ok());
         let k = BigInt::from(lift_factor());
@@ -301,6 +313,43 @@ proptest! {
         check_same(Rational::new(n.clone(), d.clone()), Rational::new(&n * &ki, &d * &k), "new")?;
         check_rational_ops(&x, &y)?;
     }
+}
+
+/// `lcm_u128` equals the limb `lcm` whenever that lcm is below 2¹²⁸, and is
+/// `None` exactly when it is not.
+fn check_lcm_u128(a: u128, b: u128) -> Result<(), TestCaseError> {
+    let limb = lcm(&bigu(a), &bigu(b));
+    prop_assert_eq!(lcm_u128(a, b), limb.to_u128(), "lcm_u128({}, {})", a, b);
+    Ok(())
+}
+
+#[test]
+fn lcm_u128_at_the_word_edges() {
+    // lcm(2⁶⁴ − 1, 2⁶⁴ + 1) = 2¹²⁸ − 1 is the largest word lcm;
+    // lcm(2⁶⁴, 2⁶⁴ + 1) = 2¹²⁸ + 2⁶⁴ is among the first past it.
+    let p64 = 1u128 << 64;
+    let edges = [
+        0,
+        1,
+        2,
+        3,
+        (1 << 63) - 1,
+        1 << 63,
+        p64 - 1,
+        p64,
+        p64 + 1,
+        (1 << 127) - 1,
+        1 << 127,
+        u128::MAX - 1,
+        u128::MAX,
+    ];
+    for a in edges {
+        for b in edges {
+            check_lcm_u128(a, b).unwrap_or_else(|e| panic!("{e:?}"));
+        }
+    }
+    assert_eq!(lcm_u128(p64 - 1, p64 + 1), Some(u128::MAX));
+    assert_eq!(lcm_u128(p64, p64 + 1), None);
 }
 
 /// `+ - * /`, comparison and `to_f64` of `x` and `y` against the same
