@@ -60,5 +60,5 @@ pub use decomposition::{
 };
 pub use delta::{CellMoebius, Delta, EdgeOp, StabilityCell, UpdateOutcome};
 pub use error::BdError;
-pub use par::{SessionPool, ShardPool};
+pub use par::SessionPool;
 pub use session::{DecompositionSession, SessionConfig, SessionStats};

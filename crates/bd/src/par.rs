@@ -4,17 +4,14 @@
 //! fan the same shape of work out: `count` independent exact evaluations
 //! whose results must come back in input order (so downstream best-pick and
 //! interval assembly are bit-identical to a sequential run). This module
-//! centralizes the crossbeam scoped-thread idiom used by
-//! `prs-dynamics::parallel`: a shared atomic cursor hands out indices
-//! (work stealing), each worker writes into its index's slot, and the scope
-//! join makes the slots safe to drain in order.
+//! holds the index-ordered fan-out the stack shares: a shared
+//! atomic cursor hands out indices (work stealing), each worker writes into
+//! its index's slot, and the scope join makes the slots safe to drain in
+//! order.
 
 // prs-lint: allow-file(panic, reason = "every expect here is poison/join propagation: a worker panic has already aborted the computation, and re-raising at the join is the correct way to surface it; the cursor-coverage expect is the module's ordering invariant")
 
-use crate::delta::{Delta, UpdateOutcome};
-use crate::error::BdError;
 use crate::session::{DecompositionSession, SessionConfig};
-use prs_graph::Graph;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -197,104 +194,6 @@ impl SessionPool {
     }
 }
 
-/// One shard of a [`ShardPool`]: a long-lived owned-instance session plus
-/// its FIFO delta queue.
-struct Shard {
-    session: DecompositionSession,
-    queue: Vec<Delta>,
-}
-
-/// A sharded fleet of long-lived delta-serving sessions — the parallel face
-/// of the stream-of-mutations API.
-///
-/// Each shard owns one instance (one swarm neighborhood, one tenant, …) and
-/// an in-order delta queue. Producers [`enqueue`](ShardPool::enqueue)
-/// mutations at any time; [`drain`](ShardPool::drain) then applies every
-/// shard's queue FIFO, shards running in parallel over
-/// [`par_map_indexed`]'s deterministic fan-out. Because deltas never cross
-/// shards, the result is independent of scheduling: each shard's outcome
-/// vector equals what a sequential replay of its queue would produce.
-pub struct ShardPool {
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl ShardPool {
-    /// One owned-instance session per shard, every session tuned by `cfg`.
-    pub fn new(instances: Vec<Graph>, cfg: SessionConfig) -> Self {
-        ShardPool {
-            shards: instances
-                .into_iter()
-                .map(|g| {
-                    Mutex::new(Shard {
-                        session: DecompositionSession::with_config(g, cfg.clone()),
-                        queue: Vec::new(),
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True iff the pool has no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Append `delta` to shard `shard`'s queue (FIFO). Returns `false` when
-    /// the shard index is out of range (the delta is dropped).
-    pub fn enqueue(&self, shard: usize, delta: Delta) -> bool {
-        match self.shards.get(shard) {
-            Some(m) => {
-                m.lock().expect("shard poisoned").queue.push(delta);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Number of queued (not yet drained) deltas on shard `shard`.
-    pub fn queued(&self, shard: usize) -> usize {
-        self.shards
-            .get(shard)
-            .map_or(0, |m| m.lock().expect("shard poisoned").queue.len())
-    }
-
-    /// Apply every shard's queued deltas in FIFO order — shards in parallel
-    /// across `threads` workers — and return each shard's per-delta
-    /// outcomes, in shard order. A rejected delta (its `Err` is reported in
-    /// place) leaves that shard's session untouched and the drain moves on
-    /// to the next queued delta.
-    pub fn drain(&self, threads: usize) -> Vec<Vec<Result<UpdateOutcome, BdError>>> {
-        par_map_indexed(self.shards.len(), threads, |i| {
-            let mut shard = self.shards[i].lock().expect("shard poisoned");
-            let queue = std::mem::take(&mut shard.queue);
-            let mut sp = prs_trace::span("bd", "shard_drain");
-            sp.attr("shard", || i.to_string());
-            sp.attr("deltas", || queue.len().to_string());
-            // prs-lint: allow(lock-order, reason = "by design: each worker applies deltas under its own shard's lock only — shards are disjoint (one lock per worker, never nested), so the engine running under it cannot deadlock")
-            queue.into_iter().map(|d| shard.session.apply(d)).collect()
-        })
-    }
-
-    /// Run `f` against shard `shard`'s session (e.g. to read
-    /// [`current`](DecompositionSession::current) or
-    /// [`stats`](DecompositionSession::stats) after a drain). `None` when
-    /// the shard index is out of range.
-    pub fn with_session<T>(
-        &self,
-        shard: usize,
-        f: impl FnOnce(&mut DecompositionSession) -> T,
-    ) -> Option<T> {
-        self.shards
-            .get(shard)
-            .map(|m| f(&mut m.lock().expect("shard poisoned").session))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,58 +233,6 @@ mod tests {
         // All sessions are back in the pool and did real work.
         let stats = pool.stats();
         assert!(stats.hits + stats.misses > 0);
-    }
-
-    #[test]
-    fn shard_pool_drains_fifo_and_matches_cold() {
-        let instances: Vec<Graph> = (0..6)
-            .map(|i| builders::path(vec![int(2 + i), int(10), int(3)]).unwrap())
-            .collect();
-        let pool = ShardPool::new(instances.clone(), SessionConfig::new());
-        assert_eq!(pool.len(), 6);
-        assert!(!pool.is_empty());
-        for (i, _) in instances.iter().enumerate() {
-            assert!(pool.enqueue(i, Delta::SetWeight { v: 0, w: int(7) }));
-            assert!(pool.enqueue(
-                i,
-                Delta::SetWeight {
-                    v: 0,
-                    w: int(1 + i as i64),
-                }
-            ));
-        }
-        assert!(!pool.enqueue(99, Delta::Batch(vec![])), "range-checked");
-        assert_eq!(pool.queued(0), 2);
-        let outcomes = pool.drain(4);
-        assert_eq!(outcomes.len(), 6);
-        assert_eq!(pool.queued(0), 0);
-        for (i, per_shard) in outcomes.iter().enumerate() {
-            assert_eq!(per_shard.len(), 2, "shard {i} served its whole queue");
-            assert!(per_shard.iter().all(|o| o.is_ok()));
-            // FIFO: the final committed weight is the *second* enqueued one.
-            let expected = builders::path(vec![int(1 + i as i64), int(10), int(3)]).unwrap();
-            pool.with_session(i, |s| {
-                assert_eq!(s.graph(), Some(&expected));
-                assert_eq!(*s.current().unwrap(), decompose(&expected).unwrap());
-            })
-            .unwrap();
-        }
-    }
-
-    #[test]
-    fn shard_pool_reports_rejections_in_place() {
-        let pool = ShardPool::new(
-            vec![builders::path(vec![int(1), int(2)]).unwrap()],
-            SessionConfig::new(),
-        );
-        pool.enqueue(0, Delta::SetWeight { v: 9, w: int(1) });
-        pool.enqueue(0, Delta::SetWeight { v: 0, w: int(5) });
-        let outcomes = pool.drain(1);
-        assert!(matches!(outcomes[0][0], Err(BdError::InvalidDelta { .. })));
-        assert!(outcomes[0][1].is_ok(), "queue continues past a rejection");
-        let expected = builders::path(vec![int(5), int(2)]).unwrap();
-        pool.with_session(0, |s| assert_eq!(s.graph(), Some(&expected)))
-            .unwrap();
     }
 
     #[test]

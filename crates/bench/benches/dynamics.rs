@@ -1,9 +1,9 @@
 //! Throughput and convergence cost of the proportional response engines,
-//! including the crossbeam parallel sweep speedup.
+//! including the speedup of a convergence sweep over the shared fan-out.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prs_bench::ring_family;
-use prs_core::dynamics::parallel::convergence_sweep;
+use prs_core::bd::par::par_map_indexed;
 use prs_core::prelude::*;
 use std::hint::black_box;
 
@@ -12,10 +12,10 @@ fn rounds_per_second(c: &mut Criterion) {
     for n in [16usize, 128, 1024] {
         let ring = ring_family(9900 + n as u64, 1, n, 1, 20).pop().unwrap();
         g.bench_function(format!("f64/n={n}"), |b| {
-            let mut eng = F64Engine::new(&ring);
+            let mut swarm = SoaSwarm::new(&ring);
             b.iter(|| {
-                eng.step();
-                black_box(eng.utilities()[0])
+                swarm.step();
+                black_box(swarm.utilities()[0])
             })
         });
     }
@@ -39,10 +39,7 @@ fn convergence_to_equilibrium(c: &mut Criterion) {
         let bd = decompose(&ring).unwrap();
         let target: Vec<f64> = bd.utilities(&ring).iter().map(|u| u.to_f64()).collect();
         g.bench_function(format!("to_1e-6/n={n}"), |b| {
-            b.iter(|| {
-                let mut eng = F64Engine::new(&ring);
-                eng.run_until_close(&target, 1e-6, 2_000_000)
-            })
+            b.iter(|| run_until_close(&mut SoaSwarm::new(&ring), &target, 1e-6, 2_000_000))
         });
     }
     g.finish();
@@ -61,7 +58,12 @@ fn parallel_sweep_speedup(c: &mut Criterion) {
         .collect();
     for threads in [1usize, 4] {
         g.bench_function(format!("16rings/threads={threads}"), |b| {
-            b.iter(|| convergence_sweep(&instances, 1e-6, 1_000_000, threads))
+            b.iter(|| {
+                par_map_indexed(instances.len(), threads, |i| {
+                    let (ring, target) = &instances[i];
+                    run_until_close(&mut SoaSwarm::new(ring), target, 1e-6, 1_000_000)
+                })
+            })
         });
     }
     g.finish();

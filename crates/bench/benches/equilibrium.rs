@@ -35,10 +35,7 @@ fn async_vs_sync(c: &mut Criterion) {
     let bd = decompose(&ring).unwrap();
     let target: Vec<f64> = bd.utilities(&ring).iter().map(|u| u.to_f64()).collect();
     g.bench_function("sync_to_1e-6", |b| {
-        b.iter(|| {
-            let mut eng = F64Engine::new(&ring);
-            eng.run_until_close(&target, 1e-6, 1_000_000)
-        })
+        b.iter(|| run_until_close(&mut SoaSwarm::new(&ring), &target, 1e-6, 1_000_000))
     });
     g.bench_function("async_round_robin_to_1e-6", |b| {
         b.iter(|| {

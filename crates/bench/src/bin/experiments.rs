@@ -159,8 +159,7 @@ fn e4_dynamics_convergence() {
         for g in ring_family(200 + n as u64, 11, n, 1, 10) {
             let bd = decompose(&g).unwrap();
             let target: Vec<f64> = bd.utilities(&g).iter().map(|u| u.to_f64()).collect();
-            let mut eng = F64Engine::new(&g);
-            let rep = eng.run_until_close(&target, 1e-8, 1_000_000);
+            let rep = run_until_close(&mut SoaSwarm::new(&g), &target, 1e-8, 1_000_000);
             count += 1;
             if rep.converged {
                 converged += 1;
@@ -515,9 +514,9 @@ fn e13_protocol_level() {
         let w1 = out.best.w1.to_f64();
         let w2 = g.weight(v).to_f64() - w1;
 
-        let mut honest_swarm = Swarm::new(g);
+        let mut honest_swarm = SoaSwarm::new(g);
         let honest = honest_swarm.run(&cfg);
-        let mut sybil_swarm = Swarm::with_strategies(g, |a| {
+        let mut sybil_swarm = SoaSwarm::with_strategies(g, |a| {
             if a == v {
                 Strategy::Sybil { w1, w2 }
             } else {

@@ -68,14 +68,14 @@ pub fn cmd_dynamics(g: &Graph, eps: f64, out: &mut dyn Write) -> std::io::Result
         }
     };
     let target: Vec<f64> = bd.utilities(g).iter().map(|u| u.to_f64()).collect();
-    let mut eng = F64Engine::new(g);
-    let rep = eng.run_until_close(&target, eps, 2_000_000);
+    let mut swarm = SoaSwarm::new(g);
+    let rep = run_until_close(&mut swarm, &target, eps, 2_000_000);
     writeln!(
         out,
         "proportional response: converged = {} after {} rounds (residual {:.3e})",
         rep.converged, rep.rounds, rep.final_error
     )?;
-    for (v, u) in eng.utilities().iter().enumerate() {
+    for (v, u) in swarm.utilities().iter().enumerate() {
         writeln!(out, "  U_{v}(t) = {u:.6}   (equilibrium {:.6})", target[v])?;
     }
     Ok(())

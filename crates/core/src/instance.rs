@@ -3,9 +3,10 @@
 use crate::error::Error;
 use prs_bd::{allocate, decompose, AgentClass, Allocation, BottleneckDecomposition};
 use prs_deviation::{classify_prop11, MisreportFamily, Prop11Case};
-use prs_dynamics::{ConvergenceReport, F64Engine};
+use prs_dynamics::{run_until_close, ConvergenceReport};
 use prs_graph::{builders, Graph, VertexId};
 use prs_numeric::Rational;
+use prs_p2psim::SoaSwarm;
 use prs_sybil::{
     attack::AttackConfig, best_sybil_split, cases::InitialPathReport, classify_initial_path,
     honest_split, SybilOutcome,
@@ -92,8 +93,7 @@ impl RingInstance {
             .iter()
             .map(|u| u.to_f64())
             .collect();
-        let mut engine = F64Engine::new(&self.graph);
-        engine.run_until_close(&target, eps, max_rounds)
+        run_until_close(&mut SoaSwarm::new(&self.graph), &target, eps, max_rounds)
     }
 
     /// The honest Sybil split `(w₁⁰, w₂⁰)` of agent `v` (Lemma 9 baseline).

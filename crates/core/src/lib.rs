@@ -54,18 +54,16 @@ pub mod prelude {
     pub use prs_bd::{
         allocate, decompose, decompose_exact, AgentClass, Allocation, BdError,
         BottleneckDecomposition, CellMoebius, DecompositionSession, Delta, EdgeOp, SessionConfig,
-        SessionPool, SessionStats, ShardPool, StabilityCell, UpdateOutcome,
+        SessionPool, SessionStats, StabilityCell, UpdateOutcome,
     };
     pub use prs_deviation::{
         classify_prop11, stability_cells, sweep, AlphaSample, GraphFamily, MisreportFamily,
         Prop11Case, ShapeInterval, SweepConfig, SweepResult,
     };
-    pub use prs_dynamics::{ExactEngine, F64Engine};
+    pub use prs_dynamics::{run_until_close, ExactEngine};
     pub use prs_graph::{builders, Graph, GraphError, VertexId, VertexSet};
     pub use prs_numeric::{int, ratio, BigInt, BigUint, Rational};
-    pub use prs_p2psim::{
-        MembershipEvent, MembershipOutcome, SoaSwarm, Strategy, Swarm, SwarmConfig,
-    };
+    pub use prs_p2psim::{MembershipEvent, MembershipOutcome, SoaSwarm, Strategy, SwarmConfig};
     pub use prs_sybil::{
         best_sybil_split, check_ring_theorem8, classify_initial_path, honest_split,
         worst_case_search, AttackConfig, GeneralAttackConfig, InitialPathCase, SybilOutcome,

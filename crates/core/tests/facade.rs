@@ -48,7 +48,7 @@ fn prelude_covers_the_full_workflow() {
     ));
 
     // Swarm.
-    let mut swarm = Swarm::new(ring.graph());
+    let mut swarm = SoaSwarm::new(ring.graph());
     let metrics = swarm.run(&SwarmConfig::default());
     assert!(metrics.converged);
 

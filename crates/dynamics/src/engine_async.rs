@@ -38,7 +38,7 @@ impl AsyncEngine {
         let n = g.n();
         let w = g.weights_f64();
         let adj: Vec<Vec<VertexId>> = (0..n).map(|v| g.neighbors(v).to_vec()).collect();
-        let rev = crate::engine_f64::build_rev(&adj);
+        let rev = crate::engine_exact::build_rev(&adj);
         let x: Vec<Vec<f64>> = (0..n)
             .map(|v| {
                 let d = adj[v].len().max(1) as f64;
@@ -134,14 +134,8 @@ impl AsyncEngine {
         eps: f64,
         max_sweeps: usize,
     ) -> (bool, usize) {
-        let err = |u: &[f64]| {
-            u.iter()
-                .zip(target)
-                .map(|(g, t)| (g - t).abs() / (1.0 + t.abs()))
-                .fold(0.0f64, f64::max)
-        };
         let mut used = 0;
-        while err(&self.utilities()) > eps {
+        while crate::convergence::error_vs(&self.utilities(), target) > eps {
             if used >= max_sweeps {
                 return (false, used);
             }
@@ -205,8 +199,8 @@ mod tests {
         // Not a theorem — a sanity expectation on a benign instance.
         let g = builders::path(vec![int(1), int(2), int(4)]).unwrap();
         let t = targets(&g);
-        let mut sync = crate::F64Engine::new(&g);
-        let sync_rep = sync.run_until_close(&t, 1e-9, 1_000_000);
+        let mut sync = prs_p2psim::SoaSwarm::new(&g);
+        let sync_rep = crate::run_until_close(&mut sync, &t, 1e-9, 1_000_000);
         let mut async_eng = AsyncEngine::new(&g, Schedule::RoundRobin);
         let (ok, sweeps) = async_eng.run_until_close(&t, 1e-9, 1_000_000);
         assert!(ok && sync_rep.converged);

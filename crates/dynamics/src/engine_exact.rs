@@ -2,12 +2,11 @@
 //!
 //! Runs equation (1) in exact arithmetic. Denominators compound every round,
 //! so this engine is for short horizons on small instances — where it serves
-//! two purposes: certifying that the `f64` engine has not drifted, and
-//! verifying *exactly* that the BD allocation is a fixed point of the
-//! dynamics (a statement about rationals that floating point can only
-//! approximate).
+//! two purposes: certifying that the f64 engine (`prs_p2psim::SoaSwarm`)
+//! has not drifted, and verifying *exactly* that the BD allocation is a
+//! fixed point of the dynamics (a statement about rationals that floating
+//! point can only approximate).
 
-use crate::engine_f64::build_rev;
 use prs_bd::Allocation;
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
@@ -115,6 +114,25 @@ impl ExactEngine {
     }
 }
 
+/// Reverse-arc index: `rev[v][i]` is the position of `v` in the neighbor
+/// list of `adj[v][i]`. (Nested-vec form, used by the exact and async
+/// engines; `SoaSwarm` keeps the flat `CsrTopology` equivalent.)
+pub(crate) fn build_rev(adj: &[Vec<VertexId>]) -> Vec<Vec<usize>> {
+    adj.iter()
+        .enumerate()
+        .map(|(v, nb)| {
+            nb.iter()
+                .map(|&u| {
+                    adj[u]
+                        .binary_search(&v)
+                        // prs-lint: allow(panic, reason = "Graph guarantees symmetric sorted adjacency; asymmetry is a graph-construction bug")
+                        .expect("undirected adjacency is symmetric")
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +171,7 @@ mod tests {
     fn exact_matches_f64_engine_short_horizon() {
         let g = builders::path(vec![int(1), int(2), int(4)]).unwrap();
         let mut exact = ExactEngine::new(&g);
-        let mut fast = crate::F64Engine::new(&g);
+        let mut fast = prs_p2psim::SoaSwarm::new(&g);
         for _ in 0..12 {
             exact.step();
             fast.step();

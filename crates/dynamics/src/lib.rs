@@ -16,26 +16,25 @@
 //! a strong cross-validation: a distributed, message-passing protocol and an
 //! exact combinatorial algorithm must agree.
 //!
-//! Two engines are provided:
+//! The f64 rounds run on `prs_p2psim::SoaSwarm`, the one f64 engine of the
+//! stack. This crate adds:
 //!
-//! * [`F64Engine`] — fast floating-point iteration for large instances and
-//!   benchmarks, with per-round utility traces and convergence detection
-//!   (both cycle-averaged and raw).
+//! * [`run_until_close`] — step a swarm until its cycle-averaged utilities
+//!   are within `eps` of a target, with Richardson checkpoints for the
+//!   sublinear `α = 1` tail; returns a [`ConvergenceReport`].
+//! * [`ConvergenceTrace`] — per-round error traces and decay-rate estimates.
 //! * [`ExactEngine`] — exact rational iteration (denominators grow with the
 //!   round count; intended for small instances and short horizons, where it
-//!   certifies the `f64` engine bit-for-bit against drift).
-//!
-//! [`parallel::convergence_sweep`] runs many instances concurrently with
-//! crossbeam scoped threads (one instance per task, work-stealing via a
-//! shared atomic cursor).
+//!   certifies the f64 engine against drift).
+//! * [`AsyncEngine`] — the Gauss–Seidel schedule: agents update one at a
+//!   time from the current state.
 
+pub mod convergence;
 pub mod engine_async;
 pub mod engine_exact;
-pub mod engine_f64;
-pub mod parallel;
 pub mod trace;
 
+pub use convergence::{run_until_close, ConvergenceReport};
 pub use engine_async::{AsyncEngine, Schedule};
 pub use engine_exact::ExactEngine;
-pub use engine_f64::{ConvergenceReport, F64Engine};
 pub use trace::ConvergenceTrace;

@@ -3,11 +3,11 @@
 //! Wu–Zhang prove convergence but give no rate; empirically the utility
 //! error decays geometrically with a rate governed by how well-separated
 //! the α-ratios of adjacent bottleneck pairs are. This module records
-//! error traces and estimates that rate — used by experiment E4's analysis
-//! and handy for diagnosing slow instances.
+//! error traces and estimates that rate, for diagnosing slow instances.
 
-use crate::engine_f64::F64Engine;
+use crate::convergence::error_vs;
 use prs_graph::Graph;
+use prs_p2psim::SoaSwarm;
 
 /// A recorded error trace of one dynamics run.
 #[derive(Clone, Debug)]
@@ -24,23 +24,17 @@ impl ConvergenceTrace {
         let mut sp = prs_trace::span("dynamics", "convergence_trace");
         sp.attr("n", || g.n().to_string());
         sp.attr("rounds", || rounds.to_string());
-        let mut eng = F64Engine::new(g);
+        let mut swarm = SoaSwarm::new(g);
         let mut errors = Vec::with_capacity(rounds + 1);
-        let err = |eng: &F64Engine| {
-            eng.averaged_utilities()
-                .iter()
-                .zip(target)
-                .map(|(g, t)| (g - t).abs() / (1.0 + t.abs()))
-                .fold(0.0f64, f64::max)
-        };
-        errors.push(err(&eng));
-        // Per-round spans would swamp the buffer on long runs (E4 uses
-        // hundreds of thousands of rounds), so the unified trace stream
-        // carries log-spaced checkpoint instants instead.
+        let err = |swarm: &SoaSwarm| error_vs(&swarm.averaged_utilities(), target);
+        errors.push(err(&swarm));
+        // Per-round error instants would swamp the buffer on long runs
+        // (dynamics runs reach hundreds of thousands of rounds), so the
+        // trace carries log-spaced checkpoint instants instead.
         let mut checkpoint = 1usize;
         for t in 0..rounds {
-            eng.step();
-            errors.push(err(&eng));
+            swarm.step();
+            errors.push(err(&swarm));
             if t + 1 == checkpoint {
                 checkpoint *= 2;
                 if prs_trace::is_enabled() {

@@ -1,4 +1,4 @@
-//! Per-agent protocol state and strategies.
+//! Agent identifiers and the strategies an agent can play.
 
 /// Agent identifier within a swarm.
 pub type AgentId = usize;
@@ -32,167 +32,48 @@ pub enum Strategy {
     },
 }
 
-/// Protocol state of one agent.
-#[derive(Clone, Debug)]
-pub struct AgentState {
-    /// Upload capacity (the weight `w_v`).
-    pub capacity: f64,
-    /// Peer ids, sorted.
-    pub peers: Vec<AgentId>,
-    /// What this agent received from each peer last round (peer-slot order).
-    pub received: Vec<f64>,
-    /// What this agent will upload to each peer this round.
-    pub outgoing: Vec<f64>,
-    /// Strategy in play.
-    pub strategy: Strategy,
-}
-
-impl AgentState {
-    /// Fresh state with the Definition 1 even split.
-    pub fn new(capacity: f64, peers: Vec<AgentId>, strategy: Strategy) -> Self {
-        let d = peers.len().max(1) as f64;
-        let initial = match &strategy {
-            Strategy::Honest => vec![capacity / d; peers.len()],
-            Strategy::Sybil { w1, w2 } => {
-                assert_eq!(peers.len(), 2, "ring Sybil attack needs degree 2");
-                vec![*w1, *w2]
-            }
-            Strategy::Misreport { reported } => {
-                assert!(
-                    *reported >= 0.0 && *reported <= capacity,
-                    "reported capacity must lie in [0, w_v]"
-                );
-                vec![*reported / d; peers.len()]
-            }
-        };
-        AgentState {
-            capacity,
-            received: vec![0.0; peers.len()],
-            outgoing: initial,
-            peers,
-            strategy,
-        }
-    }
-
-    /// Total download this round — the utility `U_v(t)`.
-    pub fn utility(&self) -> f64 {
-        self.received.iter().sum()
-    }
-
-    /// Compute next-round uploads from this round's receipts
-    /// (equation (1); Sybil identities respond per identity).
-    pub fn respond(&mut self) {
-        match &self.strategy {
-            Strategy::Honest => {
-                let total: f64 = self.received.iter().sum();
-                if total > 0.0 {
-                    let scale = self.capacity / total;
-                    for (out, r) in self.outgoing.iter_mut().zip(&self.received) {
-                        *out = r * scale;
-                    }
-                } else {
-                    let d = self.peers.len().max(1) as f64;
-                    for out in self.outgoing.iter_mut() {
-                        *out = self.capacity / d;
-                    }
-                }
-            }
-            Strategy::Sybil { w1, w2 } => {
-                // Identity i has exactly one neighbor: proportional response
-                // with a single peer uploads the identity's whole capacity
-                // there (or nothing if the identity owns nothing).
-                self.outgoing[0] = *w1;
-                self.outgoing[1] = *w2;
-            }
-            Strategy::Misreport { reported } => {
-                let total: f64 = self.received.iter().sum();
-                if total > 0.0 {
-                    let scale = reported / total;
-                    for (out, r) in self.outgoing.iter_mut().zip(&self.received) {
-                        *out = r * scale;
-                    }
-                } else {
-                    let d = self.peers.len().max(1) as f64;
-                    for out in self.outgoing.iter_mut() {
-                        *out = reported / d;
-                    }
-                }
-            }
-        }
-    }
-
-    // prs-lint: allow(panic, reason = "Swarm only routes messages along existing edges; an unknown peer is a simulator wiring bug")
-    /// Slot of peer `u` in this agent's peer list.
-    pub fn slot_of(&self, u: AgentId) -> usize {
-        self.peers
-            .binary_search(&u)
-            .expect("peer not in neighbor list")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SoaSwarm;
+    use prs_graph::builders;
+    use prs_numeric::int;
 
     #[test]
-    fn honest_even_split_initially() {
-        let a = AgentState::new(6.0, vec![1, 2, 3], Strategy::Honest);
-        assert_eq!(a.outgoing, vec![2.0, 2.0, 2.0]);
-        assert_eq!(a.utility(), 0.0);
-    }
-
-    #[test]
-    fn honest_respond_is_proportional() {
-        let mut a = AgentState::new(10.0, vec![1, 2], Strategy::Honest);
-        a.received = vec![3.0, 1.0];
-        a.respond();
-        assert_eq!(a.outgoing, vec![7.5, 2.5]);
-        let total: f64 = a.outgoing.iter().sum();
-        assert!((total - 10.0).abs() < 1e-12, "capacity exhausted");
-    }
-
-    #[test]
-    fn honest_zero_receipts_falls_back_to_even() {
-        let mut a = AgentState::new(4.0, vec![1, 2], Strategy::Honest);
-        a.received = vec![0.0, 0.0];
-        a.respond();
-        assert_eq!(a.outgoing, vec![2.0, 2.0]);
-    }
-
-    #[test]
-    fn sybil_identities_upload_fixed_split() {
-        let mut a = AgentState::new(5.0, vec![4, 9], Strategy::Sybil { w1: 3.5, w2: 1.5 });
-        a.received = vec![100.0, 0.1]; // receipts are irrelevant per identity
-        a.respond();
-        assert_eq!(a.outgoing, vec![3.5, 1.5]);
+    fn zero_receipts_fall_back_to_the_even_split() {
+        // Agent 0's peers own nothing, so it receives nothing and splits
+        // its capacity evenly every round.
+        let g = builders::ring(vec![int(4), int(0), int(5), int(0)]).unwrap();
+        let mut swarm = SoaSwarm::new(&g);
+        for _ in 0..3 {
+            swarm.step();
+            assert_eq!(swarm.outgoing_of(0), &[2.0, 2.0]);
+        }
     }
 
     #[test]
     #[should_panic(expected = "degree 2")]
     fn sybil_needs_two_peers() {
-        AgentState::new(5.0, vec![1], Strategy::Sybil { w1: 2.0, w2: 3.0 });
-    }
-
-    #[test]
-    fn misreport_scales_to_reported_capacity() {
-        let mut a = AgentState::new(10.0, vec![1, 2], Strategy::Misreport { reported: 4.0 });
-        a.received = vec![3.0, 1.0];
-        a.respond();
-        assert_eq!(a.outgoing, vec![3.0, 1.0]); // proportional, summing to 4
-        let total: f64 = a.outgoing.iter().sum();
-        assert_eq!(total, 4.0);
+        let g = builders::path(vec![int(5), int(1)]).unwrap();
+        SoaSwarm::with_strategies(&g, |v| {
+            if v == 0 {
+                Strategy::Sybil { w1: 2.0, w2: 3.0 }
+            } else {
+                Strategy::Honest
+            }
+        });
     }
 
     #[test]
     #[should_panic(expected = "reported capacity")]
     fn misreport_cannot_exceed_capacity() {
-        AgentState::new(2.0, vec![1, 2], Strategy::Misreport { reported: 3.0 });
-    }
-
-    #[test]
-    fn slot_lookup() {
-        let a = AgentState::new(1.0, vec![2, 5, 7], Strategy::Honest);
-        assert_eq!(a.slot_of(5), 1);
-        assert_eq!(a.slot_of(7), 2);
+        let g = builders::ring(vec![int(2), int(1), int(4)]).unwrap();
+        SoaSwarm::with_strategies(&g, |v| {
+            if v == 0 {
+                Strategy::Misreport { reported: 3.0 }
+            } else {
+                Strategy::Honest
+            }
+        });
     }
 }

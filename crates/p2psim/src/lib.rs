@@ -7,31 +7,26 @@
 //! (tit-for-tat, formalized as the proportional response dynamics of
 //! Definition 1). This crate simulates that protocol at the *message* level:
 //!
-//! * [`agent::AgentState`] — per-agent protocol state: peers, last-round
-//!   receipts, upload capacity, and a [`agent::Strategy`].
-//! * [`swarm::Swarm`] — the round loop: deliver uploads, let every agent
-//!   compute next-round responses, collect metrics. A **Sybil attacker**
-//!   participates *in-protocol*: it presents a distinct fictitious identity
-//!   to each neighbor with its capacity split between them, exactly the
-//!   Definition 7 manipulation on a ring.
-//! * [`swarm::SwarmMetrics`] — utility traces, convergence round,
-//!   fairness, and attacker gain against the honest baseline.
-//! * [`parallel`] — run many swarms concurrently (crossbeam scoped
-//!   threads), for the protocol-level Theorem 8 experiment (E13).
-//! * [`soa`] — the struct-of-arrays core behind [`swarm::Swarm`]: flat
-//!   capacity/utility lanes, CSR peer adjacency, contiguous per-edge
+//! * [`soa`] — [`SoaSwarm`], the one f64 proportional-response engine:
+//!   flat capacity/utility lanes, CSR peer adjacency, contiguous per-edge
 //!   send/receive lanes, and a deterministic partitioned parallel runner.
 //!   Rounds are two allocation-free passes, which is what takes the
 //!   simulator from n = 64 rings to 10⁶-agent swarms.
+//! * [`agent::Strategy`] — how each agent plays. A **Sybil attacker**
+//!   participates *in-protocol*: it presents a distinct fictitious identity
+//!   to each neighbor with its capacity split between them, exactly the
+//!   Definition 7 manipulation on a ring.
+//! * [`swarm::SwarmConfig`] / [`swarm::SwarmMetrics`] — run parameters and
+//!   outcome: utility traces, convergence round, fairness.
+//! * [`metrics`] — fairness and attacker gain against the honest baseline.
 //! * [`membership`] — dynamic membership between rounds: join, leave, and
 //!   Tsoukatos-style reciprocity rewiring with free-list slot recycling
 //!   and incremental CSR patching.
 //!
-//! The simulator is deliberately *independent* of `prs-dynamics`: it models
-//! identities and messages rather than a global allocation vector, so
-//! agreement between the two engines (asserted in tests) is a genuine
-//! cross-validation of the protocol semantics — and its fixed point is the
-//! BD allocation, tying the whole stack back to `prs-bd`.
+//! `prs-dynamics` drives the same engine against the Proposition 6 target
+//! (`prs_dynamics::run_until_close`) and certifies it with its exact
+//! rational engine; the fixed point is the BD allocation, tying the whole
+//! stack back to `prs-bd`.
 //!
 //! Simulation of real swarms (the paper's deployment context) is the
 //! substitution documented in DESIGN.md: same code path, synthetic
@@ -40,12 +35,11 @@
 pub mod agent;
 pub mod membership;
 pub mod metrics;
-pub mod parallel;
 pub mod soa;
 pub mod swarm;
 
-pub use agent::{AgentId, AgentState, Strategy};
+pub use agent::{AgentId, Strategy};
 pub use membership::{MembershipError, MembershipEvent, MembershipOutcome};
 pub use metrics::{attack_impact, jain_fairness, AttackImpact};
 pub use soa::{CapacityError, CsrTopology, SoaSwarm};
-pub use swarm::{Swarm, SwarmConfig, SwarmMetrics};
+pub use swarm::{SwarmConfig, SwarmMetrics};

@@ -92,20 +92,21 @@ pub fn attack_impact(
 mod tests {
     use super::*;
     use crate::agent::Strategy;
-    use crate::swarm::{Swarm, SwarmConfig};
+    use crate::soa::SoaSwarm;
+    use crate::swarm::SwarmConfig;
     use prs_graph::builders;
     use prs_numeric::int;
 
     fn run(g: &prs_graph::Graph, attacker: Option<(usize, f64, f64)>) -> SwarmMetrics {
         let mut swarm = match attacker {
-            Some((v, w1, w2)) => Swarm::with_strategies(g, |a| {
+            Some((v, w1, w2)) => SoaSwarm::with_strategies(g, |a| {
                 if a == v {
                     Strategy::Sybil { w1, w2 }
                 } else {
                     Strategy::Honest
                 }
             }),
-            None => Swarm::new(g),
+            None => SoaSwarm::new(g),
         };
         swarm.run(&SwarmConfig::default())
     }

@@ -10,15 +10,16 @@
 //!
 //! Neither pass allocates: after warm-up a round touches only pre-sized
 //! lanes, which is what lets a 10⁶-agent swarm run at interactive speed.
-//! The per-agent gather is bit-identical to the legacy message-routing
+//! The per-agent gather is bit-identical to a per-agent message-routing
 //! engine because each receive cell has exactly one writer per round and
-//! the legacy utility sum also ran in peer-slot order; see
+//! the utility sum runs in peer-slot order; see
 //! `tests/swarm_soa_equivalence.rs` for the replayed proof.
 //!
-//! [`CsrTopology`] is shared with `prs_dynamics::F64Engine`, which runs
-//! its allocation lanes over the same offsets/rev layout. Dynamic
-//! membership (join/leave/rewire with free-list slot recycling and
-//! incremental CSR patching) lives in [`crate::membership`].
+//! This is the only f64 engine for Definition 1: `prs_dynamics`
+//! drives it toward the Proposition 6 target (`run_until_close`) and
+//! certifies it against its exact rational engine. Dynamic membership
+//! (join/leave/rewire with free-list slot recycling and incremental CSR
+//! patching) lives in [`crate::membership`].
 
 use crate::agent::{AgentId, Strategy};
 use crate::swarm::{SwarmConfig, SwarmMetrics};
@@ -528,8 +529,7 @@ unsafe fn deliver_agent(l: &RawLanes, v: usize) {
 ///
 /// Slot-indexed: agent ids are stable slot indices; departed agents leave
 /// zeroed slots behind that the membership layer recycles through a free
-/// list (see [`crate::membership`]). The legacy [`crate::Swarm`] API is a
-/// thin facade over this type.
+/// list (see [`crate::membership`]).
 #[derive(Clone, Debug)]
 pub struct SoaSwarm {
     pub(crate) topo: CsrTopology,
@@ -578,8 +578,12 @@ impl SoaSwarm {
         Ok(Self::new(g))
     }
 
-    /// Build assigning each agent a strategy (same validity asserts as the
-    /// legacy per-agent constructor).
+    /// Build assigning each agent a strategy.
+    ///
+    /// # Panics
+    ///
+    /// If a [`Strategy::Sybil`] agent does not have degree 2, or a
+    /// [`Strategy::Misreport`] agent reports a capacity outside `[0, w_v]`.
     pub fn with_strategies(g: &Graph, strategy: impl Fn(AgentId) -> Strategy) -> Self {
         let n = g.n();
         let topo = CsrTopology::from_graph(g);
@@ -637,6 +641,8 @@ impl SoaSwarm {
             round: 0,
         };
         swarm.deliver();
+        // Round 0 has no earlier round, so its cycle average is `U_v(0)`.
+        swarm.u_prev.copy_from_slice(&swarm.u_cur);
         swarm
     }
 
@@ -773,9 +779,9 @@ impl SoaSwarm {
     }
 
     /// Run until the cycle-averaged utilities stop moving (or
-    /// `cfg.max_rounds`). Bit-identical to the legacy `Swarm::run` loop;
-    /// the steady-state path performs no heap allocation (the convergence
-    /// averages live in a pre-sized scratch lane).
+    /// `cfg.max_rounds`). The steady-state path performs no heap
+    /// allocation (the convergence averages live in a pre-sized scratch
+    /// lane).
     pub fn run(&mut self, cfg: &SwarmConfig) -> SwarmMetrics {
         let mut sp = prs_trace::span("p2psim", "swarm_run");
         let agents = self.live;

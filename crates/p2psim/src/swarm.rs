@@ -1,14 +1,4 @@
-//! The swarm round loop and its metrics.
-//!
-//! [`Swarm`] is a thin facade over the struct-of-arrays engine in
-//! [`crate::soa`]: it keeps the original agent-oriented API (strategies,
-//! per-agent state snapshots, the `run` loop) while all round work happens
-//! in the flat-lane core. Code that needs scale, dynamic membership, or
-//! the deterministic parallel runner should use [`SoaSwarm`] directly.
-
-use crate::agent::{AgentId, AgentState, Strategy};
-use crate::soa::SoaSwarm;
-use prs_graph::Graph;
+//! Run parameters and outcome of [`SoaSwarm::run`](crate::SoaSwarm::run).
 
 /// Simulation parameters.
 #[derive(Clone, Debug)]
@@ -57,146 +47,13 @@ impl SwarmMetrics {
     }
 }
 
-/// A swarm of agents exchanging bandwidth over an undirected topology.
-///
-/// Facade over [`SoaSwarm`]; trajectories are bit-identical to the
-/// original per-agent engine (pinned by `tests/swarm_soa_equivalence.rs`).
-pub struct Swarm {
-    core: SoaSwarm,
-    strategies: Vec<Strategy>,
-}
-
-impl Swarm {
-    /// Build a swarm from a weighted topology; every agent honest.
-    pub fn new(g: &Graph) -> Self {
-        Self::with_strategies(g, |_| Strategy::Honest)
-    }
-
-    /// Build a swarm assigning each agent a strategy.
-    pub fn with_strategies(g: &Graph, strategy: impl Fn(AgentId) -> Strategy) -> Self {
-        let strategies: Vec<Strategy> = (0..g.n()).map(strategy).collect();
-        let core = SoaSwarm::with_strategies(g, |v| strategies[v].clone());
-        Swarm { core, strategies }
-    }
-
-    /// Number of agents.
-    pub fn n(&self) -> usize {
-        self.core.n_slots()
-    }
-
-    /// Snapshot of one agent's protocol state (capacity, peers, lanes,
-    /// strategy), materialized from the flat engine lanes.
-    pub fn agent(&self, v: AgentId) -> AgentState {
-        AgentState {
-            capacity: self.core.capacity(v),
-            peers: self.core.peers(v).to_vec(),
-            received: self.core.received_of(v).to_vec(),
-            outgoing: self.core.outgoing_of(v).to_vec(),
-            strategy: self.strategies[v].clone(),
-        }
-    }
-
-    /// Current utilities `U_v(t)`.
-    pub fn utilities(&self) -> Vec<f64> {
-        self.core.utilities()
-    }
-
-    /// One protocol round: respond, then deliver.
-    pub fn step(&mut self) {
-        self.core.step();
-    }
-
-    /// Run until the cycle-averaged utilities stop moving (or `max_rounds`).
-    pub fn run(&mut self, cfg: &SwarmConfig) -> SwarmMetrics {
-        self.core.run(cfg)
-    }
-
-    /// Utilities averaged over the last two rounds (stable under the
-    /// period-2 oscillation bipartite topologies can exhibit).
-    pub fn averaged_utilities(&self) -> Vec<f64> {
-        self.core.averaged_utilities()
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> usize {
-        self.core.round()
-    }
-
-    /// The underlying struct-of-arrays engine.
-    pub fn soa(&self) -> &SoaSwarm {
-        &self.core
-    }
-
-    /// Mutable access to the underlying engine (membership events,
-    /// partitioned runs).
-    pub fn soa_mut(&mut self) -> &mut SoaSwarm {
-        &mut self.core
-    }
-
-    /// Unwrap into the underlying engine.
-    pub fn into_soa(self) -> SoaSwarm {
-        self.core
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SoaSwarm, Strategy};
     use prs_bd::decompose;
-    use prs_graph::{builders, random};
+    use prs_graph::builders;
     use prs_numeric::int;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn honest_swarm_converges_to_bd_utilities() {
-        let mut rng = StdRng::seed_from_u64(12);
-        for n in [4usize, 6, 9] {
-            let g = random::random_ring(&mut rng, n, 1, 10);
-            let bd = decompose(&g).unwrap();
-            let target: Vec<f64> = bd.utilities(&g).iter().map(|u| u.to_f64()).collect();
-            let mut swarm = Swarm::new(&g);
-            let m = swarm.run(&SwarmConfig::default());
-            assert!(m.converged, "n={n}");
-            for (got, want) in m.utilities.iter().zip(&target) {
-                assert!(
-                    (got - want).abs() < 1e-6,
-                    "swarm {got} vs BD {want} on {:?}",
-                    g.weights()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn swarm_agrees_with_dynamics_engine() {
-        // Message-level simulation vs allocation-vector engine: identical
-        // trajectories on the same graph.
-        let g = builders::ring(vec![int(3), int(1), int(4), int(1), int(5)]).unwrap();
-        let mut swarm = Swarm::new(&g);
-        let mut engine = prs_dynamics::F64Engine::new(&g);
-        for _ in 0..50 {
-            let su = swarm.utilities();
-            let eu = engine.utilities();
-            for (s, e) in su.iter().zip(eu) {
-                assert!((s - e).abs() < 1e-12, "trajectory diverged: {s} vs {e}");
-            }
-            swarm.step();
-            engine.step();
-        }
-    }
-
-    #[test]
-    fn capacity_is_conserved_each_round() {
-        let g = builders::ring(vec![int(2), int(7), int(1), int(4)]).unwrap();
-        let total: f64 = g.weights_f64().iter().sum();
-        let mut swarm = Swarm::new(&g);
-        for _ in 0..20 {
-            swarm.step();
-            let received: f64 = swarm.utilities().iter().sum();
-            assert!((received - total).abs() < 1e-9);
-        }
-    }
 
     #[test]
     fn sybil_swarm_matches_split_path_equilibrium() {
@@ -206,7 +63,7 @@ mod tests {
         let v = 0usize;
         let (w1, w2) = (2.5f64, 1.5f64);
         // Peer slots: neighbors(0) = [1, 3]; identity 1 faces peer 1.
-        let mut swarm = Swarm::with_strategies(&g, |a| {
+        let mut swarm = SoaSwarm::with_strategies(&g, |a| {
             if a == v {
                 Strategy::Sybil { w1, w2 }
             } else {
@@ -244,12 +101,9 @@ mod tests {
         // weight — never better than honest.
         let g = builders::ring(vec![int(6), int(2), int(4), int(3)]).unwrap();
         let v = 0usize;
-        let honest_u = {
-            let mut s = Swarm::new(&g);
-            s.run(&SwarmConfig::default()).utilities[v]
-        };
+        let honest_u = SoaSwarm::new(&g).run(&SwarmConfig::default()).utilities[v];
         for reported in [0.5f64, 2.0, 4.5, 6.0] {
-            let mut s = Swarm::with_strategies(&g, |a| {
+            let mut s = SoaSwarm::with_strategies(&g, |a| {
                 if a == v {
                     Strategy::Misreport { reported }
                 } else {
@@ -277,7 +131,7 @@ mod tests {
     #[test]
     fn trace_recording() {
         let g = builders::uniform_ring(4, int(2)).unwrap();
-        let mut swarm = Swarm::new(&g);
+        let mut swarm = SoaSwarm::new(&g);
         let m = swarm.run(&SwarmConfig {
             max_rounds: 10,
             tol: 0.0, // force all rounds
@@ -285,17 +139,5 @@ mod tests {
         });
         assert_eq!(m.trace.len(), m.rounds + 1);
         assert!(m.trace.iter().all(|row| row.len() == 4));
-    }
-
-    #[test]
-    fn agent_snapshot_matches_engine_lanes() {
-        let g = builders::ring(vec![int(3), int(1), int(4), int(1), int(5)]).unwrap();
-        let mut swarm = Swarm::new(&g);
-        swarm.step();
-        let a = swarm.agent(2);
-        assert_eq!(a.peers, vec![1, 3]);
-        assert_eq!(a.capacity, 4.0);
-        assert_eq!(a.utility(), swarm.utilities()[2]);
-        assert_eq!(a.strategy, Strategy::Honest);
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use prs_graph::builders;
 use prs_numeric::{int, Rational};
-use prs_p2psim::{Strategy as AgentStrategy, Swarm, SwarmConfig};
+use prs_p2psim::{SoaSwarm, Strategy as AgentStrategy, SwarmConfig};
 
 fn arb_ring_weights() -> impl Strategy<Value = Vec<i64>> {
     proptest::collection::vec(1i64..12, 3..8)
@@ -16,7 +16,7 @@ proptest! {
     fn capacity_conserved_every_round(weights in arb_ring_weights()) {
         let g = builders::ring(weights.iter().map(|&w| int(w)).collect()).unwrap();
         let total: f64 = g.weights_f64().iter().sum();
-        let mut swarm = Swarm::new(&g);
+        let mut swarm = SoaSwarm::new(&g);
         for _ in 0..30 {
             swarm.step();
             let received: f64 = swarm.utilities().iter().sum();
@@ -27,7 +27,7 @@ proptest! {
     #[test]
     fn utilities_stay_nonnegative_and_finite(weights in arb_ring_weights()) {
         let g = builders::ring(weights.iter().map(|&w| int(w)).collect()).unwrap();
-        let mut swarm = Swarm::new(&g);
+        let mut swarm = SoaSwarm::new(&g);
         let m = swarm.run(&SwarmConfig {
             max_rounds: 50_000,
             tol: 1e-10,
@@ -44,7 +44,7 @@ proptest! {
         let g = builders::ring(weights.iter().map(|&w| int(w)).collect()).unwrap();
         let bd = prs_bd::decompose(&g).unwrap();
         let want: Vec<f64> = bd.utilities(&g).iter().map(|u| u.to_f64()).collect();
-        let mut swarm = Swarm::new(&g);
+        let mut swarm = SoaSwarm::new(&g);
         let m = swarm.run(&SwarmConfig {
             max_rounds: 500_000,
             tol: 1e-13,
@@ -66,13 +66,13 @@ proptest! {
         let g = builders::ring(weights.iter().map(|&w| int(w)).collect()).unwrap();
         let v = 0usize;
         let honest = {
-            let mut s = Swarm::new(&g);
+            let mut s = SoaSwarm::new(&g);
             s.run(&SwarmConfig::default()).utilities[v]
         };
         let w_v = g.weight(v).to_f64();
         let w1 = w_v * split_pct as f64 / 100.0;
         let w2 = w_v - w1;
-        let mut s = Swarm::with_strategies(&g, |a| {
+        let mut s = SoaSwarm::with_strategies(&g, |a| {
             if a == v {
                 AgentStrategy::Sybil { w1, w2 }
             } else {
@@ -96,11 +96,11 @@ proptest! {
         let g = builders::ring(weights.iter().map(|&w| int(w)).collect()).unwrap();
         let v = 1usize;
         let honest = {
-            let mut s = Swarm::new(&g);
+            let mut s = SoaSwarm::new(&g);
             s.run(&SwarmConfig::default()).utilities[v]
         };
         let reported = g.weight(v).to_f64() * report_pct as f64 / 100.0;
-        let mut s = Swarm::with_strategies(&g, |a| {
+        let mut s = SoaSwarm::with_strategies(&g, |a| {
             if a == v {
                 AgentStrategy::Misreport { reported }
             } else {
@@ -124,7 +124,7 @@ fn fairness_index_within_bounds() {
         Rational::from_integer(9),
     ])
     .unwrap();
-    let mut swarm = Swarm::new(&g);
+    let mut swarm = SoaSwarm::new(&g);
     let m = swarm.run(&SwarmConfig::default());
     let f = prs_p2psim::jain_fairness(&m, &g.weights_f64());
     assert!(

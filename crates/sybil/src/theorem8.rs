@@ -9,17 +9,16 @@
 //! * **Lower bound** ([`worst_case_search`]): search instance space for
 //!   rings whose best-known `ζ_v` approaches 2, exhibiting the tightness
 //!   half of the theorem. The search runs coordinate-ascent over weights
-//!   from random restarts, parallelized with crossbeam scoped threads.
+//!   from random restarts, fanned out with `prs_bd::par::par_map_indexed`.
 
-// prs-lint: allow-file(panic, reason = "search harness: rings are built from strictly positive literals and powers of two, and the remaining expects are poison/join propagation of the restart fan-out")
+// prs-lint: allow-file(panic, reason = "search harness: rings are built from strictly positive literals and powers of two, and a search needs at least one restart")
 
 use crate::attack::{best_sybil_split, AttackConfig, SybilOutcome};
+use prs_bd::par::par_map_indexed;
 use prs_graph::{builders, Graph, VertexId};
 use prs_numeric::Rational;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Per-ring Theorem 8 audit.
 #[derive(Clone, Debug)]
@@ -138,48 +137,29 @@ pub fn worst_case_search(
     threads: usize,
 ) -> SearchReport {
     assert!(n >= 3);
-    let threads = threads.max(1).min(restarts.max(1));
-    let cursor = AtomicUsize::new(0);
-    // Per-restart result slots, reduced deterministically after the join
-    // (first restart index wins ties, independent of thread interleaving).
-    type RestartSlot = Mutex<Option<(Rational, Vec<Rational>, VertexId, usize)>>;
-    let slots: Vec<RestartSlot> = (0..restarts).map(|_| Mutex::new(None)).collect();
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= restarts {
-                    break;
-                }
-                let mut rng =
-                    StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15));
-                // Random start: weights 2^e with e ∈ [-4, 4] expose the
-                // scale-separated structures high ratios need.
-                let mut weights: Vec<Rational> = (0..n)
-                    .map(|_| {
-                        let e: i32 = rng.gen_range(-4..=4);
-                        Rational::from_integer(2).pow(e)
-                    })
-                    .collect();
-                let v = rng.gen_range(0..n);
-                let mut evals = 0usize;
-                let ratio = refine_instance(&mut weights, v, cfg, refine_rounds, &mut evals);
-                *slots[k].lock().expect("poisoned") = Some((ratio, weights, v, evals));
-            });
-        }
-    })
-    .expect("search worker panicked");
+    // Results come back in restart order, so the reduction below (first
+    // restart index wins ties) is independent of thread interleaving.
+    let results = par_map_indexed(restarts, threads, |k| {
+        let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        // Random start: weights 2^e with e ∈ [-4, 4] expose the
+        // scale-separated structures high ratios need.
+        let mut weights: Vec<Rational> = (0..n)
+            .map(|_| {
+                let e: i32 = rng.gen_range(-4..=4);
+                Rational::from_integer(2).pow(e)
+            })
+            .collect();
+        let v = rng.gen_range(0..n);
+        let mut evals = 0usize;
+        let ratio = refine_instance(&mut weights, v, cfg, refine_rounds, &mut evals);
+        (ratio, weights, v, evals)
+    });
 
     let two = Rational::from_integer(2);
     let mut best: Option<(Rational, Vec<Rational>, VertexId)> = None;
     let mut attacks_evaluated = 0;
     let mut upper_bound_holds = true;
-    for slot in slots {
-        let (ratio, weights, v, evals) = slot
-            .into_inner()
-            .expect("poisoned")
-            .expect("every restart produced a result");
+    for (ratio, weights, v, evals) in results {
         attacks_evaluated += evals;
         if ratio > two {
             upper_bound_holds = false;

@@ -274,8 +274,6 @@ impl LintConfig {
                 "crates/deviation/src".into(),
                 "crates/bd/src".into(),
                 "crates/sybil/src".into(),
-                "crates/dynamics/src/parallel.rs".into(),
-                "crates/p2psim/src/parallel.rs".into(),
                 // The SoA core and membership layer: hashing anywhere in
                 // slot bookkeeping or rewiring would make round order (and
                 // hence the bit-identical trajectories) nondeterministic.

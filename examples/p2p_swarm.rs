@@ -19,7 +19,7 @@ fn main() {
     println!("swarm topology: ring, weights {:?}", g.weights());
 
     // Honest swarm.
-    let mut honest_swarm = Swarm::new(g);
+    let mut honest_swarm = SoaSwarm::new(g);
     let honest = honest_swarm.run(&SwarmConfig::default());
     println!(
         "\nhonest swarm: converged in {} rounds; utilities {:?}",
@@ -49,7 +49,7 @@ fn main() {
     let w2 = g.weight(attacker).to_f64() - w1;
     println!("\nagent {attacker} attacks with identities (w1, w2) = ({w1:.4}, {w2:.4})");
 
-    let mut sybil_swarm = Swarm::with_strategies(g, |a| {
+    let mut sybil_swarm = SoaSwarm::with_strategies(g, |a| {
         if a == attacker {
             Strategy::Sybil { w1, w2 }
         } else {

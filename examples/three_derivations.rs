@@ -28,9 +28,9 @@ fn main() {
 
     // 2. Distributed protocol.
     let target: Vec<f64> = exact.iter().map(|u| u.to_f64()).collect();
-    let mut engine = F64Engine::new(g);
-    let rep = engine.run_until_close(&target, 1e-10, 2_000_000);
-    let protocol = engine.averaged_utilities();
+    let mut swarm = SoaSwarm::new(g);
+    let rep = run_until_close(&mut swarm, &target, 1e-10, 2_000_000);
+    let protocol = swarm.averaged_utilities();
 
     // 3. Convex program.
     let eg = solve(g, &EgConfig::default());

@@ -25,7 +25,7 @@ pub use prs_core::{Error, RingInstance};
 pub use prs_core::bd::{
     allocate, decompose, decompose_exact, AgentClass, Allocation, BdError, BottleneckDecomposition,
     BottleneckPair, CellMoebius, DecompositionSession, Delta, EdgeOp, SessionConfig, SessionPool,
-    SessionStats, ShardPool, StabilityCell, UpdateOutcome,
+    SessionStats, StabilityCell, UpdateOutcome,
 };
 
 // Misreport sweeps and Sybil attacks.

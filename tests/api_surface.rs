@@ -16,19 +16,19 @@ use prs::prelude::{
     AgentClass, Allocation, BdError, BottleneckDecomposition,
     DecompositionSession, SessionConfig, SessionPool, SessionStats,
     // Delta mutation API (ISSUE 7).
-    CellMoebius, Delta, EdgeOp, ShardPool, StabilityCell, UpdateOutcome,
+    CellMoebius, Delta, EdgeOp, StabilityCell, UpdateOutcome,
     // Misreport sweeps.
     classify_prop11, stability_cells, sweep,
     AlphaSample, GraphFamily, MisreportFamily, Prop11Case, ShapeInterval,
     SweepConfig, SweepResult,
-    // Dynamics engines.
-    ExactEngine, F64Engine,
+    // Dynamics: the exact engine and the convergence driver for SoaSwarm.
+    ExactEngine, run_until_close,
     // Graph foundations.
     builders, Graph, GraphError, VertexId, VertexSet,
     // Numerics.
     int, ratio, BigInt, BigUint, Rational,
     // P2P simulation (struct-of-arrays core + membership, ISSUE 10).
-    MembershipEvent, MembershipOutcome, SoaSwarm, Strategy, Swarm, SwarmConfig,
+    MembershipEvent, MembershipOutcome, SoaSwarm, Strategy, SwarmConfig,
     // Sybil attacks.
     best_sybil_split, check_ring_theorem8, classify_initial_path,
     honest_split, worst_case_search,
@@ -63,6 +63,7 @@ fn surface_is_importable_and_coherent() {
         classify_initial_path,
         honest_split,
         worst_case_search,
+        run_until_close,
     );
     let _ = sweep::<MisreportFamily>;
     let _ = stability_cells::<MisreportFamily>;
@@ -90,7 +91,6 @@ fn surface_is_importable_and_coherent() {
         ShapeInterval,
         SweepResult,
         ExactEngine,
-        F64Engine,
         Graph,
         GraphError,
         VertexId,
@@ -103,7 +103,6 @@ fn surface_is_importable_and_coherent() {
         InitialPathCase,
         SybilOutcome,
     )>();
-    let _ = std::mem::size_of::<Swarm>();
     let _ = std::mem::size_of::<SoaSwarm>();
     let _ = std::mem::size_of::<(MembershipEvent, MembershipOutcome)>();
 
@@ -137,9 +136,10 @@ fn surface_is_importable_and_coherent() {
     let _ = numeric::int;
     let _ = deviation::exact_breakpoints::<MisreportFamily>;
     let _ = sybil::certified_best_split;
-    let _ = dynamics::F64Engine::new;
+    let _: fn(&mut p2psim::SoaSwarm, &[f64], f64, usize) -> dynamics::ConvergenceReport =
+        dynamics::run_until_close;
     let _ = std::mem::size_of::<eg::EgSolution>();
-    let _ = std::mem::size_of::<p2psim::Swarm>();
+    let _ = std::mem::size_of::<p2psim::SwarmMetrics>();
 }
 
 // The prelude alone supports the swarm workflow: build the SoA engine
@@ -204,12 +204,4 @@ fn prelude_alone_supports_the_delta_workflow() {
         detached.apply(Delta::Batch(vec![])),
         Err(BdError::DetachedSession)
     ));
-    // Sharded delta queues ride the same vocabulary.
-    let pool = ShardPool::new(
-        vec![builders::ring(vec![int(5), int(1), int(4), int(2)]).unwrap()],
-        SessionConfig::new(),
-    );
-    pool.enqueue(0, Delta::SetWeight { v: 0, w: int(3) });
-    let drained = pool.drain(1);
-    assert!(drained[0][0].is_ok());
 }

@@ -30,11 +30,11 @@ fn four_ways_to_the_same_utilities() {
     let alloc = ring.allocation();
     let from_alloc: Vec<f64> = (0..g.n()).map(|v| alloc.utility(v).to_f64()).collect();
 
-    let mut engine = F64Engine::new(ring.graph());
-    engine.run_until_close(&closed, 1e-10, 1_000_000);
+    let mut engine = SoaSwarm::new(ring.graph());
+    run_until_close(&mut engine, &closed, 1e-10, 1_000_000);
     let from_dynamics = engine.averaged_utilities();
 
-    let mut swarm = Swarm::new(ring.graph());
+    let mut swarm = SoaSwarm::new(ring.graph());
     let metrics = swarm.run(&SwarmConfig {
         max_rounds: 1_000_000,
         tol: 1e-13,
@@ -106,12 +106,11 @@ fn general_split_machinery_reduces_to_ring_machinery() {
 fn exact_dynamics_certifies_float_dynamics_on_paths() {
     let g = prs::graph::builders::path(vec![int(2), int(5), int(1), int(4)]).unwrap();
     let mut exact = ExactEngine::new(&g);
-    let mut float = F64Engine::new(&g);
+    let mut float = SoaSwarm::new(&g);
     for round in 0..15 {
         for v in 0..g.n() {
-            for &u in g.neighbors(v) {
+            for (&u, &f) in g.neighbors(v).iter().zip(float.outgoing_of(v)) {
                 let e = exact.sent(v, u).to_f64();
-                let f = float.sent(v, u);
                 assert!(
                     (e - f).abs() < 1e-9,
                     "allocation drift at round {round}, edge ({v},{u})"

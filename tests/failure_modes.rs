@@ -77,7 +77,7 @@ fn zero_weight_agent_on_ring_is_supported() {
 #[test]
 fn swarm_with_zero_capacity_agent() {
     let g = builders::ring(vec![int(0), int(2), int(3), int(4)]).unwrap();
-    let mut swarm = Swarm::new(&g);
+    let mut swarm = SoaSwarm::new(&g);
     let m = swarm.run(&SwarmConfig {
         max_rounds: 20_000,
         tol: 1e-9,

@@ -32,7 +32,7 @@ fn full_pipeline_on_random_rings() {
         // Message-level swarm agrees with everything above. (The swarm's
         // stop rule is movement-based, so use a tolerance well below the
         // distance we assert: slow geometric rates otherwise stop early.)
-        let mut swarm = Swarm::new(ring.graph());
+        let mut swarm = SoaSwarm::new(ring.graph());
         let m = swarm.run(&SwarmConfig {
             max_rounds: 2_000_000,
             tol: 1e-13,
@@ -54,7 +54,7 @@ fn exact_engine_certifies_f64_engine() {
     let mut rng = StdRng::seed_from_u64(1002);
     let g = prs_random_ring(&mut rng, 6);
     let mut exact = ExactEngine::new(&g);
-    let mut fast = F64Engine::new(&g);
+    let mut fast = SoaSwarm::new(&g);
     for _ in 0..10 {
         exact.step();
         fast.step();

@@ -1,13 +1,14 @@
-//! SoA engine vs legacy per-agent `Swarm`: bit-identical trajectories.
+//! SoA engine vs the per-agent engine it replaced: bit-identical
+//! trajectories.
 //!
 //! `mod reference` is a verbatim re-implementation of the pre-refactor
-//! per-agent engine (`AgentState` lanes + the message-routing `deliver`),
+//! per-agent engine (per-agent lanes + the message-routing `deliver`),
 //! extended with the naive append-only membership semantics the SoA engine
 //! promises (cold joins, mark-dead leaves). Every comparison is on raw
 //! `f64::to_bits` — not tolerances — so any reordering of floating-point
 //! operations in the flat engine shows up immediately.
 
-use prs::p2psim::{MembershipEvent, MembershipOutcome, SoaSwarm, Strategy, Swarm};
+use prs::p2psim::{MembershipEvent, MembershipOutcome, SoaSwarm, Strategy, SwarmConfig};
 use prs::prelude::{builders, int, parse_instance, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -261,15 +262,24 @@ fn shipped_instances_are_bit_identical() {
 }
 
 #[test]
-fn facade_swarm_matches_soa_engine_exactly() {
+fn round_zero_average_is_the_delivered_utility() {
+    // Round 0 has no earlier round, so its cycle average is `U_v(0)`
+    // itself, for every strategy mix.
     let g = builders::ring(vec![int(3), int(1), int(4), int(1), int(5)]).unwrap();
-    let mut facade = Swarm::new(&g);
-    let mut soa = SoaSwarm::new(&g);
-    for _ in 0..50 {
-        assert_eq!(bits(&facade.utilities()), bits(&soa.utilities()));
-        facade.step();
-        soa.step();
-    }
+    let soa = SoaSwarm::with_strategies(&g, |v| match v {
+        0 => Strategy::Sybil { w1: 1.0, w2: 2.0 },
+        2 => Strategy::Misreport { reported: 2.5 },
+        _ => Strategy::Honest,
+    });
+    assert_eq!(bits(&soa.averaged_utilities()), bits(&soa.utilities()));
+
+    // A uniform ring starts at its fixed point: `run` settles after the
+    // first round and `run_until_close` needs none.
+    let g = builders::uniform_ring(6, int(2)).unwrap();
+    let m = SoaSwarm::new(&g).run(&SwarmConfig::default());
+    assert_eq!((m.converged, m.rounds), (true, 1));
+    let rep = prs::dynamics::run_until_close(&mut SoaSwarm::new(&g), &[2.0; 6], 1e-12, 10);
+    assert_eq!((rep.converged, rep.rounds), (true, 0));
 }
 
 #[test]
