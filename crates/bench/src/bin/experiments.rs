@@ -230,7 +230,7 @@ fn e6_theorem10() {
     }
     println!("  monotone on {monotone_ok}/{total} sweeps ✓");
     println!(
-        "  largest utility gap across a localized breakpoint: {:.3e} (continuity certificate)",
+        "  largest utility gap across a breakpoint: {:.3e} (continuity certificate)",
         max_jump.to_f64()
     );
     assert_eq!(monotone_ok, total);
@@ -279,7 +279,7 @@ fn e7_breakpoint_events() {
     // Proposition 12 junction identity: the involved pairs' α-ratios agree
     // at the solved breakpoint.
     for iv in &res.intervals {
-        prs_core::deviation::moebius::verify_interval(&fam, iv).unwrap();
+        prs_core::deviation::moebius::verify_interval(iv, &res.samples).unwrap();
     }
     println!("  Möbius α-models verified exactly on every interval ✓");
     // Classify each breakpoint event (merge/split) and verify the exact
@@ -297,6 +297,9 @@ fn e7_breakpoint_events() {
             },
         );
         assert!(e.focus_class_preserved);
+        // Misreport breakpoints are rational: an unsolved one would mean
+        // the junction identity failed there.
+        assert!(e.x.is_some(), "unsolved breakpoint event {e:?}");
     }
 }
 

@@ -240,7 +240,8 @@ pub fn cmd_audit(g: &Graph, stats: bool, out: &mut dyn Write) -> std::io::Result
 
 /// `prs sweep`: exact misreport sweep of one agent's reported weight —
 /// the Proposition 11 experiment as a command. Prints the constant-shape
-/// intervals and localized breakpoints of `x ↦ 𝓑(G_{v→x})`.
+/// intervals and breakpoints of `x ↦ 𝓑(G_{v→x})`: `=` for a solved one,
+/// `≈` for the midpoint of a fallback bracket.
 pub fn cmd_sweep(g: &Graph, v: usize, out: &mut dyn Write) -> std::io::Result<()> {
     if v >= g.n() {
         writeln!(out, "error: vertex {v} out of range")?;
@@ -269,8 +270,9 @@ pub fn cmd_sweep(g: &Graph, v: usize, out: &mut dyn Write) -> std::io::Result<()
             iv.shape.len()
         )?;
     }
-    for bp in result.breakpoints() {
-        writeln!(out, "  breakpoint ≈ {bp}")?;
+    for (solved, bp) in result.solved().iter().zip(result.breakpoints()) {
+        let exact = if solved.is_some() { "=" } else { "≈" };
+        writeln!(out, "  breakpoint {exact} {bp}")?;
     }
     Ok(())
 }

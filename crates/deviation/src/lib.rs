@@ -8,7 +8,8 @@
 //!
 //! * `𝓑(x)` is piecewise-constant in `x`: the domain splits into finitely
 //!   many intervals `⟨a_i, b_i⟩` with a fixed combinatorial shape inside
-//!   each ([`sweep`]).
+//!   each ([`sweep()`]); each breakpoint is an α-equality of Möbius functions,
+//!   solved exactly ([`solve_breakpoint`]).
 //! * **Theorem 10**: `U_v(x)` is continuous and monotone non-decreasing.
 //! * **Proposition 11 / Fig. 2**: `α_v(x)` is non-decreasing while `v` is
 //!   C-class, non-increasing while B-class, with at most one crossover `x*`
@@ -25,12 +26,13 @@ pub mod family;
 pub mod moebius;
 pub mod prop11;
 pub mod prop12;
+pub mod reference;
 pub mod stability;
 pub mod sweep;
 pub mod theorem10;
 
 pub use family::{GraphFamily, MisreportFamily};
-pub use moebius::{exact_breakpoint, exact_breakpoints, pair_moebius, Moebius};
+pub use moebius::{pair_moebius, solve_breakpoint, Breakpoint, Moebius};
 pub use prop11::{classify_prop11, Prop11Case};
 pub use prop12::{classify_events, BreakpointEvent, EventKind};
 pub use stability::{interval_cell, stability_cells};

@@ -6,10 +6,10 @@
 //! the junction (`α_j^i(b_i) = α_j^{i+1}(b_i) = α_{j+1}^{i+1}(b_i)` in the
 //! paper's notation). This module classifies each event from the two
 //! flanking constant-shape intervals and *verifies the junction identity
-//! exactly* by evaluating the Möbius α-models at the exact breakpoint.
+//! exactly* by evaluating both intervals' Möbius α-models at the breakpoint
+//! the sweep solved.
 
 use crate::family::GraphFamily;
-use crate::moebius::{exact_breakpoint, pair_moebius};
 use crate::sweep::{ShapeInterval, SweepResult};
 use prs_graph::VertexId;
 use prs_numeric::Rational;
@@ -36,16 +36,19 @@ pub enum EventKind {
 /// A classified breakpoint event.
 #[derive(Clone, Debug)]
 pub struct BreakpointEvent {
-    /// The exact breakpoint, when the Möbius system pinned it down.
+    /// The exact breakpoint, when the sweep solved it (`None` across a
+    /// fallback bracket).
     pub x: Option<Rational>,
     /// Merge / split / other.
     pub kind: EventKind,
     /// Whether the focus vertex kept its (B/C) side across the event
     /// (Prop 12-(1); `Both` is compatible with either side).
     pub focus_class_preserved: bool,
-    /// Whether the junction α-identity was verified exactly (requires an
-    /// exact breakpoint; `false` only means "not checkable", never
-    /// "violated" — violations panic in tests instead).
+    /// Whether the junction α-identity was verified exactly at the solved
+    /// breakpoint. The solver confirms a root only where both shapes'
+    /// models meet the measured α's, so a violation leaves the event
+    /// unsolved (`x: None`) — a failure for a misreport family, whose
+    /// breakpoints are all rational.
     pub junction_identity_checked: bool,
 }
 
@@ -62,14 +65,15 @@ fn as_set(pair: &(Vec<VertexId>, Vec<VertexId>)) -> Vec<VertexId> {
     all
 }
 
-/// Classify the event between two adjacent constant-shape intervals.
+/// Classify the event between two adjacent constant-shape intervals, with
+/// the breakpoint `x` the sweep solved between them, if any.
 pub fn classify_event<F: GraphFamily>(
     fam: &F,
     left: &ShapeInterval,
     right: &ShapeInterval,
+    x: Option<Rational>,
 ) -> BreakpointEvent {
     let v = fam.focus_vertex();
-    let x = exact_breakpoint(fam, left, right);
 
     // Prop 12-(1): the focus vertex's class survives the breakpoint (Both
     // bridges the two sides). A C ↔ B flip is legal only through an α = 1
@@ -78,8 +82,7 @@ pub fn classify_event<F: GraphFamily>(
     use prs_bd::AgentClass;
     let junction_alpha_is_one = x.as_ref().is_some_and(|bp| {
         find_pair_of(&left.shape, v)
-            .and_then(|li| pair_moebius(fam, &left.lo, li))
-            .and_then(|m| m.eval(bp))
+            .and_then(|li| left.models[li].eval(bp))
             .is_some_and(|a| a == Rational::one())
     });
     let focus_class_preserved = left.focus_class == right.focus_class
@@ -156,10 +159,8 @@ pub fn classify_event<F: GraphFamily>(
             let check = (|| {
                 let li = find_pair_of(&left.shape, v)?;
                 let ri = find_pair_of(&right.shape, v)?;
-                let lm = pair_moebius(fam, &left.lo, li)?;
-                let rm = pair_moebius(fam, &right.hi, ri)?;
-                let lv = lm.eval(bp)?;
-                let rv = rm.eval(bp)?;
+                let lv = left.models[li].eval(bp)?;
+                let rv = right.models[ri].eval(bp)?;
                 Some(lv == rv)
             })();
             match check {
@@ -184,9 +185,9 @@ pub fn classify_event<F: GraphFamily>(
 
 /// Classify every breakpoint of a sweep.
 pub fn classify_events<F: GraphFamily>(fam: &F, res: &SweepResult) -> Vec<BreakpointEvent> {
-    res.intervals
-        .windows(2)
-        .map(|w| classify_event(fam, &w[0], &w[1]))
+    let windows = res.intervals.windows(2).zip(res.solved());
+    windows
+        .map(|(w, x)| classify_event(fam, &w[0], &w[1], x.clone()))
         .collect()
 }
 
@@ -240,8 +241,8 @@ mod tests {
 
     #[test]
     fn random_rings_events_never_violate_prop12() {
-        // classify_event panics on a junction-identity violation; running it
-        // broadly is the test.
+        // Misreport breakpoints are rational and solved only where the
+        // junction identity holds, so every event must come out solved.
         let mut rng = StdRng::seed_from_u64(321);
         for _ in 0..6 {
             let g = random::random_ring(&mut rng, 6, 1, 10);
@@ -249,6 +250,7 @@ mod tests {
                 let fam = MisreportFamily::new(g.clone(), v);
                 let res = sweep(&fam, &SweepConfig::new().with_grid(24).with_refine_bits(20));
                 for e in classify_events(&fam, &res) {
+                    assert!(e.x.is_some(), "unsolved {e:?} on {:?}", g.weights());
                     assert!(e.focus_class_preserved, "{e:?} on {:?}", g.weights());
                 }
             }

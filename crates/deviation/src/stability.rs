@@ -6,9 +6,11 @@
 //! `[lo, hi]`, the combinatorial shape is fixed and every pair's α-ratio
 //! follows an exact Möbius curve of the moving weight. This module converts
 //! [`ShapeInterval`]s into [`StabilityCell`]s, **endpoint-verified**: a cell
-//! is emitted only when the Möbius model fitted at `lo` reproduces the
-//! measured α-ratios at *both* ends of the interval (the same consistency
-//! proof as [`verify_interval`](crate::moebius::verify_interval)).
+//! is emitted only when the interval's Möbius models reproduce the
+//! α-ratios measured at *both* ends of the interval (and
+//! [`verify_interval`](crate::moebius::verify_interval) checks them at
+//! every sample). A cell covers only the interval's `sampled` range: short
+//! of a solved breakpoint its shape does not reach, by up to a grid cell.
 //!
 //! Sessions treat installed cells as predictions and re-prove every
 //! predicted α̂ through the certification max-flow before trusting it (see
@@ -19,7 +21,6 @@
 //! [`interval_cell`] refuses families that move other vertices.
 
 use crate::family::GraphFamily;
-use crate::moebius::pair_moebius;
 use crate::sweep::{ShapeInterval, SweepResult};
 use prs_bd::{CellMoebius, StabilityCell};
 
@@ -27,10 +28,10 @@ use prs_bd::{CellMoebius, StabilityCell};
 /// interval.
 ///
 /// Returns `None` when the family moves any weight besides the focus
-/// vertex's, when a pair's Möbius model cannot be fitted at `lo`, or when
-/// the fitted model fails to reproduce the measured α-ratios at either
-/// endpoint — in all such cases the interval remains usable as a plain
-/// [`ShapeInterval`]; the session simply gets no prediction there.
+/// vertex's, or when a pair's Möbius model fails to reproduce the α-ratios
+/// recorded at either endpoint — in all such cases the interval remains
+/// usable as a plain [`ShapeInterval`]; the session simply gets no
+/// prediction there.
 pub fn interval_cell<F: GraphFamily>(fam: &F, interval: &ShapeInterval) -> Option<StabilityCell> {
     let focus = fam.focus_vertex();
     // The cell is parameterized by the focus vertex's own weight, so the
@@ -44,8 +45,7 @@ pub fn interval_cell<F: GraphFamily>(fam: &F, interval: &ShapeInterval) -> Optio
         }
     }
     let mut alphas = Vec::with_capacity(interval.shape.len());
-    for pair_idx in 0..interval.shape.len() {
-        let m = pair_moebius(fam, &interval.lo, pair_idx)?;
+    for (pair_idx, m) in interval.models.iter().enumerate() {
         if m.eval(&interval.lo)? != interval.alphas_lo[pair_idx]
             || m.eval(&interval.hi)? != interval.alphas_hi[pair_idx]
         {
@@ -55,16 +55,16 @@ pub fn interval_cell<F: GraphFamily>(fam: &F, interval: &ShapeInterval) -> Optio
         // deviation's Moebius is (p + q·x)/(r + s·x) with p,r the constant
         // terms, while CellMoebius is (p·x + q)/(r·x + s) with q,s constant.
         alphas.push(CellMoebius {
-            p: m.q,
-            q: m.p,
-            r: m.s,
-            s: m.r,
+            p: m.q.clone(),
+            q: m.p.clone(),
+            r: m.s.clone(),
+            s: m.r.clone(),
         });
     }
     Some(StabilityCell {
         vertex: focus,
-        lo: interval.lo.clone(),
-        hi: interval.hi.clone(),
+        lo: interval.sampled.0.clone(),
+        hi: interval.sampled.1.clone(),
         shape: interval.shape.clone(),
         alphas,
     })

@@ -1,18 +1,20 @@
-//! Exact parameter sweeps with breakpoint localization.
+//! Exact parameter sweeps with solved breakpoints.
 //!
 //! `𝓑(x)` is piecewise-constant (Section III-B): the shape — which vertices
 //! sit in which pair, on which side — only changes at finitely many rational
 //! breakpoints. The sweep samples the decomposition on a uniform rational
-//! grid and then *bisects* (exactly, on rationals) every grid cell whose two
-//! endpoints disagree, localizing each breakpoint to a configurable width.
-//! Every evaluation is an exact decomposition; no floating point touches the
-//! combinatorics.
+//! grid, then *solves* each shape change inside every grid cell whose two
+//! endpoints disagree ([`solve_breakpoint`]): a shape change is an
+//! α-equality of Möbius functions, so the breakpoint comes out exact, with
+//! bisection only as the counted fallback. Every evaluation is an exact
+//! decomposition; no floating point touches the combinatorics.
 
 use crate::family::GraphFamily;
+use crate::moebius::{measured, pair_moebius, solve_breakpoint, Breakpoint, Moebius};
 use prs_bd::par::{worker_threads, SessionPool};
 use prs_bd::{AgentClass, BottleneckDecomposition, DecompositionSession, SessionConfig};
 use prs_graph::VertexId;
-use prs_numeric::Rational;
+use prs_numeric::{Poly, Rational, RationalFunction};
 
 /// One sampled point of a sweep.
 #[derive(Clone, Debug)]
@@ -29,22 +31,78 @@ pub struct AlphaSample {
     pub bd: BottleneckDecomposition,
 }
 
+impl AlphaSample {
+    /// Decompose the family at `x` through `session`; `None` where that is
+    /// undefined (only at domain boundaries, e.g. a 2-path whose partner
+    /// reports 0: Proposition 3's `α₁ > 0` premise fails).
+    pub fn at<F: GraphFamily>(
+        fam: &F,
+        x: &Rational,
+        session: &mut DecompositionSession,
+    ) -> Option<AlphaSample> {
+        let g = fam.graph_at(x);
+        let v = fam.focus_vertex();
+        let bd = session.decompose(&g).ok()?;
+        Some(AlphaSample {
+            x: x.clone(),
+            alpha: bd.alpha_of(v).clone(),
+            utility: bd.utility(&g, v),
+            class: bd.class_of(v),
+            bd,
+        })
+    }
+}
+
 /// A maximal parameter interval over which the decomposition shape is
-/// constant (up to the sweep's localization width).
+/// constant. Where the sweep solved the breakpoint between two intervals
+/// ([`SweepResult::solved`]), both end at it (`left.hi == right.lo`); after
+/// a fallback they end at the bracket's samples (`left.hi < right.lo`).
 #[derive(Clone, Debug)]
 pub struct ShapeInterval {
-    /// Interval start (exact sample where this shape was first seen).
+    /// Interval start: the solved breakpoint where this shape begins, or
+    /// its first sample.
     pub lo: Rational,
-    /// Interval end (last exact sample with this shape).
+    /// Interval end, likewise.
     pub hi: Rational,
+    /// The first and last samples with this shape, where it was seen.
+    pub sampled: (Rational, Rational),
     /// The pair-membership shape shared by all samples in the interval.
     pub shape: Vec<(Vec<VertexId>, Vec<VertexId>)>,
-    /// `α`-ratios of the pairs at the `lo` sample.
+    /// `α`-ratios of the pairs measured at `lo` — at a solved breakpoint
+    /// of another shape, by that sample, for each pair's first `B` vertex.
     pub alphas_lo: Vec<Rational>,
-    /// `α`-ratios of the pairs at the `hi` sample.
+    /// `α`-ratios of the pairs at `hi`, likewise.
     pub alphas_hi: Vec<Rational>,
     /// Class of the focus vertex throughout the interval.
     pub focus_class: AgentClass,
+    /// Each pair's exact Möbius α-model on the interval, in pair order.
+    pub models: Vec<Moebius>,
+}
+
+impl ShapeInterval {
+    /// `U_u(x)` on this interval as a rational function of the parameter:
+    /// Proposition 6's `w_u·α`, `w_u/α` or `w_u` with the pair's Möbius α
+    /// and `u`'s weight as an affine function. `None` if `u` is in no pair.
+    pub fn utility_model<F: GraphFamily>(&self, fam: &F, u: VertexId) -> Option<RationalFunction> {
+        let i = self
+            .shape
+            .iter()
+            .position(|(b, c)| b.contains(&u) || c.contains(&u))?;
+        let m = &self.models[i];
+        let slope = Rational::from_integer(fam.weight_slope(u));
+        let offset = fam.graph_at(&self.lo).weight(u) - &(&slope * &self.lo);
+        let w = Poly::linear(offset, slope);
+        let num = Poly::linear(m.p.clone(), m.q.clone());
+        let den = Poly::linear(m.r.clone(), m.s.clone());
+        let (b, c) = &self.shape[i];
+        Some(if b == c {
+            RationalFunction::from_poly(w)
+        } else if b.contains(&u) {
+            RationalFunction::new(&w * &num, den)
+        } else {
+            RationalFunction::new(&w * &den, num)
+        })
+    }
 }
 
 /// Sweep parameters.
@@ -56,13 +114,15 @@ pub struct ShapeInterval {
 pub struct SweepConfig {
     /// Number of uniform grid cells over the domain.
     pub grid: usize,
-    /// Bisection steps used to localize each breakpoint
-    /// (final width = cell width / 2^bits).
+    /// Bound on the fallback: the bisection steps the breakpoint solver may
+    /// take in one cell before it returns a bracket of width
+    /// `cell width / 2^bits` instead of an exact breakpoint.
     pub refine_bits: u32,
 }
 
 impl SweepConfig {
-    /// The default sweep: 64 grid cells, 30-bit localization, warm sessions.
+    /// The default sweep: 64 grid cells, at most 30 fallback bisection
+    /// steps per cell, warm sessions.
     pub fn new() -> Self {
         SweepConfig {
             grid: 64,
@@ -76,7 +136,7 @@ impl SweepConfig {
         self
     }
 
-    /// Set the per-breakpoint bisection depth.
+    /// Set the per-cell bound on fallback bisection steps.
     pub fn with_refine_bits(mut self, bits: u32) -> Self {
         self.refine_bits = bits;
         self
@@ -92,19 +152,29 @@ impl Default for SweepConfig {
 /// Result of [`sweep`].
 #[derive(Clone, Debug)]
 pub struct SweepResult {
-    /// All evaluated samples in increasing parameter order (grid +
-    /// bisection probes).
+    /// The kept samples in increasing parameter order: the grid, plus the
+    /// final bracket of every cell's breakpoint — the last sample with the
+    /// left shape and the first without, one of them the solved root.
     pub samples: Vec<AlphaSample>,
     /// Maximal constant-shape intervals in order.
     pub intervals: Vec<ShapeInterval>,
+    /// Per pair of consecutive intervals, the solved breakpoint between.
+    solved: Vec<Option<Rational>>,
 }
 
 impl SweepResult {
-    /// The localized breakpoints: midpoints between consecutive intervals.
+    /// Per pair of consecutive intervals (`intervals.windows(2)`), the
+    /// exact breakpoint between them, or `None` after a fallback.
+    pub fn solved(&self) -> &[Option<Rational>] {
+        &self.solved
+    }
+
+    /// The breakpoints between consecutive intervals: exact where solved,
+    /// the midpoint of the bracket elsewhere.
     pub fn breakpoints(&self) -> Vec<Rational> {
-        self.intervals
-            .windows(2)
-            .map(|w| w[0].hi.midpoint(&w[1].lo))
+        let windows = self.intervals.windows(2).zip(&self.solved);
+        windows
+            .map(|(w, x)| x.clone().unwrap_or_else(|| w[0].hi.midpoint(&w[1].lo)))
             .collect()
     }
 
@@ -117,10 +187,7 @@ impl SweepResult {
     }
 }
 
-/// Decompose at `x`; `None` when the decomposition is undefined there
-/// (possible only at domain boundaries, e.g. a 2-path whose partner reports
-/// 0 — then its neighborhood weight is 0 and Proposition 3's `α₁ > 0`
-/// premise fails).
+/// [`AlphaSample::at`] inside a `deviation.sample` span.
 fn sample<F: GraphFamily>(
     fam: &F,
     x: &Rational,
@@ -128,53 +195,92 @@ fn sample<F: GraphFamily>(
 ) -> Option<AlphaSample> {
     let mut sp = prs_trace::span("deviation", "sample");
     sp.attr("x", || x.to_string());
-    let g = fam.graph_at(x);
-    let v = fam.focus_vertex();
-    let bd = session.decompose(&g).ok()?;
-    Some(AlphaSample {
-        x: x.clone(),
-        alpha: bd.alpha_of(v).clone(),
-        utility: bd.utility(&g, v),
-        class: bd.class_of(v),
-        bd,
-    })
+    AlphaSample::at(fam, x, session)
 }
 
-/// Bisect one grid cell whose endpoints disagree in shape, returning the
-/// refined `(left, right)` bracket samples.
+/// Solve the shape changes of one grid cell whose endpoints disagree in
+/// shape, one after another until the right endpoint's shape is reached.
 fn refine_cell<F: GraphFamily>(
     fam: &F,
     mut a: AlphaSample,
-    mut b: AlphaSample,
+    b: AlphaSample,
     refine_bits: u32,
     session: &mut DecompositionSession,
-) -> (AlphaSample, AlphaSample) {
-    let mut sp = prs_trace::span("deviation", "refine_cell");
-    sp.attr("lo", || a.x.to_string());
-    sp.attr("hi", || b.x.to_string());
-    for _ in 0..refine_bits {
-        let mid_x = a.x.midpoint(&b.x);
-        let Some(mid) = sample(fam, &mid_x, session) else {
-            break; // interior degeneracy: stop refining this cell
-        };
-        if mid.bd.shape() == a.bd.shape() {
-            a = mid;
-        } else {
-            // The midpoint may match b's shape or be a third shape (two
-            // breakpoints in the cell); either way the left boundary of
-            // "not a's shape" lies in [a, mid].
-            b = mid;
+) -> Vec<Breakpoint> {
+    let mut found = Vec::new();
+    loop {
+        let mut sp = prs_trace::span("deviation", "refine_cell");
+        sp.attr("lo", || a.x.to_string());
+        sp.attr("hi", || b.x.to_string());
+        let bp = solve_breakpoint(fam, a, b.clone(), refine_bits, &mut |x| {
+            sample(fam, x, session)
+        });
+        sp.attr("route", || bp.route.clone());
+        a = bp.bracket[1].clone();
+        found.push(bp);
+        if a.bd.shape() == b.bd.shape() {
+            return found;
         }
     }
-    (a, b)
+}
+
+/// Group the sorted samples into maximal runs of one shape. Two runs whose
+/// boundary samples bracket a solved root both end at the root.
+fn assemble<F: GraphFamily>(
+    fam: &F,
+    samples: &[AlphaSample],
+    roots: &[(Rational, Rational, Rational)],
+) -> (Vec<ShapeInterval>, Vec<Option<Rational>>) {
+    let mut intervals: Vec<ShapeInterval> = Vec::new();
+    let mut starts = Vec::new(); // each run's first sample index
+    for (i, s) in samples.iter().enumerate() {
+        let (x, shape, alphas) = (&s.x, s.bd.shape(), measured(&s.bd));
+        match intervals.last_mut() {
+            Some(iv) if iv.shape == shape => {
+                (iv.hi, iv.sampled.1, iv.alphas_hi) = (x.clone(), x.clone(), alphas);
+            }
+            _ => {
+                starts.push(i);
+                intervals.push(ShapeInterval {
+                    lo: x.clone(),
+                    hi: x.clone(),
+                    sampled: (x.clone(), x.clone()),
+                    shape,
+                    alphas_lo: alphas.clone(),
+                    alphas_hi: alphas,
+                    focus_class: s.class,
+                    models: pair_moebius(fam, s),
+                });
+            }
+        }
+    }
+    let mut solved = Vec::new();
+    for (k, &i) in starts.iter().enumerate().skip(1) {
+        let (last, first) = (&samples[i - 1], &samples[i]);
+        let root = roots.iter().find(|(l, f, _)| l == &last.x && f == &first.x);
+        if let Some((_, _, x)) = root {
+            let at = if x == &last.x { last } else { first };
+            let seen = |iv: &ShapeInterval| -> Vec<Rational> {
+                iv.shape
+                    .iter()
+                    .map(|(b, _)| at.bd.alpha_of(b[0]).clone())
+                    .collect()
+            };
+            let (left, right) = (seen(&intervals[k - 1]), seen(&intervals[k]));
+            (intervals[k - 1].hi, intervals[k - 1].alphas_hi) = (x.clone(), left);
+            (intervals[k].lo, intervals[k].alphas_lo) = (x.clone(), right);
+        }
+        solved.push(root.map(|(_, _, x)| x.clone()));
+    }
+    (intervals, solved)
 }
 
 /// Sweep a one-parameter family: exact decompositions on a uniform grid,
-/// exact bisection where the shape changes.
+/// solved breakpoints where the shape changes.
 ///
 /// Every evaluation is independent, so both passes fan out over scoped
 /// worker threads; results are reassembled in parameter order, making the
-/// output identical to a sequential sweep. The grid and bisection passes
+/// output identical to a sequential sweep. The grid and breakpoint passes
 /// share one [`SessionPool`]: each worker warm-starts its decompositions
 /// from the shapes its session has already certified (piecewise-constant
 /// `𝓑(x)` makes nearly every re-evaluation a cache hit).
@@ -189,7 +295,7 @@ pub fn sweep<F: GraphFamily + Sync>(fam: &F, cfg: &SweepConfig) -> SweepResult {
     let pool = SessionPool::new(SessionConfig::new());
 
     // Grid pass (boundary points where the decomposition is undefined are
-    // skipped — see `sample`).
+    // skipped — see `AlphaSample::at`).
     let xs: Vec<Rational> = (0..=grid)
         .map(|i| &lo + &(&width * &Rational::from_integer(i as i64)))
         .collect();
@@ -205,12 +311,12 @@ pub fn sweep<F: GraphFamily + Sync>(fam: &F, cfg: &SweepConfig) -> SweepResult {
         "family undecomposable on the whole sampled domain"
     );
 
-    // Bisection pass: localize boundaries inside cells whose endpoints have
-    // different shapes. (A cell hiding ≥ 2 breakpoints with identical outer
-    // shapes is resolved only if the grid is fine enough — documented
-    // limitation; raise `grid` for adversarial families.) Cells refine
-    // independently, one worker each, with grid-pass sessions re-checked out
-    // of the pool — their caches already hold both shapes of each cell.
+    // Breakpoint pass: solve the shape changes inside each cell whose
+    // endpoints differ in shape. (A cell hiding ≥ 2 breakpoints with
+    // identical outer shapes is resolved only if the grid is fine enough;
+    // raise `grid` for adversarial families.) Cells solve independently,
+    // one worker each, with grid-pass sessions whose caches hold both
+    // shapes of the cell.
     let cells: Vec<(AlphaSample, AlphaSample)> = samples
         .windows(2)
         .filter(|w| w[0].bd.shape() != w[1].bd.shape())
@@ -220,42 +326,26 @@ pub fn sweep<F: GraphFamily + Sync>(fam: &F, cfg: &SweepConfig) -> SweepResult {
         let (a, b) = cells[i].clone();
         refine_cell(fam, a, b, cfg.refine_bits, session)
     });
-    let mut extra: Vec<AlphaSample> = Vec::new();
-    for (a, b) in refined {
-        extra.push(a);
-        extra.push(b);
+    let mut roots = Vec::new(); // (last sample with the left shape, first without, root)
+    for bp in refined.into_iter().flatten() {
+        let [last, first] = bp.bracket;
+        roots.extend(bp.x.map(|x| (last.x.clone(), first.x.clone(), x)));
+        samples.extend([last, first]);
     }
-    samples.extend(extra);
     samples.sort_by(|p, q| p.x.cmp(&q.x));
     samples.dedup_by(|p, q| p.x == q.x);
-
-    // Interval assembly.
-    let mut intervals: Vec<ShapeInterval> = Vec::new();
-    for s in &samples {
-        let shape = s.bd.shape();
-        let alphas: Vec<Rational> = s.bd.pairs().iter().map(|p| p.alpha.clone()).collect();
-        match intervals.last_mut() {
-            Some(iv) if iv.shape == shape => {
-                iv.hi = s.x.clone();
-                iv.alphas_hi = alphas;
-            }
-            _ => intervals.push(ShapeInterval {
-                lo: s.x.clone(),
-                hi: s.x.clone(),
-                shape,
-                alphas_lo: alphas.clone(),
-                alphas_hi: alphas,
-                focus_class: s.class,
-            }),
-        }
-    }
+    let (intervals, solved) = assemble(fam, &samples, &roots);
 
     sp.attr("samples", || samples.len().to_string());
     sp.attr("intervals", || intervals.len().to_string());
-    let result = SweepResult { samples, intervals };
+    let result = SweepResult {
+        samples,
+        intervals,
+        solved,
+    };
     if prs_trace::is_enabled() {
-        // Each localized breakpoint is a point event carrying its exact
-        // parameter value, so shape changes are visible on the timeline.
+        // Each breakpoint is a point event carrying its exact parameter
+        // value, so shape changes are visible on the timeline.
         for bp in result.breakpoints() {
             prs_trace::instant("deviation", "breakpoint", || vec![("x", bp.to_string())]);
         }
@@ -268,7 +358,7 @@ mod tests {
     use super::*;
     use crate::family::MisreportFamily;
     use prs_graph::builders;
-    use prs_numeric::{int, ratio, Rational};
+    use prs_numeric::{int, Rational};
 
     fn ints(vals: &[i64]) -> Vec<Rational> {
         vals.iter().map(|&v| int(v)).collect()
@@ -293,23 +383,22 @@ mod tests {
         // B = {0}, C = {1} (α = x); for x > 1 it flips to B = {1}, C = {0}
         // (α = 1/x); at x* = 1 they merge into the point pair B = C = {0,1}
         // with α = 1. The sweep must detect the shape change at x = 1 and
-        // localize it tightly.
+        // solve it exactly.
         let g = builders::path(ints(&[1, 10])).unwrap();
         let fam = MisreportFamily::new(g, 1);
         let res = sweep(&fam, &SweepConfig::new().with_grid(24).with_refine_bits(25));
         assert!(res.intervals.len() >= 2, "expected a shape change");
-        // The breakpoint estimate brackets x* = 1 within the refinement width.
-        let bps = res.breakpoints();
-        assert!(
-            bps.iter().any(|b| (b - &int(1)).abs() < ratio(1, 1 << 15)),
-            "breakpoints {bps:?} should include ≈1"
-        );
-        // Consecutive intervals are separated by tiny localized gaps.
+        // Both breakpoints — into the point interval [1, 1] and out of it —
+        // sit at x* = 1 exactly, and consecutive intervals meet there.
+        assert_eq!(res.breakpoints(), vec![int(1), int(1)]);
+        assert_eq!(res.solved(), [Some(int(1)), Some(int(1))]);
         for w in res.intervals.windows(2) {
-            let gap = &w[1].lo - &w[0].hi;
-            assert!(!gap.is_negative());
-            assert!(gap < ratio(1, 1 << 15), "gap {gap} too wide");
+            assert_eq!(w[0].hi, w[1].lo);
         }
+        assert_eq!(
+            (&res.intervals[1].lo, &res.intervals[1].hi),
+            (&int(1), &int(1))
+        );
     }
 
     #[test]

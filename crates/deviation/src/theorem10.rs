@@ -1,7 +1,7 @@
 //! Theorem 10: `U_v(x)` is continuous and monotone non-decreasing.
 
 use crate::family::GraphFamily;
-use crate::sweep::SweepResult;
+use crate::sweep::{ShapeInterval, SweepResult};
 use prs_numeric::Rational;
 
 /// Outcome of a Theorem 10 check over a sweep.
@@ -9,21 +9,18 @@ use prs_numeric::Rational;
 pub struct Theorem10Report {
     /// No sample pair violated monotonicity (exact comparison).
     pub monotone: bool,
-    /// Largest observed utility jump between *adjacent refined samples*
-    /// around breakpoints, relative to the parameter gap — a discretized
-    /// continuity certificate (bounded slope ⇒ no jump at the localized
-    /// breakpoints).
+    /// Largest utility jump across a breakpoint — the continuity
+    /// certificate. At a solved breakpoint it is the exact gap between the
+    /// two intervals' closed-form `U_v` there (Theorem 10: zero); across a
+    /// fallback bracket, the utility gap between its two samples.
     pub max_breakpoint_jump: Rational,
     /// First violation, if any, as `(x_left, x_right, U_left, U_right)`.
     pub violation: Option<(Rational, Rational, Rational, Rational)>,
 }
 
 /// Check monotone non-decrease of `U_v(x)` across all samples of a sweep,
-/// and measure the largest utility gap across localized breakpoints.
-pub fn check_theorem10_monotonicity<F: GraphFamily>(
-    _fam: &F,
-    res: &SweepResult,
-) -> Theorem10Report {
+/// and measure the largest utility jump across its breakpoints.
+pub fn check_theorem10_monotonicity<F: GraphFamily>(fam: &F, res: &SweepResult) -> Theorem10Report {
     let mut violation = None;
     for w in res.samples.windows(2) {
         if w[1].utility < w[0].utility && violation.is_none() {
@@ -35,26 +32,21 @@ pub fn check_theorem10_monotonicity<F: GraphFamily>(
             ));
         }
     }
-    // Continuity proxy: at each breakpoint the two flanking refined samples
-    // are within 2^-refine_bits of each other in x; their utility gap bounds
-    // the potential discontinuity.
+    let v = fam.focus_vertex();
     let mut max_jump = Rational::zero();
-    for w in res.intervals.windows(2) {
-        let left_u = &w[0].alphas_hi; // placeholder to silence clippy-ish unused
-        let _ = left_u;
-        // Find the flanking samples: last sample of interval i, first of i+1.
-        let hi_x = &w[0].hi;
-        let lo_x = &w[1].lo;
-        let u_left = res
-            .samples
-            .iter()
-            .find(|s| &s.x == hi_x)
-            .map(|s| s.utility.clone());
-        let u_right = res
-            .samples
-            .iter()
-            .find(|s| &s.x == lo_x)
-            .map(|s| s.utility.clone());
+    for (w, solved) in res.intervals.windows(2).zip(res.solved()) {
+        let (u_left, u_right) = if let Some(x) = solved {
+            let at = |iv: &ShapeInterval| iv.utility_model(fam, v)?.eval(x);
+            (at(&w[0]), at(&w[1]))
+        } else {
+            let at = |x: &Rational| {
+                res.samples
+                    .iter()
+                    .find(|s| &s.x == x)
+                    .map(|s| s.utility.clone())
+            };
+            (at(&w[0].hi), at(&w[1].lo))
+        };
         if let (Some(a), Some(b)) = (u_left, u_right) {
             let jump = (&b - &a).abs();
             if jump > max_jump {
@@ -123,18 +115,15 @@ mod tests {
 
     #[test]
     fn utility_continuous_across_breakpoints() {
-        // Breakpoint jumps must shrink with the localization width — here we
-        // just require they are already tiny at 24 bits.
+        // The breakpoint at x = 4 is solved, so both intervals' closed-form
+        // U_v meet there exactly.
         let g = builders::ring(ints(&[6, 2, 4, 3, 5])).unwrap();
         let fam = MisreportFamily::new(g, 0);
         let res = sweep(&fam, &SweepConfig::new().with_grid(32).with_refine_bits(24));
         let rep = check_theorem10_monotonicity(&fam, &res);
         assert!(rep.monotone);
-        assert!(
-            rep.max_breakpoint_jump < ratio(1, 1 << 10),
-            "suspicious jump {}",
-            rep.max_breakpoint_jump
-        );
+        assert_eq!(res.breakpoints(), vec![int(4)]);
+        assert_eq!(rep.max_breakpoint_jump, int(0));
     }
 
     #[test]

@@ -432,6 +432,24 @@ impl BigUint {
         }
     }
 
+    /// `⌊√self⌋` by integer Newton iteration from the over-estimate
+    /// `2^⌈bits/2⌉`. Below 2¹²⁸ every iterate is inline, so each step runs
+    /// on `u128`.
+    pub fn isqrt(&self) -> BigUint {
+        if self.is_zero() {
+            return BigUint::zero();
+        }
+        let half = u32::try_from(self.bit_len().div_ceil(2)).unwrap_or(u32::MAX);
+        let mut x = &BigUint::one() << half;
+        loop {
+            let y = &(&x + &(self / &x)) >> 1u32;
+            if y >= x {
+                return x;
+            }
+            x = y;
+        }
+    }
+
     // prs-lint: allow(float, panic, reason = "the one sanctioned exact→float bridge: feeds display and the f64 proposer only; to_u64 cannot fail after the bit_len checks")
     /// Best-effort conversion to `f64` (rounds; may overflow to infinity).
     pub fn to_f64(&self) -> f64 {

@@ -82,70 +82,88 @@ impl Poly {
         )
     }
 
-    /// Real roots inside `[lo, hi]`, exactly for degree ≤ 2 with rational
-    /// discriminant-square; irrational quadratic roots are *bisected* to
-    /// width `(hi-lo)/2^bits` (returned as interval midpoints). Higher
-    /// degrees fall back to sign-change bisection on a uniform grid.
-    pub fn roots_in(&self, lo: &Rational, hi: &Rational, bits: u32) -> Vec<Rational> {
-        match self.degree() {
-            None | Some(0) => Vec::new(),
-            Some(1) => {
-                // a + b x = 0 → x = -a/b.
-                let root = &(-&self.coeff(0)) / &self.coeff(1);
-                if &root >= lo && &root <= hi {
-                    vec![root]
-                } else {
-                    Vec::new()
+    /// All real roots, in increasing order, of a polynomial of degree 1 or
+    /// 2 whose roots are rational (a quadratic with a square discriminant,
+    /// taken by [`Rational::sqrt_exact`]); a constant has none. `None` for
+    /// the zero polynomial, irrational roots and degree ≥ 3.
+    pub fn rational_roots(&self) -> Option<Vec<Rational>> {
+        let (c, b, a) = (self.coeff(0), self.coeff(1), self.coeff(2));
+        match self.degree()? {
+            0 => Some(Vec::new()),
+            1 => Some(vec![&(-&c) / &b]),
+            2 => {
+                let disc = &(&b * &b) - &(&(&a * &c) * &Rational::from_integer(4));
+                if disc.is_negative() {
+                    return Some(Vec::new());
                 }
+                let s = disc.sqrt_exact()?;
+                let two_a = &a + &a;
+                let mut roots = vec![&(&(-&b) - &s) / &two_a, &(&(-&b) + &s) / &two_a];
+                roots.sort();
+                roots.dedup();
+                Some(roots)
             }
-            _ => {
-                // Sign-change bisection on a grid fine enough for our
-                // degree-≤4 polynomials (≤ 4 real roots; grid 64 localizes
-                // any root pair separated by (hi-lo)/64).
-                let mut roots = Vec::new();
-                let grid = 64i64;
-                let width = &(hi - lo) / &Rational::from_integer(grid);
-                if width.is_zero() {
-                    return roots;
-                }
-                let mut prev_x = lo.clone();
-                let mut prev_s = self.eval(&prev_x);
-                if prev_s.is_zero() {
-                    roots.push(prev_x.clone());
-                }
-                for i in 1..=grid {
-                    let x = lo + &(&width * &Rational::from_integer(i));
-                    let s = self.eval(&x);
-                    if s.is_zero() {
-                        roots.push(x.clone());
-                    } else if prev_s.is_negative() != s.is_negative() && !prev_s.is_zero() {
-                        // Bisect [prev_x, x].
-                        let mut a = prev_x.clone();
-                        let mut b = x.clone();
-                        let mut fa = prev_s.clone();
-                        for _ in 0..bits {
-                            let m = a.midpoint(&b);
-                            let fm = self.eval(&m);
-                            if fm.is_zero() {
-                                a = m.clone();
-                                b = m;
-                                break;
-                            }
-                            if fa.is_negative() == fm.is_negative() {
-                                a = m;
-                                fa = fm;
-                            } else {
-                                b = m;
-                            }
-                        }
-                        roots.push(a.midpoint(&b));
-                    }
-                    prev_x = x;
-                    prev_s = s;
-                }
-                roots
-            }
+            _ => None,
         }
+    }
+
+    /// Real roots inside `[lo, hi]`. Exact when they are rational and the
+    /// degree is at most 2 (see [`Poly::rational_roots`]). Irrational
+    /// quadratic roots and degrees 3–4 take a 64-cell sign grid, then
+    /// bisect each sign change to width `(hi-lo)/64/2^bits` and return the
+    /// midpoint; that grid misses a root pair closer than `(hi-lo)/64`
+    /// and a root of even multiplicity.
+    pub fn roots_in(&self, lo: &Rational, hi: &Rational, bits: u32) -> Vec<Rational> {
+        if self.degree().unwrap_or(0) == 0 {
+            return Vec::new();
+        }
+        if let Some(mut roots) = self.rational_roots() {
+            roots.retain(|r| r >= lo && r <= hi);
+            return roots;
+        }
+        // Sign-change bisection on a 64-cell grid (≤ 4 real roots).
+        let mut roots = Vec::new();
+        let grid = 64i64;
+        let width = &(hi - lo) / &Rational::from_integer(grid);
+        if width.is_zero() {
+            return roots;
+        }
+        let mut prev_x = lo.clone();
+        let mut prev_s = self.eval(&prev_x);
+        if prev_s.is_zero() {
+            roots.push(prev_x.clone());
+        }
+        for i in 1..=grid {
+            let x = lo + &(&width * &Rational::from_integer(i));
+            let s = self.eval(&x);
+            if s.is_zero() {
+                roots.push(x.clone());
+            } else if prev_s.is_negative() != s.is_negative() && !prev_s.is_zero() {
+                // Bisect [prev_x, x].
+                let mut a = prev_x.clone();
+                let mut b = x.clone();
+                let mut fa = prev_s.clone();
+                for _ in 0..bits {
+                    let m = a.midpoint(&b);
+                    let fm = self.eval(&m);
+                    if fm.is_zero() {
+                        a = m.clone();
+                        b = m;
+                        break;
+                    }
+                    if fa.is_negative() == fm.is_negative() {
+                        a = m;
+                        fa = fm;
+                    } else {
+                        b = m;
+                    }
+                }
+                roots.push(a.midpoint(&b));
+            }
+            prev_x = x;
+            prev_s = s;
+        }
+        roots
     }
 }
 
@@ -348,6 +366,22 @@ mod tests {
         // Grid points hit the integer roots exactly.
         assert_eq!(roots[0], int(1));
         assert_eq!(roots[1], int(2));
+    }
+
+    #[test]
+    fn quadratic_roots_exact_off_grid() {
+        // (3x − 1)(2x − 5) = 6x² − 17x + 5: neither root is a grid point.
+        let p = poly(&[5, -17, 6]);
+        assert_eq!(
+            p.roots_in(&int(0), &int(4), 0),
+            vec![ratio(1, 3), ratio(5, 2)]
+        );
+        assert_eq!(p.rational_roots(), Some(vec![ratio(1, 3), ratio(5, 2)]));
+        // A double root has no sign change; the exact path still finds it.
+        let q = poly(&[1, -6, 9]); // (3x − 1)²
+        assert_eq!(q.roots_in(&int(0), &int(1), 0), vec![ratio(1, 3)]);
+        assert_eq!(poly(&[1, 0, 1]).rational_roots(), Some(vec![]));
+        assert_eq!(poly(&[-2, 0, 1]).rational_roots(), None);
     }
 
     #[test]

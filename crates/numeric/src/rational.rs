@@ -272,6 +272,23 @@ impl Rational {
         Rational { num, den }
     }
 
+    /// `√self` when it is rational (numerator and denominator in lowest
+    /// terms both perfect squares), else `None`; negative values give
+    /// `None`.
+    pub fn sqrt_exact(&self) -> Option<Rational> {
+        if self.is_negative() {
+            return None;
+        }
+        let root = |m: &BigUint| {
+            let r = m.isqrt();
+            (&r * &r == *m).then_some(r)
+        };
+        Some(Rational {
+            num: BigInt::from_parts(Sign::Plus, root(self.num.magnitude())?),
+            den: root(&self.den)?,
+        })
+    }
+
     /// Midpoint of `self` and `other`.
     pub fn midpoint(&self, other: &Rational) -> Rational {
         &(self + other) / &Rational::from_integer(2)

@@ -467,3 +467,70 @@ fn to_f64_bits_are_pinned() {
         assert_eq!(x.to_f64().to_bits(), bits, "{text}");
     }
 }
+
+// ---- exact square roots ---------------------------------------------------
+//
+// `BigUint::isqrt`'s Newton iterates are inline (one `u128`) below 2¹²⁸ and
+// limb slices above, so squares of roots near 2³² and 2⁶⁴ (squares near 2⁶⁴
+// and 2¹²⁸) land on both sides of each storage switch.
+
+fn whole(m: &BigUint) -> Rational {
+    Rational::new(BigInt::from_parts(Sign::Plus, m.clone()), BigUint::one())
+}
+
+/// `⌊√⌋` of `r²` and its neighbors, and `sqrt_exact` on the square, on
+/// `r²/d²` and on the non-squares `r² ± 1` (for `r ≥ 2`).
+fn check_sqrt(r: &BigUint, d: &BigUint) -> Result<(), TestCaseError> {
+    let sq = r * r;
+    prop_assert_eq!(sq.isqrt(), r.clone());
+    prop_assert_eq!(whole(&sq).sqrt_exact(), Some(whole(r)));
+    let q = &whole(&sq) / &whole(&(d * d));
+    prop_assert_eq!(q.sqrt_exact(), Some(&whole(r) / &whole(d)));
+    prop_assert_eq!(
+        (-&q).sqrt_exact(),
+        if q.is_zero() { Some(q.clone()) } else { None }
+    );
+    if r > &BigUint::one() {
+        let (above, below) = (&sq + &BigUint::one(), &sq - &BigUint::one());
+        prop_assert_eq!(above.isqrt(), r.clone());
+        prop_assert_eq!(below.isqrt(), r - &BigUint::one());
+        prop_assert_eq!(whole(&above).sqrt_exact(), None);
+        prop_assert_eq!(whole(&below).sqrt_exact(), None);
+        prop_assert_eq!((&whole(&sq) / &whole(&above)).sqrt_exact(), None);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn sqrt_exact_matches_squaring(r in magnitude(), d in nonzero_magnitude()) {
+        check_sqrt(&r, &d)?;
+    }
+}
+
+#[test]
+fn sqrt_exact_at_the_word_and_inline_edges() {
+    for e in [32u32, 64] {
+        let edge = BigUint::one() << e;
+        for off in 0u32..4 {
+            let off = BigUint::from(off);
+            for r in [&(&edge - &BigUint::one()) - &off, &edge + &off] {
+                check_sqrt(&r, &BigUint::from(3u32))
+                    .unwrap_or_else(|err| panic!("r = {r}: {err:?}"));
+            }
+        }
+    }
+    // (2⁶⁴ − 1)² < 2¹²⁸ stays a word; 2¹²⁸ itself is the first limb square.
+    let top = BigUint::from(u128::MAX);
+    assert_eq!(top.isqrt(), BigUint::from(u64::MAX));
+    assert_eq!(whole(&top).sqrt_exact(), None);
+    assert_eq!((BigUint::one() << 128).isqrt(), BigUint::one() << 64);
+    for small in 0u32..50 {
+        let n = BigUint::from(small);
+        let root = (0u32..8).find(|k| k * k == small);
+        assert_eq!(
+            whole(&n).sqrt_exact(),
+            root.map(|k| whole(&BigUint::from(k)))
+        );
+    }
+}

@@ -9,7 +9,9 @@
 //! U_{v¹}(w₁) = w₁ · α(w₁)^{±1},   α(w₁) = (p + q·w₁)/(r + s·w₁)  (Möbius)
 //! ```
 //!
-//! (exponent −1 for C-class, +1 for B-class, constant for the α = 1 pair).
+//! (exponent −1 for C-class, +1 for B-class, constant for the α = 1 pair),
+//! which the sweep's intervals provide
+//! ([`ShapeInterval::utility_model`](prs_deviation::ShapeInterval::utility_model)).
 //! Summing the copies gives a degree-≤(2/2) rational function per interval;
 //! its maximum lies at an endpoint or a critical point of a quadratic —
 //! both computed by `prs-numeric::poly`. The result is the optimum *per
@@ -18,10 +20,10 @@
 //! re-verified by a direct exact decomposition.
 
 use crate::split::SybilSplitFamily;
-use prs_bd::{decompose, AgentClass};
-use prs_deviation::{pair_moebius, sweep, GraphFamily, SweepConfig};
+use prs_bd::decompose;
+use prs_deviation::{sweep, SweepConfig};
 use prs_graph::{Graph, VertexId};
-use prs_numeric::{Poly, Rational, RationalFunction};
+use prs_numeric::Rational;
 
 /// Result of the certified optimization.
 #[derive(Clone, Debug)]
@@ -38,41 +40,10 @@ pub struct CertifiedOutcome {
     pub intervals: usize,
 }
 
-/// The utility of one split copy as a symbolic rational function of `w₁`
-/// on a constant-shape interval, derived from the decomposition at `x0`.
-fn copy_utility_model(
-    fam: &SybilSplitFamily,
-    x0: &Rational,
-    copy: VertexId,
-) -> Option<RationalFunction> {
-    let g = fam.graph_at(x0);
-    let bd = decompose(&g).ok()?;
-    let pair_idx = bd.pair_of(copy);
-    let m = pair_moebius(fam, x0, pair_idx)?;
-    // The copy's weight as a polynomial of x: w(x) = offset + slope·x.
-    let slope = fam.weight_slope(copy);
-    let offset = &g.weight(copy).clone() - &(&Rational::from_integer(slope) * x0);
-    let w_poly = Poly::linear(offset, Rational::from_integer(slope));
-    let alpha_num = Poly::linear(m.p.clone(), m.q.clone());
-    let alpha_den = Poly::linear(m.r.clone(), m.s.clone());
-    let model = match bd.class_of(copy) {
-        AgentClass::B => {
-            // U = w(x)·α(x).
-            RationalFunction::new(&w_poly * &alpha_num, alpha_den)
-        }
-        AgentClass::C => {
-            // U = w(x)/α(x).
-            RationalFunction::new(&w_poly * &alpha_den, alpha_num)
-        }
-        AgentClass::Both => RationalFunction::from_poly(w_poly),
-    };
-    Some(model)
-}
-
 /// Certified-optimal Sybil split for agent `v` on a ring.
 ///
-/// `grid` controls the interval-detection sweep; `bits` the localization of
-/// breakpoints and irrational critical points. Every candidate optimum is
+/// `grid` controls the interval-detection sweep; `bits` bounds its fallback
+/// bisection and localizes irrational critical points. Every candidate is
 /// re-evaluated by a direct exact decomposition, so `best_payoff` (and thus
 /// the ratio) is exact even when `best_w1` is a localized critical point.
 pub fn certified_best_split(ring: &Graph, v: VertexId, grid: usize, bits: u32) -> CertifiedOutcome {
@@ -102,29 +73,15 @@ pub fn certified_best_split(ring: &Graph, v: VertexId, grid: usize, bits: u32) -
     };
 
     for iv in &res.intervals {
-        if iv.lo > iv.hi {
-            continue;
+        // The symbolic payoff from the interval's Möbius models, maximized;
+        // then the endpoints, which maximize also weighs, re-verified
+        // through the exact decomposition.
+        let model = |copy| iv.utility_model(&fam, copy);
+        if let Some((u1, u2)) = model(fam.v1()).zip(model(fam.v2())) {
+            consider(&u1.add(&u2).maximize(&iv.lo, &iv.hi, bits).0);
         }
-        // Build the symbolic payoff from the interval's start sample.
-        let model = copy_utility_model(&fam, &iv.lo, fam.v1())
-            .zip(copy_utility_model(&fam, &iv.lo, fam.v2()))
-            .map(|(a, b)| a.add(&b));
-        match model {
-            Some(total_fn) => {
-                let (argmax, _symbolic_max) = total_fn.maximize(&iv.lo, &iv.hi, bits);
-                consider(&argmax);
-                // Endpoints are distinct candidates when the argmax is
-                // interior (maximize already includes them, but re-verify
-                // through the exact decomposition anyway — cheap).
-                consider(&iv.lo);
-                consider(&iv.hi);
-            }
-            None => {
-                // Degenerate sample: fall back to the endpoints.
-                consider(&iv.lo);
-                consider(&iv.hi);
-            }
-        }
+        consider(&iv.lo);
+        consider(&iv.hi);
     }
 
     let ratio = if honest.is_positive() {
@@ -158,10 +115,8 @@ mod tests {
         let fam = SybilSplitFamily::new(g.clone(), 0);
         let res = sweep(&fam, &SweepConfig::new().with_grid(16).with_refine_bits(16));
         for iv in &res.intervals {
-            let Some(m1) = copy_utility_model(&fam, &iv.lo, fam.v1()) else {
-                continue;
-            };
-            let Some(m2) = copy_utility_model(&fam, &iv.lo, fam.v2()) else {
+            let model = |copy| iv.utility_model(&fam, copy);
+            let Some((m1, m2)) = model(fam.v1()).zip(model(fam.v2())) else {
                 continue;
             };
             // The model must reproduce the exact utilities at both interval

@@ -21,7 +21,8 @@
 //! concrete instance.
 
 use crate::split::{honest_split, SybilSplitFamily};
-use prs_bd::{decompose, AgentClass};
+use prs_bd::{decompose, AgentClass, DecompositionSession};
+use prs_deviation::{solve_breakpoint, AlphaSample};
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
 
@@ -83,53 +84,26 @@ fn corner(fam: &SybilSplitFamily, w1: &Rational, w2: &Rational) -> Option<Corner
 /// The **Adjusting Technique** (paper, §III-C and §III-D): when both copies
 /// start in the same bottleneck pair, slide along the diagonal
 /// `(w₁⁰ + z, w₂⁰ − z)` — which keeps the decomposition, the α-ratio and the
-/// total copy payoff constant — up to the critical `z` where the pair is
-/// about to split, and restart the analysis there.
+/// total copy payoff constant — up to the critical `z` where the pair
+/// splits, and restart the analysis there.
 ///
-/// Returns the adjusted start, or `None` when the diagonal reaches
-/// `(w₁*, w₂*)` with the shape intact — then `U(w₁*, w₂*) = U_v` and the
-/// attack gains nothing (the paper's "cannot improve by Sybil attack
-/// directly" case).
-fn adjusting_technique(
-    fam: &SybilSplitFamily,
-    mirrored: bool,
-    w1_0: &Rational,
-    w2_0: &Rational,
-    w1_s: &Rational,
-    w2_s: &Rational,
-    bits: u32,
-) -> Option<(Rational, Rational)> {
-    let phys = |a: &Rational, b: &Rational| -> Option<Vec<(Vec<usize>, Vec<usize>)>> {
-        let (p, _, _) = if mirrored {
-            fam.path_at(b, a)
-        } else {
-            fam.path_at(a, b)
-        };
-        decompose(&p).ok().map(|bd| bd.shape())
-    };
-    let d = w2_0 - w2_s;
-    if !d.is_positive() {
-        return None; // w₂ does not move: nothing to adjust, and no stage C-1
-    }
-    let shape0 = phys(w1_0, w2_0)?;
-    // Same shape at the far end of the diagonal ⇒ no critical point ⇒ the
-    // attack payoff equals U_v (shape and α never change on the diagonal).
-    if phys(w1_s, w2_s).as_ref() == Some(&shape0) {
+/// The diagonal keeps `w₁ + w₂ = w_v`: it is the split family, walked from
+/// `v¹`'s honest weight `from` toward its target `to`, and the critical
+/// point is solved exactly ([`solve_breakpoint`]; on a fallback, the last
+/// same-shape point of a 40-step bisection). Returns `v¹`'s weight there,
+/// or `None` when the diagonal reaches `to` with the shape intact — then
+/// `U(w₁*, w₂*) = U_v`, the paper's "cannot improve by Sybil attack
+/// directly" case — or `to` is the start itself or undecomposable.
+fn adjusting_technique(fam: &SybilSplitFamily, from: &Rational, to: &Rational) -> Option<Rational> {
+    let mut session = DecompositionSession::detached();
+    let mut probe = |x: &Rational| AlphaSample::at(fam, x, &mut session);
+    let (start, end) = (probe(from)?, probe(to)?);
+    if end.bd.shape() == start.bd.shape() {
         return None;
     }
-    // Bisect for the largest same-shape z ∈ [0, d).
-    let mut lo = Rational::zero();
-    let mut hi = d;
-    for _ in 0..bits {
-        let mid = lo.midpoint(&hi);
-        let same = phys(&(w1_0 + &mid), &(w2_0 - &mid)).as_ref() == Some(&shape0);
-        if same {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some((w1_0 + &lo, w2_0 - &lo))
+    let out = solve_breakpoint(fam, start, end, 40, &mut probe);
+    let [last_same, _] = out.bracket;
+    Some(out.x.unwrap_or(last_same.x))
 }
 
 /// Audit the stage decomposition for a trajectory from the honest split to
@@ -140,9 +114,9 @@ fn adjusting_technique(
 /// paper's trivial case — there is nothing to audit).
 ///
 /// Note: the optimizer works on the unordered split, so the paper's WLOG
-/// `w₁* > w₁⁰` is realized by mirroring the path when necessary. The
-/// adjustment is localized by bisection, so the lemma checks carry a tiny
-/// tolerance (`U_v / 2²⁰`); the final Theorem 8 bound is checked exactly.
+/// `w₁* > w₁⁰` is realized by mirroring the path when necessary. Every
+/// check is exact: the Adjusting Technique starts at the exact critical
+/// point.
 pub fn audit_stages(
     ring: &Graph,
     v: VertexId,
@@ -185,16 +159,23 @@ pub fn audit_stages(
 
     // Apply the Adjusting Technique when both copies share a pair at the
     // initial point (the paper's same-pair difficulty in Cases C-3 / D-1).
+    // In path order `v¹` weighs w₁ — or w₂, when mirrored.
     let (w1_0, w2_0) = {
-        let (p0, p_v1, p_v2) = if mirrored {
-            fam.path_at(&w2_0, &w1_0)
+        let (from, to) = if mirrored {
+            (&w2_0, &w2_s)
         } else {
-            fam.path_at(&w1_0, &w2_0)
+            (&w1_0, &w1_s)
         };
+        let (p0, p_v1, p_v2) = fam.path_at(from, &(fam.total() - from));
         let bd0 = decompose(&p0).ok()?;
-        let same_pair = bd0.pair_of(p_v1) == bd0.pair_of(p_v2);
-        if same_pair {
-            adjusting_technique(&fam, mirrored, &w1_0, &w2_0, &w1_s, &w2_s, 40)?
+        if bd0.pair_of(p_v1) == bd0.pair_of(p_v2) {
+            let x = adjusting_technique(&fam, from, to)?;
+            let rest = fam.total() - &x;
+            if mirrored {
+                (rest, x)
+            } else {
+                (x, rest)
+            }
         } else {
             (w1_0, w2_0)
         }
@@ -215,10 +196,7 @@ pub fn audit_stages(
 
     let stage1 = (&mid.u1 - &initial.u1, &mid.u2 - &initial.u2);
     let stage2 = (&fin.u1 - &mid.u1, &fin.u2 - &mid.u2);
-    // Tolerance absorbing the bisection error of the Adjusting Technique
-    // (the adjusted start is within 2⁻⁴⁰·w_v of the true critical point).
-    let tol = &(&honest_u.abs() + &Rational::one()) / &Rational::from_integer(1 << 20);
-    let zero = tol.clone();
+    let zero = Rational::zero();
 
     let mut checks = Vec::new();
     if c_class {
@@ -234,10 +212,7 @@ pub fn audit_stages(
         let v1_id = if mirrored { fam.v2() } else { v1_fin };
         let v1_final_class = fin_bd.class_of(v1_id);
         if matches!(v1_final_class, AgentClass::C) {
-            checks.push((
-                "Lemma 18: δ_v1(2) ≤ U_v".into(),
-                stage2.0 <= &honest_u + &tol,
-            ));
+            checks.push(("Lemma 18: δ_v1(2) ≤ U_v".into(), stage2.0 <= honest_u));
             checks.push(("Lemma 18: δ_v2(2) ≤ 0".into(), stage2.1 <= zero));
         }
         // Theorem-level bound holds in every branch (Lemma 19 covers the
@@ -249,11 +224,8 @@ pub fn audit_stages(
         ));
     } else {
         // Lemma 22.
-        checks.push((
-            "Lemma 22: Δ_v1(1) ≤ U_v".into(),
-            stage1.0 <= &honest_u + &tol,
-        ));
-        checks.push(("Lemma 22: Δ_v2(1) = 0".into(), stage1.1.abs() <= tol));
+        checks.push(("Lemma 22: Δ_v1(1) ≤ U_v".into(), stage1.0 <= honest_u));
+        checks.push(("Lemma 22: Δ_v2(1) = 0".into(), stage1.1.is_zero()));
         // Lemma 24.
         checks.push(("Lemma 24: Δ_v1(2) ≤ 0".into(), stage2.0 <= zero));
         checks.push(("Lemma 24: Δ_v2(2) ≤ 0".into(), stage2.1 <= zero));
@@ -282,6 +254,7 @@ mod tests {
     use super::*;
     use crate::attack::{best_sybil_split, AttackConfig};
     use prs_graph::random;
+    use prs_numeric::{int, ratio};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -312,6 +285,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn adjusting_technique_starts_at_the_exact_critical_point() {
+        // Ring (9, 10, 6, 9, 4, 1), agent 2: the honest split (1/2, 11/2)
+        // puts both copies in one pair, and the diagonal (1/2 + z, 11/2 − z)
+        // keeps that shape up to z = 19/20 exactly. The audit must restart
+        // at w₁ = 29/20, a point no dyadic bisection step reaches, and hold
+        // every lemma there without tolerance.
+        let g = prs_graph::builders::ring([9, 10, 6, 9, 4, 1].map(int).to_vec()).unwrap();
+        let out = best_sybil_split(&g, 2, &cfg());
+        let w2_star = g.weight(2) - &out.best.w1;
+        let rep = audit_stages(&g, 2, &out.best.w1, &w2_star).unwrap();
+        assert!(!rep.mirrored);
+        assert_eq!(
+            (&rep.initial.w1, &rep.initial.w2),
+            (&ratio(29, 20), &ratio(91, 20))
+        );
+        assert!(rep.all_hold(), "{:?}", rep.checks);
+        // Cold decompositions on either side of z = 19/20 confirm it.
+        let fam = SybilSplitFamily::new(g, 2);
+        let shape = |z: &Rational| {
+            let (p, _, _) = fam.path_at(&(&ratio(1, 2) + z), &(&ratio(11, 2) - z));
+            decompose(&p).unwrap().shape()
+        };
+        let eps = ratio(1, 1 << 30);
+        assert_eq!(shape(&(&ratio(19, 20) - &eps)), shape(&int(0)));
+        assert_ne!(shape(&(&ratio(19, 20) + &eps)), shape(&int(0)));
     }
 
     #[test]

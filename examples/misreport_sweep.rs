@@ -53,7 +53,7 @@ fn main() {
     }
     let bps = res.breakpoints();
     println!(
-        "breakpoints (localized): {:?}",
+        "breakpoints (exact where solved): {:?}",
         bps.iter().map(|b| b.to_f64()).collect::<Vec<_>>()
     );
 

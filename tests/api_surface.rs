@@ -134,7 +134,10 @@ fn surface_is_importable_and_coherent() {
     let _: fn() -> bool = flow::network_i128::overflow_detected;
     let _ = builders::ring;
     let _ = numeric::int;
-    let _ = deviation::exact_breakpoints::<MisreportFamily>;
+    let _ = deviation::solve_breakpoint::<MisreportFamily>;
+    let _ = deviation::pair_moebius::<MisreportFamily>;
+    let _ = deviation::reference::bisect_breakpoint::<MisreportFamily>;
+    let _ = std::mem::size_of::<(deviation::Breakpoint, deviation::Moebius)>();
     let _ = sybil::certified_best_split;
     let _: fn(&mut p2psim::SoaSwarm, &[f64], f64, usize) -> dynamics::ConvergenceReport =
         dynamics::run_until_close;

@@ -8,7 +8,10 @@
 //! no-stack-overflow regression — is pinned for all three engines from
 //! outside the crate.
 
+use prs::deviation::reference::bisect_breakpoint;
+use prs::deviation::solve_breakpoint;
 use prs::prelude::*;
+use prs::sybil::SybilSplitFamily;
 use prs::RingInstance;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -138,18 +141,106 @@ mod flow_kernel_f64 {
     prs_flow::engine_suite!(f64);
 }
 
+/// The reference bisection bracket of the grid cell `(x_i, x_{i+1}]` of
+/// `fam`'s domain that holds `x`.
+fn reference_bracket<F: GraphFamily>(fam: &F, grid: i64, x: &Rational) -> (Rational, Rational) {
+    let (lo, hi) = fam.domain();
+    let cell = &(&hi - &lo) / &int(grid);
+    let at = |i: i64| &lo + &(&cell * &int(i));
+    let i = (0..grid).find(|&i| *x <= at(i + 1)).unwrap();
+    bisect_breakpoint(fam, &at(i), &at(i + 1), 40).unwrap()
+}
+
 #[test]
 fn moebius_breakpoints_match_bisection_brackets() {
     let g = prs::graph::builders::ring(vec![int(6), int(2), int(4), int(3), int(5)]).unwrap();
     let fam = MisreportFamily::new(g, 0);
     let res = sweep(&fam, &SweepConfig::new().with_grid(32).with_refine_bits(24));
-    let exact = prs::deviation::exact_breakpoints(&fam, &res);
-    for (w, bp) in res.intervals.windows(2).zip(&exact) {
-        if let Some(x) = bp {
+    let mut solved = 0;
+    for x in res.solved().iter().flatten() {
+        let (a, b) = reference_bracket(&fam, 32, x);
+        assert!(
+            &a <= x && x <= &b,
+            "exact breakpoint {x} outside its reference bracket [{a}, {b}]"
+        );
+        solved += 1;
+    }
+    assert!(solved > 0, "no breakpoint solved");
+}
+
+/// Solve every step `xs[i] → xs[i+1]` of a walk through `fam`'s domain
+/// whose ends differ in shape; each solved breakpoint must lie in the
+/// step's reference bisection bracket. Returns `(steps, solved)`.
+fn solved_inside_reference<F: GraphFamily>(fam: &F, xs: &[Rational]) -> (usize, usize) {
+    let mut session = DecompositionSession::detached();
+    let mut at = |x: &Rational| AlphaSample::at(fam, x, &mut session);
+    let samples: Vec<_> = xs.iter().map(&mut at).collect();
+    let (mut steps, mut solved) = (0, 0);
+    for w in samples.windows(2) {
+        let (Some(a), Some(b)) = (&w[0], &w[1]) else {
+            continue;
+        };
+        if a.bd.shape() == b.bd.shape() {
+            continue;
+        }
+        steps += 1;
+        if let Some(x) = solve_breakpoint(fam, a.clone(), b.clone(), 40, &mut at).x {
+            let (ra, rb) = bisect_breakpoint(fam, &a.x, &b.x, 40).unwrap();
             assert!(
-                *x >= w[0].hi && *x <= w[1].lo,
-                "exact breakpoint {x} outside its bisection bracket"
+                (ra <= x && x <= rb) || (rb <= x && x <= ra),
+                "solved {x} outside the reference bracket [{ra}, {rb}]"
             );
+            solved += 1;
         }
     }
+    (steps, solved)
+}
+
+/// `k + 1` evenly spaced points from `from` to `to`.
+fn walk(from: &Rational, to: &Rational, k: i64) -> Vec<Rational> {
+    (0..=k)
+        .map(|i| from + &(&(to - from) * &ratio(i, k)))
+        .collect()
+}
+
+#[test]
+fn solved_breakpoints_lie_in_reference_brackets() {
+    // Random rings, n = 4..8: the misreport family of every agent, the
+    // Sybil split family, and — wherever the honest split starts both
+    // copies in one pair — the Adjusting Technique's diagonal, which is the
+    // split family walked from the honest split toward either end.
+    let mut rng = StdRng::seed_from_u64(1905);
+    let (mut steps, mut solved, mut diagonals) = (0, 0, 0);
+    let mut tally = |(c, s): (usize, usize)| {
+        steps += c;
+        solved += s;
+    };
+    for n in 4..=8 {
+        let g = prs::graph::random::random_ring(&mut rng, n, 1, 12);
+        for v in 0..n {
+            let grid = walk(&Rational::zero(), g.weight(v), 12);
+            tally(solved_inside_reference(
+                &MisreportFamily::new(g.clone(), v),
+                &grid,
+            ));
+            let split = SybilSplitFamily::new(g.clone(), v);
+            tally(solved_inside_reference(&split, &grid));
+            let (w1, w2) = honest_split(&g, v);
+            let (p, v1, v2) = split.path_at(&w1, &w2);
+            let bd = decompose(&p).unwrap();
+            if bd.pair_of(v1) == bd.pair_of(v2) {
+                for end in [Rational::zero(), g.weight(v).clone()] {
+                    tally(solved_inside_reference(&split, &walk(&w1, &end, 8)));
+                    diagonals += 1;
+                }
+            }
+        }
+    }
+    // The steps left to the fallback hold irrational breakpoints (a
+    // quadratic α-equality when both copies move inside the pairs).
+    assert!(diagonals > 0, "no same-pair start on these rings");
+    assert!(
+        solved * 10 >= steps * 9,
+        "only {solved} of {steps} steps solved"
+    );
 }

@@ -4,6 +4,7 @@
 //! how the paper's §III analysis composes, and these tests exercise that
 //! composition end-to-end.
 
+use prs::deviation::reference::bisect_breakpoint;
 use prs::prelude::*;
 use prs::sybil::SybilSplitFamily;
 use rand::rngs::StdRng;
@@ -34,7 +35,7 @@ fn split_family_moebius_models_verify() {
         let fam = SybilSplitFamily::new(g.clone(), 0);
         let res = sweep(&fam, &SweepConfig::new().with_grid(24).with_refine_bits(18));
         for iv in &res.intervals {
-            prs::deviation::moebius::verify_interval(&fam, iv)
+            prs::deviation::moebius::verify_interval(iv, &res.samples)
                 .unwrap_or_else(|e| panic!("{e} on {:?}", g.weights()));
         }
     }
@@ -45,15 +46,20 @@ fn split_family_breakpoints_bracket_exact_solutions() {
     let g = prs::sybil::theorem8::lower_bound_ring(3);
     let fam = SybilSplitFamily::new(g, prs::sybil::theorem8::LOWER_BOUND_AGENT);
     let res = sweep(&fam, &SweepConfig::new().with_grid(48).with_refine_bits(24));
-    let exact = prs::deviation::exact_breakpoints(&fam, &res);
-    for (w, bp) in res.intervals.windows(2).zip(&exact) {
-        if let Some(x) = bp {
-            assert!(
-                *x >= w[0].hi && *x <= w[1].lo,
-                "breakpoint {x} escaped its bracket"
-            );
-        }
+    let (lo, hi) = fam.domain();
+    let cell = &(&hi - &lo) / &int(48);
+    let at = |i: i64| &lo + &(&cell * &int(i));
+    let mut solved = 0;
+    for x in res.solved().iter().flatten() {
+        let i = (0..48).find(|&i| *x <= at(i + 1)).unwrap();
+        let (a, b) = bisect_breakpoint(&fam, &at(i), &at(i + 1), 40).unwrap();
+        assert!(
+            &a <= x && x <= &b,
+            "breakpoint {x} escaped its reference bracket [{a}, {b}]"
+        );
+        solved += 1;
     }
+    assert!(solved > 0, "no breakpoint solved");
 }
 
 #[test]
