@@ -12,8 +12,8 @@
 
 use prs_bench::{fmt_q, prop11_showcase, ring_family, Table};
 use prs_core::prelude::*;
-use prs_core::sybil::stages::audit_stages;
 use prs_core::sybil::theorem8::{lower_bound_ring, LOWER_BOUND_AGENT};
+use prs_core::sybil::SybilContext;
 use prs_core::RingInstance;
 use std::process::ExitCode;
 
@@ -311,8 +311,10 @@ fn e8_case_frequencies() {
     let mut total = 0usize;
     for n in [3usize, 4, 5, 6, 8] {
         for g in ring_family(400 + n as u64, 12, n, 1, 12) {
-            for v in 0..g.n() {
-                let rep = classify_initial_path(&g, v);
+            for mut ctx in SybilContext::for_agents(&g, 0..g.n()) {
+                let rep = ctx
+                    .classify_initial_path()
+                    .expect("Lemmas 14/20: every initial path fits a published case");
                 *counts.entry(format!("{:?}", rep.case)).or_default() += 1;
                 total += 1;
             }
@@ -337,8 +339,8 @@ fn e9_lemma9() {
     let mut total = 0usize;
     for n in [3usize, 4, 6, 9] {
         for g in ring_family(500 + n as u64, 12, n, 1, 20) {
-            for v in 0..g.n() {
-                let (honest, split) = prs_core::sybil::split::lemma9_check(&g, v);
+            for mut ctx in SybilContext::for_agents(&g, 0..g.n()) {
+                let (honest, split) = ctx.lemma9_check();
                 total += 1;
                 if honest == split {
                     ok += 1;
@@ -366,10 +368,11 @@ fn e10_stage_audits() {
     let mut checks_total = 0usize;
     for n in [4usize, 5, 6] {
         for g in ring_family(600 + n as u64, 8, n, 1, 10) {
-            for v in 0..g.n() {
-                let out = best_sybil_split(&g, v, &cfg);
+            for mut ctx in SybilContext::for_agents(&g, 0..g.n()) {
+                let v = ctx.family().agent();
+                let out = ctx.best_sybil_split(&cfg);
                 let w2_star = g.weight(v) - &out.best.w1;
-                match audit_stages(&g, v, &out.best.w1, &w2_star) {
+                match ctx.audit_stages(&out.best.w1, &w2_star) {
                     Some(rep) => {
                         audited += 1;
                         for (_, ok) in &rep.checks {

@@ -10,8 +10,7 @@ use prs_bd::allocate;
 use prs_deviation::{sweep, MisreportFamily, SweepConfig};
 use prs_numeric::Rational;
 use prs_sybil::attack::AttackConfig;
-use prs_sybil::stages::audit_stages;
-use prs_sybil::{classify_initial_path, lemma9_check};
+use prs_sybil::SybilContext;
 
 /// Which paper claims held on an instance (field per claim).
 #[derive(Clone, Debug)]
@@ -22,9 +21,11 @@ pub struct PaperAudit {
     pub prop6: bool,
     /// Lemma 9: honest split is payoff-neutral (every agent).
     pub lemma9: bool,
-    /// Theorem 10: misreport utility monotone (sampled agents).
+    /// Theorem 10: misreport utility monotone (every agent, at the sweep's
+    /// samples).
     pub theorem10: bool,
-    /// Proposition 11: α_v(x) monotone per class segment (sampled agents).
+    /// Proposition 11: α_v(x) monotone per class segment (every agent, at
+    /// the sweep's samples).
     pub prop11: bool,
     /// Lemmas 14/20: every initial path fits a published case.
     pub cases: bool,
@@ -68,15 +69,17 @@ pub fn audit_paper_claims(
     let prop6 = alloc.check_budget_balance(g).is_ok()
         && (0..n).all(|v| alloc.utility(v) == ring.equilibrium_utility(v));
 
-    // Lemma 9 for every agent.
-    let lemma9 = (0..n).all(|v| {
-        let (honest, split) = lemma9_check(g, v);
-        honest == split
-    });
-
-    // Theorem 10 + Prop 11 on sampled agents (sweeps are the cost center).
+    // One pass over the agents: the misreport sweeps (Theorem 10, Prop. 11),
+    // then Lemma 9, Lemmas 14/20, the attack (most of the time) and the stage
+    // audit on one Sybil context from the cached decomposition and `alloc`.
+    let mut lemma9 = true;
     let mut theorem10 = true;
     let mut prop11 = true;
+    let mut cases = true;
+    let mut stages = true;
+    let mut theorem8 = true;
+    let mut max_ratio = Rational::zero();
+    let two = Rational::from_integer(2);
     for v in 0..n {
         let fam = MisreportFamily::new(g.clone(), v);
         let res = sweep(
@@ -94,29 +97,21 @@ pub fn audit_paper_claims(
             .map(|s| (s.x.clone(), s.alpha.clone(), s.class))
             .collect();
         prop11 &= prs_deviation::prop11::check_prop11_monotonicity(&series).is_ok();
-    }
 
-    // Cases + stages + Theorem 8.
-    let mut cases = true;
-    let mut stages = true;
-    let mut theorem8 = true;
-    let mut max_ratio = Rational::zero();
-    let two = Rational::from_integer(2);
-    for v in 0..n {
-        // classify_initial_path panics on a counterexample; use catch via
-        // explicit call — the classification is total by Lemmas 14/20, so a
-        // panic is a refutation. We rely on the library's own assertion.
-        let _report = classify_initial_path(g, v);
-        cases &= true;
+        let mut ctx = SybilContext::new(g, ring.decomposition(), &alloc, v);
+        let (honest, split) = ctx.lemma9_check();
+        lemma9 &= honest == split;
+        // A path outside every published case comes back as a witness.
+        cases &= ctx.classify_initial_path().is_ok();
 
-        let out = ring.sybil_attack(v, attack_cfg);
+        let out = ctx.best_sybil_split(attack_cfg);
         if out.ratio > max_ratio {
             max_ratio = out.ratio.clone();
         }
         theorem8 &= out.ratio <= two;
 
         let w2_star = g.weight(v) - &out.best.w1;
-        if let Some(rep) = audit_stages(g, v, &out.best.w1, &w2_star) {
+        if let Some(rep) = ctx.audit_stages(&out.best.w1, &w2_star) {
             stages &= rep.all_hold();
         }
     }

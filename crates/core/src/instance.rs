@@ -7,10 +7,7 @@ use prs_dynamics::{run_until_close, ConvergenceReport};
 use prs_graph::{builders, Graph, VertexId};
 use prs_numeric::Rational;
 use prs_p2psim::SoaSwarm;
-use prs_sybil::{
-    attack::AttackConfig, best_sybil_split, cases::InitialPathReport, classify_initial_path,
-    honest_split, SybilOutcome,
-};
+use prs_sybil::{attack::AttackConfig, cases::InitialPathReport, SybilContext, SybilOutcome};
 
 /// One ring-shaped resource sharing instance, with cached decomposition.
 ///
@@ -96,20 +93,28 @@ impl RingInstance {
         run_until_close(&mut SoaSwarm::new(&self.graph), &target, eps, max_rounds)
     }
 
+    /// Agent `v`'s Sybil context, built from the cached decomposition.
+    fn sybil_context(&self, v: VertexId) -> SybilContext {
+        SybilContext::new(&self.graph, &self.bd, &self.allocation(), v)
+    }
+
     /// The honest Sybil split `(w₁⁰, w₂⁰)` of agent `v` (Lemma 9 baseline).
     pub fn honest_split(&self, v: VertexId) -> (Rational, Rational) {
-        honest_split(&self.graph, v)
+        self.sybil_context(v).honest_split().clone()
     }
 
     /// Optimize a Sybil attack for agent `v` (Definition 7) and report its
     /// incentive ratio `ζ_v` (a certified lower bound; ≤ 2 by Theorem 8).
     pub fn sybil_attack(&self, v: VertexId, cfg: &AttackConfig) -> SybilOutcome {
-        best_sybil_split(&self.graph, v, cfg)
+        self.sybil_context(v).best_sybil_split(cfg)
     }
 
     /// Lemma 14 / Lemma 20 classification of agent `v`'s initial split path.
     pub fn initial_path_case(&self, v: VertexId) -> InitialPathReport {
-        classify_initial_path(&self.graph, v)
+        self.sybil_context(v)
+            .classify_initial_path()
+            // prs-lint: allow(panic, reason = "Lemmas 14 and 20 are theorems: every initial path fits a published case, and a witness to the contrary is a counterexample worth aborting on")
+            .expect("Lemmas 14/20: every initial path fits a published case")
     }
 
     /// Proposition 11 classification of agent `v`'s misreport α-curve.

@@ -41,7 +41,7 @@ fn prelude_covers_the_full_workflow() {
             .with_keep(2),
     );
     assert!(attack.ratio <= Rational::from_integer(2));
-    let case = classify_initial_path(ring.graph(), 0);
+    let case = classify_initial_path(ring.graph(), 0).expect("Lemmas 14/20 hold");
     assert!(matches!(
         case.case,
         InitialPathCase::C1 | InitialPathCase::C2 | InitialPathCase::C3 | InitialPathCase::D1

@@ -15,9 +15,8 @@
 
 // prs-lint: allow-file(panic, reason = "attack entry requires a validated positive-weight ring (asserted below); with that precondition the decomposition and the nonempty-curve invariant cannot fail without a solver bug")
 
-use crate::split::SybilSplitFamily;
-use prs_bd::par::{worker_threads, SessionPool};
-use prs_bd::{DecompositionSession, SessionConfig};
+use crate::context::{decompose_at, SybilContext};
+use prs_bd::par::worker_threads;
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
 
@@ -100,7 +99,8 @@ pub struct SybilOutcome {
     pub ratio: Rational,
     /// Coarse samples of the payoff curve (first grid level), for plots.
     pub curve: Vec<SplitSample>,
-    /// Number of exact decompositions performed.
+    /// Number of exact decompositions performed; splits the context's
+    /// table already held are not counted.
     pub evaluations: usize,
 }
 
@@ -109,32 +109,6 @@ impl SybilOutcome {
     pub fn ratio_f64(&self) -> f64 {
         self.ratio.to_f64()
     }
-}
-
-fn eval(
-    fam: &SybilSplitFamily,
-    w1: &Rational,
-    session: &mut DecompositionSession,
-) -> Option<SplitSample> {
-    let mut sp = prs_trace::span("sybil", "split_eval");
-    sp.attr("w1", || w1.to_string());
-    fam.payoff_in(w1, session).map(|(u1, u2)| SplitSample {
-        w1: w1.clone(),
-        u1,
-        u2,
-    })
-}
-
-/// Evaluate every split in `xs` (exact decompositions, fanned out over
-/// scoped workers with pooled warm sessions), keeping successful samples in
-/// input order.
-fn eval_batch(fam: &SybilSplitFamily, xs: &[Rational], pool: &SessionPool) -> Vec<SplitSample> {
-    pool.map_indexed(xs.len(), worker_threads(xs.len()), |session, i| {
-        eval(fam, &xs[i], session)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Maximize the attacker payoff over `w₁ ∈ [0, w_v]` for agent `v` on a
@@ -151,110 +125,137 @@ fn eval_batch(fam: &SybilSplitFamily, xs: &[Rational], pool: &SessionPool) -> Ve
 /// assert!(out.ratio <= Rational::from_integer(2));     // Theorem 8
 /// ```
 pub fn best_sybil_split(ring: &Graph, v: VertexId, cfg: &AttackConfig) -> SybilOutcome {
-    let mut sp = prs_trace::span("sybil", "attack");
-    sp.attr("v", || v.to_string());
-    sp.attr("grid", || cfg.grid.to_string());
-    let fam = SybilSplitFamily::new(ring.clone(), v);
-    let bd = prs_bd::decompose(ring).expect("ring decomposes");
-    let honest = bd.utility(ring, v);
+    SybilContext::of(ring, v).best_sybil_split(cfg)
+}
 
-    let total = fam.total().clone();
-    assert!(total.is_positive(), "agent must own positive weight");
-    let mut evals = 0usize;
-    // One pool for the whole optimization: zoom-level evaluations warm-start
-    // from the shapes the level-0 grid certified.
-    let pool = SessionPool::new(SessionConfig::new());
-
-    let grid_pts = |lo: &Rational, hi: &Rational, m: usize| -> Vec<Rational> {
-        let width = &(hi - lo) / &Rational::from_integer(m as i64);
-        (0..=m)
-            .map(|i| lo + &(&width * &Rational::from_integer(i as i64)))
-            .collect()
-    };
-
-    // Level 0: full-domain grid (also retained as the reported curve), plus
-    // the honest split — Lemma 9 makes it the ratio-1 floor, so the
-    // optimizer must always consider it. The grid evaluations fan out over
-    // worker threads; `eval_batch` preserves input order, so the best-pick
-    // below is identical to a sequential scan.
-    let level0 = grid_pts(&Rational::zero(), &total, cfg.grid);
-    evals += level0.len();
-    let mut curve: Vec<SplitSample> = eval_batch(&fam, &level0, &pool);
-    let (w1_honest, _) = crate::split::honest_split(ring, v);
-    evals += 1;
-    let mut session = pool.checkout();
-    let honest_sample = eval(&fam, &w1_honest, &mut session);
-    pool.checkin(session);
-    if let Some(s) = honest_sample {
-        curve.push(s);
-        curve.sort_by(|a, b| a.w1.cmp(&b.w1));
-        curve.dedup_by(|a, b| a.w1 == b.w1);
-    }
-    assert!(!curve.is_empty(), "no decomposable split found");
-    let mut best = curve
-        .iter()
-        .max_by(|a, b| a.total().cmp(&b.total()))
-        .expect("nonempty")
-        .clone();
-
-    // Zoom: keep the best cells, refine each.
-    let cell = &total / &Rational::from_integer(cfg.grid as i64);
-    let mut brackets: Vec<(Rational, Rational)> = {
-        let mut ranked: Vec<&SplitSample> = curve.iter().collect();
-        ranked.sort_by_key(|s| std::cmp::Reverse(s.total()));
-        ranked
-            .iter()
-            .take(cfg.keep.max(1))
-            .map(|s| {
-                let lo = (&s.w1 - &cell).max(Rational::zero());
-                let hi = (&s.w1 + &cell).min(total.clone());
-                (lo, hi)
+impl SybilContext {
+    /// The samples at the splits `xs` (`w₂ = w_v − w₁`), in input order,
+    /// skipping undecomposable ones. Splits the table lacks are decomposed
+    /// over the pool's sessions and recorded first; `counts` tallies
+    /// `(decomposed, reused)`.
+    fn split_samples(&mut self, xs: &[Rational], counts: &mut (usize, usize)) -> Vec<SplitSample> {
+        let w_v = self.fam.total().clone();
+        let key = |x: &Rational| (x.clone(), &w_v - x);
+        let mut missing: Vec<Rational> = Vec::new();
+        for x in xs {
+            if !missing.contains(x) && !self.paths.contains_key(&key(x)) {
+                missing.push(x.clone());
+            }
+        }
+        if !missing.is_empty() {
+            let threads = worker_threads(missing.len());
+            let entries = self.pool.map_indexed(missing.len(), threads, |session, i| {
+                let mut sp = prs_trace::span("sybil", "split_eval");
+                sp.attr("w1", || missing[i].to_string());
+                decompose_at(session, &self.fam, &missing[i], &(&w_v - &missing[i]))
+            });
+            self.paths.extend(missing.iter().map(key).zip(entries));
+        }
+        counts.0 += missing.len();
+        counts.1 += xs.len() - missing.len();
+        xs.iter()
+            .filter_map(|x| {
+                let (u1, u2) = self.payoff_at(x, &(&w_v - x))?;
+                let w1 = x.clone();
+                Some(SplitSample { w1, u1, u2 })
             })
             .collect()
-    };
-
-    for _ in 0..cfg.zoom_levels {
-        let mut next: Vec<(Rational, Rational)> = Vec::new();
-        for (lo, hi) in &brackets {
-            if lo >= hi {
-                continue;
-            }
-            let pts = grid_pts(lo, hi, cfg.grid.min(16));
-            evals += pts.len();
-            let local: Vec<SplitSample> = eval_batch(&fam, &pts, &pool);
-            let Some(loc_best) = local.iter().max_by(|a, b| a.total().cmp(&b.total())) else {
-                continue;
-            };
-            if loc_best.total() > best.total() {
-                best = loc_best.clone();
-            }
-            let w = &(hi - lo) / &Rational::from_integer(cfg.grid.min(16) as i64);
-            let nlo = (&loc_best.w1 - &w).max(lo.clone());
-            let nhi = (&loc_best.w1 + &w).min(hi.clone());
-            next.push((nlo, nhi));
-        }
-        brackets = next;
-        if brackets.is_empty() {
-            break;
-        }
     }
 
-    sp.attr("evaluations", || evals.to_string());
-    // The honest split is always feasible: never report a ratio below 1
-    // (Lemma 9 guarantees the attacker can do at least U_v).
-    let ratio = if honest.is_positive() {
-        let r = &best.total() / &honest;
-        r.max(Rational::one())
-    } else {
-        Rational::one()
-    };
+    /// [`best_sybil_split`] on this context's agent, reading and filling
+    /// the split table.
+    pub fn best_sybil_split(&mut self, cfg: &AttackConfig) -> SybilOutcome {
+        let mut sp = prs_trace::span("sybil", "attack");
+        sp.attr("v", || self.fam.agent().to_string());
+        sp.attr("grid", || cfg.grid.to_string());
+        let honest = self.honest_utility().clone();
+        let total = self.family().total().clone();
+        assert!(total.is_positive(), "agent must own positive weight");
+        let mut counts = (0usize, 0usize);
 
-    SybilOutcome {
-        honest_utility: honest,
-        best,
-        ratio,
-        curve,
-        evaluations: evals,
+        let grid_pts = |lo: &Rational, hi: &Rational, m: usize| -> Vec<Rational> {
+            let width = &(hi - lo) / &Rational::from_integer(m as i64);
+            (0..=m)
+                .map(|i| lo + &(&width * &Rational::from_integer(i as i64)))
+                .collect()
+        };
+
+        // Level 0: full-domain grid (also retained as the reported curve),
+        // plus the honest split — Lemma 9 makes it the ratio-1 floor, so the
+        // optimizer must always consider it. Samples come back in input
+        // order, so the best-pick below is identical to a sequential scan.
+        let mut level0 = grid_pts(&Rational::zero(), &total, cfg.grid);
+        level0.push(self.honest_split().0.clone());
+        let mut curve = self.split_samples(&level0, &mut counts);
+        curve.sort_by(|a, b| a.w1.cmp(&b.w1));
+        curve.dedup_by(|a, b| a.w1 == b.w1);
+        assert!(!curve.is_empty(), "no decomposable split found");
+        let mut best = curve
+            .iter()
+            .max_by(|a, b| a.total().cmp(&b.total()))
+            .expect("nonempty")
+            .clone();
+
+        // Zoom: keep the best cells, refine each.
+        let cell = &total / &Rational::from_integer(cfg.grid as i64);
+        let mut brackets: Vec<(Rational, Rational)> = {
+            let mut ranked: Vec<&SplitSample> = curve.iter().collect();
+            ranked.sort_by_key(|s| std::cmp::Reverse(s.total()));
+            ranked
+                .iter()
+                .take(cfg.keep.max(1))
+                .map(|s| {
+                    let lo = (&s.w1 - &cell).max(Rational::zero());
+                    let hi = (&s.w1 + &cell).min(total.clone());
+                    (lo, hi)
+                })
+                .collect()
+        };
+
+        for _ in 0..cfg.zoom_levels {
+            let mut next: Vec<(Rational, Rational)> = Vec::new();
+            for (lo, hi) in &brackets {
+                if lo >= hi {
+                    continue;
+                }
+                let pts = grid_pts(lo, hi, cfg.grid.min(16));
+                let local = self.split_samples(&pts, &mut counts);
+                let Some(loc_best) = local.iter().max_by(|a, b| a.total().cmp(&b.total())) else {
+                    continue;
+                };
+                if loc_best.total() > best.total() {
+                    best = loc_best.clone();
+                }
+                let w = &(hi - lo) / &Rational::from_integer(cfg.grid.min(16) as i64);
+                let nlo = (&loc_best.w1 - &w).max(lo.clone());
+                let nhi = (&loc_best.w1 + &w).min(hi.clone());
+                next.push((nlo, nhi));
+            }
+            brackets = next;
+            if brackets.is_empty() {
+                break;
+            }
+        }
+
+        let (evaluations, reused) = counts;
+        sp.attr("evaluations", || evaluations.to_string());
+        sp.attr("reused", || reused.to_string());
+        // The honest split is always feasible: never report a ratio below 1
+        // (Lemma 9 guarantees the attacker can do at least U_v).
+        let ratio = if honest.is_positive() {
+            let r = &best.total() / &honest;
+            r.max(Rational::one())
+        } else {
+            Rational::one()
+        };
+
+        SybilOutcome {
+            honest_utility: honest,
+            best,
+            ratio,
+            curve,
+            evaluations,
+        }
     }
 }
 

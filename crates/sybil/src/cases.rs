@@ -13,10 +13,8 @@
 //!
 //! (The paper treats `α_v = 1` agents as C-class WLOG; so do we.)
 
-// prs-lint: allow-file(panic, reason = "lemma auditor: an observed structure outside the published Lemma 14/20 cases is a counterexample and must abort with its witness; the entry decompose is covered by the validated-ring precondition")
-
-use crate::split::{honest_split, SybilSplitFamily};
-use prs_bd::{decompose, AgentClass};
+use crate::context::SybilContext;
+use prs_bd::AgentClass;
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
 
@@ -52,157 +50,143 @@ pub struct InitialPathReport {
     pub alpha_v2: Rational,
 }
 
+/// What the initial path shows: the case matcher's whole input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Observation {
+    /// `v`'s class on the ring (`Both` counts as C).
+    pub ring_class: AgentClass,
+    /// `α_v` on the ring.
+    pub alpha_v: Rational,
+    /// `(class, α, honest weight)` of `v¹` and of `v²` on the initial path.
+    pub copies: [(AgentClass, Rational, Rational); 2],
+    /// The path is one pair on an even number of vertices whose B and C
+    /// classes alternate (the `Both` class fits either side): Case C-1's
+    /// shape.
+    pub one_alternating_pair: bool,
+}
+
+/// An initial path that fits no published case: a counterexample to
+/// Lemma 14 or Lemma 20.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CaseViolation {
+    /// The requirement the path fails.
+    pub claim: &'static str,
+    /// The witness, copies relabeled as the matcher tried them; `None` when
+    /// the initial path has no decomposition.
+    pub observed: Option<Box<Observation>>,
+}
+
 /// Classify the decomposition of the initial path `P_v(w₁⁰, w₂⁰)` per
 /// Lemma 14 (C cases) / Lemma 20 (D case), and verify the per-case
-/// structural claims exactly. Panics (with diagnostics) if the observed
-/// structure matches none of the published cases — i.e. a counterexample to
-/// the lemmas.
-pub fn classify_initial_path(ring: &Graph, v: VertexId) -> InitialPathReport {
-    let ring_bd = decompose(ring).expect("ring decomposes");
-    let alpha_v = ring_bd.alpha_of(v).clone();
-    // Paper's WLOG: α_v = 1 vertices count as C-class.
-    let ring_class = match ring_bd.class_of(v) {
-        AgentClass::Both => AgentClass::C,
-        c => c,
-    };
+/// structural claims exactly. A structure that matches none of the
+/// published cases is returned as a [`CaseViolation`] with its witness.
+pub fn classify_initial_path(
+    ring: &Graph,
+    v: VertexId,
+) -> Result<InitialPathReport, CaseViolation> {
+    SybilContext::of(ring, v).classify_initial_path()
+}
 
-    let (w1_0, w2_0) = honest_split(ring, v);
-    let fam = SybilSplitFamily::new(ring.clone(), v);
-    let (p, v1, v2) = fam.path_at(&w1_0, &w2_0);
-    let pbd = decompose(&p).unwrap_or_else(|e| {
-        panic!(
-            "initial path undecomposable ({e}); ring {:?} v={v}",
-            ring.weights()
-        )
-    });
+impl SybilContext {
+    /// [`classify_initial_path`] on this context's agent.
+    pub fn classify_initial_path(&mut self) -> Result<InitialPathReport, CaseViolation> {
+        let (ring_class, alpha_v) = (self.ring_class(), self.alpha().clone());
+        let (w1_0, w2_0) = self.honest_split().clone();
+        let (v1, v2) = (self.fam.v1(), self.fam.v2());
+        let (pbd, _) = self.split_path(&w1_0, &w2_0).ok_or(CaseViolation {
+            claim: "the initial path decomposes",
+            observed: None,
+        })?;
+        let alternates = (1..=v2).all(|u| {
+            let (a, b) = (pbd.class_of(u - 1), pbd.class_of(u));
+            (a != AgentClass::B || b != AgentClass::B) && (a != AgentClass::C || b != AgentClass::C)
+        });
+        match_case(Observation {
+            ring_class,
+            alpha_v,
+            copies: [
+                (pbd.class_of(v1), pbd.alpha_of(v1).clone(), w1_0),
+                (pbd.class_of(v2), pbd.alpha_of(v2).clone(), w2_0),
+            ],
+            one_alternating_pair: pbd.k() == 1 && (v2 + 1) % 2 == 0 && alternates,
+        })
+    }
+}
 
-    // The paper labels the copies WLOG so its case patterns come out
-    // (e.g. Case C-2 is stated with w₁⁰ = 0, Case C-3 with j ≥ i). Our
-    // v¹ is pinned to the ring successor, so mirror the labeling when the
-    // pattern only matches the other way around.
-    let raw = (
-        pbd.class_of(v1),
-        pbd.class_of(v2),
-        pbd.alpha_of(v1).clone(),
-        pbd.alpha_of(v2).clone(),
-        w1_0.clone(),
-        w2_0.clone(),
-    );
-    let mirrored_labels = match ring_class {
-        // C cases: want (v¹ B-side with v² C-side) or (w₁⁰ = 0 B-side) or
-        // (both C with α_{v¹} ≥ α_{v²}).
-        AgentClass::C => {
-            let fits =
-                |c1: &AgentClass, c2: &AgentClass, a1: &Rational, a2: &Rational, w1: &Rational| {
-                    (c1.is_b() && c2.is_c() && !w1.is_zero())
-                        || (w1.is_zero() && c1.is_b() && c2.is_c())
-                        || (c1.is_c() && c2.is_c() && a1 >= a2)
-                };
-            !fits(&raw.0, &raw.1, &raw.2, &raw.3, &raw.4)
-                && fits(&raw.1, &raw.0, &raw.3, &raw.2, &raw.5)
+/// Match an observed initial path to the published case it fits, checking
+/// that case's α claims exactly: a pure function of the observation.
+pub fn match_case(mut obs: Observation) -> Result<InitialPathReport, CaseViolation> {
+    let c_class = obs.ring_class != AgentClass::B;
+    // The paper labels the copies WLOG so its case patterns come out (Case
+    // C-2 is stated with w₁⁰ = 0, Case C-3 with j ≥ i, Case D-1 with
+    // α_{v¹} ≤ α_{v²}). Our v¹ is pinned to the ring successor, so mirror
+    // the labels when the pattern only matches the other way around.
+    let fits = |[(c1, a1, _), (c2, a2, _)]: &[(AgentClass, Rational, Rational); 2]| {
+        if c_class {
+            c2.is_c() && (c1.is_b() || (c1.is_c() && a1 >= a2))
+        } else {
+            a1 <= a2
         }
-        // D case: both B-side with α_{v¹} ≤ α_{v²}.
-        _ => raw.2 > raw.3,
     };
-    let (class1, class2, alpha_v1, alpha_v2, w1_0, w2_0) = if mirrored_labels {
-        (raw.1, raw.0, raw.3, raw.2, raw.5, raw.4)
+    let mut mirrored = obs.copies.clone();
+    mirrored.reverse();
+    if !fits(&obs.copies) && fits(&mirrored) {
+        obs.copies = mirrored;
+    }
+    let [(class1, alpha_v1, w1_0), (class2, alpha_v2, _)] = &obs.copies;
+    let violation = |claim| CaseViolation {
+        claim,
+        observed: Some(Box::new(obs.clone())),
+    };
+    let ensure = |ok: bool, claim| if ok { Ok(()) } else { Err(violation(claim)) };
+    let case = if !c_class {
+        ensure(
+            class1.is_b() && class2.is_b(),
+            "Lemma 20: both copies B-class",
+        )?;
+        ensure(alpha_v1 <= alpha_v2, "Case D-1: α(v¹) ≤ α(v²)")?;
+        ensure(*alpha_v2 == obs.alpha_v, "Case D-1: α(v²) = α_v")?;
+        InitialPathCase::D1
+    } else if class1.is_b() && class2.is_c() && !w1_0.is_zero() && obs.one_alternating_pair {
+        // Lemma 14's Case C-1 structure. Even rings with α = 1 produce an
+        // odd path instead — the paper relabels those alternately and
+        // classifies them as C-2/C-3, so the shape is part of the match.
+        ensure(*alpha_v1 == obs.alpha_v, "Case C-1: α₁ = α_v")?;
+        InitialPathCase::C1
+    } else if w1_0.is_zero() && class1.is_b() && class2.is_c() {
+        InitialPathCase::C2
+    } else if class1.is_c() && class2.is_c() {
+        ensure(alpha_v1 >= alpha_v2, "Case C-3: α(v¹) ≥ α(v²)")?;
+        ensure(*alpha_v2 == obs.alpha_v, "Case C-3: α(v²) = α_v")?;
+        InitialPathCase::C3
     } else {
-        raw
+        return Err(violation("Lemma 14: the copies fit a C case"));
     };
-
-    let case = match ring_class {
-        AgentClass::C => {
-            // Lemma 14's Case C-1 structure: a single pair on an
-            // even-length path whose B/C classes alternate (the α = 1
-            // `Both` class is compatible with either side). Even rings with
-            // α = 1 produce an odd path instead — the paper relabels those
-            // alternately and classifies them as C-2/C-3, so the structural
-            // conditions are part of the *match*, not post-hoc assertions.
-            let alternates = (0..p.n().saturating_sub(1)).all(|path_v| {
-                let a = pbd.class_of(path_v);
-                let b = pbd.class_of(path_v + 1);
-                (a != AgentClass::B || b != AgentClass::B)
-                    && (a != AgentClass::C || b != AgentClass::C)
-            });
-            if class1.is_b()
-                && class2.is_c()
-                && pbd.k() == 1
-                && !w1_0.is_zero()
-                && p.n() % 2 == 0
-                && alternates
-            {
-                // Case C-1: single pair, v¹ B-side, v² C-side, α = α_v.
-                assert_eq!(
-                    alpha_v1,
-                    alpha_v,
-                    "Case C-1 requires α₁ = α_v (ring {:?}, v={v})",
-                    ring.weights()
-                );
-                InitialPathCase::C1
-            } else if w1_0.is_zero() && class1.is_b() && class2.is_c() {
-                InitialPathCase::C2
-            } else if class1.is_c() && class2.is_c() {
-                // Case C-3: α_{v¹} ≥ α_{v²} = α_v.
-                assert!(
-                    alpha_v1 >= alpha_v2,
-                    "Case C-3 requires α_(v¹) ≥ α_(v²) (ring {:?}, v={v})",
-                    ring.weights()
-                );
-                assert_eq!(
-                    alpha_v2,
-                    alpha_v,
-                    "Case C-3 requires α_(v²) = α_v (ring {:?}, v={v})",
-                    ring.weights()
-                );
-                InitialPathCase::C3
-            } else {
-                panic!(
-                    "Lemma 14 counterexample? ring {:?} v={v}: classes ({class1:?}, {class2:?}), \
-                     w₁⁰={w1_0}, k={}",
-                    ring.weights(),
-                    pbd.k()
-                );
-            }
-        }
-        AgentClass::B => {
-            // Lemma 20, Case D-1.
-            assert!(
-                class1.is_b() && class2.is_b(),
-                "Lemma 20 counterexample? ring {:?} v={v}: classes ({class1:?}, {class2:?})",
-                ring.weights()
-            );
-            assert!(
-                alpha_v1 <= alpha_v2,
-                "Case D-1 requires α_(v¹) ≤ α_(v²) (ring {:?}, v={v})",
-                ring.weights()
-            );
-            assert_eq!(
-                alpha_v2,
-                alpha_v,
-                "Case D-1 requires α_(v²) = α_v (ring {:?}, v={v})",
-                ring.weights()
-            );
-            InitialPathCase::D1
-        }
-        AgentClass::Both => unreachable!("folded into C above"),
-    };
-
-    InitialPathReport {
+    let Observation {
+        alpha_v,
+        copies: [(_, alpha_v1, w1_0), (_, alpha_v2, w2_0)],
+        ..
+    } = obs;
+    Ok(InitialPathReport {
         case,
-        ring_class,
+        ring_class: if c_class {
+            AgentClass::C
+        } else {
+            AgentClass::B
+        },
         w1_0,
         w2_0,
         alpha_v,
         alpha_v1,
         alpha_v2,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use prs_graph::{builders, random};
-    use prs_numeric::int;
+    use prs_numeric::{int, ratio};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -212,22 +196,23 @@ mod tests {
         // treated C; the split path alternates B/C — Case C-1 (the paper's
         // own example of C-1 is exactly this odd-ring α = 1 situation).
         let g = builders::uniform_ring(5, int(2)).unwrap();
-        let rep = classify_initial_path(&g, 0);
+        let rep = classify_initial_path(&g, 0).expect("Lemma 14 holds");
         assert_eq!(rep.case, InitialPathCase::C1, "{rep:?}");
     }
 
     #[test]
     fn classification_total_on_random_rings() {
         // Every random ring/agent must fall into one of the four published
-        // cases (classify_initial_path panics otherwise) — an executable
-        // form of Lemmas 14 and 20.
+        // cases (classify_initial_path returns the witness otherwise) — an
+        // executable form of Lemmas 14 and 20.
         let mut rng = StdRng::seed_from_u64(41);
         let mut seen = std::collections::HashSet::new();
         for n in [3usize, 4, 5, 6, 7, 8] {
             for _ in 0..12 {
                 let g = random::random_ring(&mut rng, n, 1, 10);
                 for v in 0..n {
-                    let rep = classify_initial_path(&g, v);
+                    let rep = classify_initial_path(&g, v)
+                        .unwrap_or_else(|e| panic!("{e:?} on {:?} v={v}", g.weights()));
                     seen.insert(format!("{:?}", rep.case));
                 }
             }
@@ -243,7 +228,7 @@ mod tests {
         // {0, 2}? α({0,2}) = 20/2 = 10 > 1 — no. α({1,3}) = 2/20 = 1/10:
         // B = {1, 3}, C = {0, 2}. So agent 1 is B-class → Case D-1.
         let g = builders::ring(vec![int(1), int(10), int(1), int(10)]).unwrap();
-        let rep = classify_initial_path(&g, 1);
+        let rep = classify_initial_path(&g, 1).expect("Lemma 20 holds");
         assert_eq!(rep.ring_class, AgentClass::B);
         assert_eq!(rep.case, InitialPathCase::D1, "{rep:?}");
     }
@@ -252,7 +237,7 @@ mod tests {
     fn c_class_agent_cases() {
         let g = builders::ring(vec![int(1), int(10), int(1), int(10)]).unwrap();
         // Agent 0 is C-class (in C = {0, 2}).
-        let rep = classify_initial_path(&g, 0);
+        let rep = classify_initial_path(&g, 0).expect("Lemma 14 holds");
         assert_eq!(rep.ring_class, AgentClass::C);
         assert!(
             matches!(
@@ -261,5 +246,51 @@ mod tests {
             ),
             "{rep:?}"
         );
+    }
+
+    #[test]
+    fn matcher_returns_the_witness_of_a_tuple_outside_every_case() {
+        // A B-class agent whose copies both come out C-class fits neither
+        // Lemma 20 nor its mirror image.
+        let obs = Observation {
+            ring_class: AgentClass::B,
+            alpha_v: ratio(1, 2),
+            copies: [
+                (AgentClass::C, ratio(1, 2), int(1)),
+                (AgentClass::C, ratio(1, 3), int(2)),
+            ],
+            one_alternating_pair: false,
+        };
+        let err = match_case(obs.clone()).unwrap_err();
+        assert_eq!(err.claim, "Lemma 20: both copies B-class");
+        // The witness is the observation as matched: the labels were
+        // mirrored to put the smaller α first.
+        let mut mirrored = obs.copies.clone();
+        mirrored.reverse();
+        assert_eq!(err.observed.unwrap().copies, mirrored);
+        // A C-class agent with both copies B-class fits no C case either.
+        let obs = Observation {
+            ring_class: AgentClass::C,
+            copies: [
+                (AgentClass::B, ratio(1, 2), int(1)),
+                (AgentClass::B, ratio(1, 2), int(2)),
+            ],
+            ..obs
+        };
+        let err = match_case(obs).unwrap_err();
+        assert_eq!(err.claim, "Lemma 14: the copies fit a C case");
+        // And a fitting tuple still matches: Case C-3 with α_{v²} = α_v.
+        let obs = Observation {
+            ring_class: AgentClass::C,
+            alpha_v: ratio(1, 3),
+            copies: [
+                (AgentClass::C, ratio(1, 3), int(2)),
+                (AgentClass::C, ratio(1, 2), int(1)),
+            ],
+            one_alternating_pair: false,
+        };
+        let rep = match_case(obs).unwrap();
+        assert_eq!(rep.case, InitialPathCase::C3);
+        assert_eq!((rep.alpha_v1, rep.w1_0), (ratio(1, 2), int(1)));
     }
 }

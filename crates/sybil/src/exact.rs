@@ -19,8 +19,7 @@
 //! rational, and localized to `2⁻ᵇⁱᵗˢ` otherwise, with every reported value
 //! re-verified by a direct exact decomposition.
 
-use crate::split::SybilSplitFamily;
-use prs_bd::decompose;
+use crate::context::SybilContext;
 use prs_deviation::{sweep, SweepConfig};
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
@@ -47,54 +46,57 @@ pub struct CertifiedOutcome {
 /// re-evaluated by a direct exact decomposition, so `best_payoff` (and thus
 /// the ratio) is exact even when `best_w1` is a localized critical point.
 pub fn certified_best_split(ring: &Graph, v: VertexId, grid: usize, bits: u32) -> CertifiedOutcome {
-    let fam = SybilSplitFamily::new(ring.clone(), v);
-    // prs-lint: allow(panic, reason = "validated positive-weight ring precondition: the decomposition always exists")
-    let bd = decompose(ring).expect("ring decomposes");
-    let honest = bd.utility(ring, v);
+    SybilContext::of(ring, v).certified_best_split(grid, bits)
+}
 
-    let res = sweep(
-        &fam,
-        &SweepConfig::new().with_grid(grid).with_refine_bits(bits),
-    );
+impl SybilContext {
+    /// [`certified_best_split`] on this context's agent, through its split
+    /// table: an end two intervals share is decomposed once.
+    pub fn certified_best_split(&mut self, grid: usize, bits: u32) -> CertifiedOutcome {
+        let honest = self.honest_utility().clone();
+        let fam = self.family();
+        let w_v = fam.total().clone();
+        let res = sweep(
+            fam,
+            &SweepConfig::new().with_grid(grid).with_refine_bits(bits),
+        );
 
-    // Seed with the honest split (Lemma 9 floor).
-    let (w1_honest, _) = crate::split::honest_split(ring, v);
-    let mut best_w1 = w1_honest;
-    let mut best_payoff = honest.clone();
-
-    let mut consider = |x: &Rational| {
-        if let Some((u1, u2)) = fam.payoff(x) {
-            let total = &u1 + &u2;
-            if total > best_payoff {
-                best_payoff = total;
-                best_w1 = x.clone();
+        // Candidates in order: each interval's symbolic maximum (from its
+        // Möbius models), then its endpoints, which maximize also weighs.
+        let mut candidates = Vec::new();
+        for iv in &res.intervals {
+            let model = |copy| iv.utility_model(fam, copy);
+            if let Some((u1, u2)) = model(fam.v1()).zip(model(fam.v2())) {
+                candidates.push(u1.add(&u2).maximize(&iv.lo, &iv.hi, bits).0);
+            }
+            candidates.extend([iv.lo.clone(), iv.hi.clone()]);
+        }
+        // Seed with the honest split (Lemma 9 floor); every candidate is
+        // re-verified through an exact decomposition.
+        let mut best_w1 = self.honest_split().0.clone();
+        let mut best_payoff = honest.clone();
+        for x in candidates {
+            if let Some((u1, u2)) = self.payoff_at(&x, &(&w_v - &x)) {
+                let total = &u1 + &u2;
+                if total > best_payoff {
+                    best_payoff = total;
+                    best_w1 = x;
+                }
             }
         }
-    };
 
-    for iv in &res.intervals {
-        // The symbolic payoff from the interval's Möbius models, maximized;
-        // then the endpoints, which maximize also weighs, re-verified
-        // through the exact decomposition.
-        let model = |copy| iv.utility_model(&fam, copy);
-        if let Some((u1, u2)) = model(fam.v1()).zip(model(fam.v2())) {
-            consider(&u1.add(&u2).maximize(&iv.lo, &iv.hi, bits).0);
+        let ratio = if honest.is_positive() {
+            (&best_payoff / &honest).max(Rational::one())
+        } else {
+            Rational::one()
+        };
+        CertifiedOutcome {
+            honest_utility: honest,
+            best_w1,
+            best_payoff,
+            ratio,
+            intervals: res.intervals.len(),
         }
-        consider(&iv.lo);
-        consider(&iv.hi);
-    }
-
-    let ratio = if honest.is_positive() {
-        (&best_payoff / &honest).max(Rational::one())
-    } else {
-        Rational::one()
-    };
-    CertifiedOutcome {
-        honest_utility: honest,
-        best_w1,
-        best_payoff,
-        ratio,
-        intervals: res.intervals.len(),
     }
 }
 
@@ -102,6 +104,7 @@ pub fn certified_best_split(ring: &Graph, v: VertexId, grid: usize, bits: u32) -
 mod tests {
     use super::*;
     use crate::attack::{best_sybil_split, AttackConfig};
+    use crate::split::SybilSplitFamily;
     use crate::theorem8::{lower_bound_ring, LOWER_BOUND_AGENT};
     use prs_graph::random;
     use prs_numeric::int;

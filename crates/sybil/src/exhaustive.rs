@@ -8,7 +8,8 @@
 
 // prs-lint: allow-file(panic, reason = "poison/join propagation in the audit fan-out, plus ring construction from enumerated strictly-positive integer weights")
 
-use crate::attack::{best_sybil_split, AttackConfig};
+use crate::attack::AttackConfig;
+use crate::context::SybilContext;
 use prs_graph::builders;
 use prs_numeric::Rational;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -101,12 +102,11 @@ pub fn exhaustive_ring_audit(
                         weights.iter().map(|&w| Rational::from_integer(w)).collect(),
                     )
                     .expect("n ≥ 3");
-                    for v in 0..n {
-                        let out = best_sybil_split(&g, v, cfg);
+                    for mut ctx in SybilContext::for_agents(&g, 0..n) {
+                        let v = ctx.family().agent();
+                        let out = ctx.best_sybil_split(cfg);
                         local_attacks += 1;
-                        if out.ratio > two {
-                            local_holds = false;
-                        }
+                        local_holds &= out.ratio <= two;
                         // Same total order as the global merge (ratio desc,
                         // then lexicographically smallest weights, then
                         // smallest agent) so the result is independent of

@@ -14,10 +14,9 @@
 //!   joint payoff over the pair's joint honest utility defines a coalition
 //!   incentive ratio; empirically it also stays within 2.
 
-// prs-lint: allow-file(panic, reason = "grid explorer over validated rings: degenerate-split decompose failures are handled as None; any other failure is a solver bug and the audit must abort")
-
+use crate::context::{ring_decomposition, SybilContext};
 use crate::general::split_graph;
-use prs_bd::{decompose, BdError};
+use prs_bd::decompose;
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
 
@@ -36,25 +35,12 @@ pub struct WithholdingOutcome {
     pub withholding_helped: bool,
 }
 
-/// Payoff of the two-copy split `(w₁, w₂)` of `v` on `ring`, allowing
-/// `w₁ + w₂ ≤ w_v`. `None` on undecomposable degenerate splits.
-pub fn split_payoff(ring: &Graph, v: VertexId, w1: &Rational, w2: &Rational) -> Option<Rational> {
-    let (p, c1, c2) =
-        prs_graph::builders::sybil_split_path(&ring.clone(), v, w1.clone(), w2.clone()).ok()?;
-    match decompose(&p) {
-        Ok(bd) => Some(&bd.utility(&p, c1) + &bd.utility(&p, c2)),
-        Err(BdError::ZeroAlpha { .. }) | Err(BdError::ZeroWeightResidue { .. }) => None,
-        Err(e) => panic!("unexpected decomposition failure: {e}"),
-    }
-}
-
 /// Optimize the Sybil split over the *relaxed* budget `w₁ + w₂ ≤ w_v`
 /// (triangular grid of granularity `grid`), and compare against the
 /// Definition 7 frontier `w₁ + w₂ = w_v`.
 pub fn best_split_with_withholding(ring: &Graph, v: VertexId, grid: usize) -> WithholdingOutcome {
-    assert!(ring.is_ring());
-    let bd = decompose(ring).expect("ring decomposes");
-    let honest = bd.utility(ring, v);
+    let mut ctx = SybilContext::of(ring, v);
+    let honest = ctx.honest_utility().clone();
     let w_v = ring.weight(v).clone();
     let unit = &w_v / &Rational::from_integer(grid as i64);
 
@@ -66,9 +52,10 @@ pub fn best_split_with_withholding(ring: &Graph, v: VertexId, grid: usize) -> Wi
         for j in 0..=(grid - i) {
             let w1 = &unit * &Rational::from_integer(i as i64);
             let w2 = &unit * &Rational::from_integer(j as i64);
-            let Some(total) = split_payoff(ring, v, &w1, &w2) else {
+            let Some((u1, u2)) = ctx.payoff_at(&w1, &w2) else {
                 continue;
             };
+            let total = &u1 + &u2;
             if i + j == grid && total > best_full {
                 best_full = total.clone();
             }
@@ -130,7 +117,7 @@ pub fn collusion_payoff(
 pub fn best_collusion(ring: &Graph, u: VertexId, v: VertexId, grid: usize) -> CollusionOutcome {
     assert!(ring.is_ring());
     assert!(u != v);
-    let bd = decompose(ring).expect("ring decomposes");
+    let bd = ring_decomposition(ring);
     let honest_joint = &bd.utility(ring, u) + &bd.utility(ring, v);
 
     let wu = ring.weight(u).clone();

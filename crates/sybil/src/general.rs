@@ -20,7 +20,8 @@
 
 // prs-lint: allow-file(panic, reason = "splits of a validated graph are valid by construction, degenerate decompose failures are handled as None, and anything else is a solver bug the search must abort on")
 
-use prs_bd::{decompose, BdError, DecompositionSession};
+use crate::context::decompose_split;
+use prs_bd::{decompose, DecompositionSession};
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
 
@@ -126,11 +127,8 @@ pub fn attack_payoff_in(
     session: &mut DecompositionSession,
 ) -> Option<Rational> {
     let (split, copies) = split_graph(g, v, partition, weights);
-    match session.decompose(&split) {
-        Ok(bd) => Some(copies.iter().map(|&c| bd.utility(&split, c)).sum()),
-        Err(BdError::ZeroAlpha { .. }) | Err(BdError::ZeroWeightResidue { .. }) => None,
-        Err(e) => panic!("unexpected decomposition failure: {e}"),
-    }
+    let bd = decompose_split(session, &split)?;
+    Some(copies.iter().map(|&c| bd.utility(&split, c)).sum())
 }
 
 /// Configuration for the general-graph attack search.

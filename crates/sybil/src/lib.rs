@@ -14,6 +14,8 @@
 //! previous `[2, 3]` bracket. This crate makes the whole argument
 //! executable:
 //!
+//! * [`context`] — one agent's [`SybilContext`]: its ring facts and one
+//!   table of split paths that every check below reads.
 //! * [`split`] — the split-path family `P_v(w₁, w_v − w₁)`, the honest
 //!   split `(w₁⁰, w₂⁰)` read off the ring's BD allocation, and the Lemma 9
 //!   identity `U_{v¹}(w₁⁰, w₂⁰) + U_{v²}(w₁⁰, w₂⁰) = U_v`.
@@ -38,6 +40,7 @@
 
 pub mod attack;
 pub mod cases;
+pub mod context;
 pub mod exact;
 pub mod exhaustive;
 pub mod extensions;
@@ -47,7 +50,8 @@ pub mod stages;
 pub mod theorem8;
 
 pub use attack::{best_sybil_split, AttackConfig, SplitSample, SybilOutcome};
-pub use cases::{classify_initial_path, InitialPathCase};
+pub use cases::{classify_initial_path, CaseViolation, InitialPathCase};
+pub use context::SybilContext;
 pub use exact::{certified_best_split, CertifiedOutcome};
 pub use exhaustive::{exhaustive_ring_audit, ExhaustiveReport};
 pub use extensions::{

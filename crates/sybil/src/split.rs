@@ -1,8 +1,8 @@
 //! The Sybil split-path family and the honest split (Lemma 9).
 
-// prs-lint: allow-file(panic, reason = "split-family surface requires a validated positive-weight ring (asserted at every entry); under that precondition path construction and the ring decomposition cannot fail")
+// prs-lint: allow-file(panic, reason = "split-family surface requires a validated positive-weight ring (asserted at every entry); under that precondition path construction cannot fail")
 
-use prs_bd::{allocate, decompose, BdError};
+use crate::context::{decompose_at, SybilContext};
 use prs_deviation::GraphFamily;
 use prs_graph::{builders, Graph, VertexId};
 use prs_numeric::Rational;
@@ -62,24 +62,9 @@ impl SybilSplitFamily {
     /// `None` if the path decomposition is undefined there (degenerate
     /// boundary).
     pub fn payoff(&self, w1: &Rational) -> Option<(Rational, Rational)> {
-        self.payoff_in(w1, &mut prs_bd::DecompositionSession::detached())
-    }
-
-    /// [`payoff`](Self::payoff) through a caller-owned
-    /// [`DecompositionSession`](prs_bd::DecompositionSession) — the grid
-    /// optimizer's hot path (nearby splits share decomposition shapes).
-    pub fn payoff_in(
-        &self,
-        w1: &Rational,
-        session: &mut prs_bd::DecompositionSession,
-    ) -> Option<(Rational, Rational)> {
-        let w2 = self.total() - w1;
-        let (p, v1, v2) = self.path_at(w1, &w2);
-        match session.decompose(&p) {
-            Ok(bd) => Some((bd.utility(&p, v1), bd.utility(&p, v2))),
-            Err(BdError::ZeroAlpha { .. }) | Err(BdError::ZeroWeightResidue { .. }) => None,
-            Err(e) => panic!("unexpected decomposition failure: {e}"),
-        }
+        let mut session = prs_bd::DecompositionSession::detached();
+        let (_, payoff) = decompose_at(&mut session, self, w1, &(self.total() - w1))?;
+        Some(payoff)
     }
 }
 
@@ -117,14 +102,7 @@ impl GraphFamily for SybilSplitFamily {
 /// By Lemma 9, splitting with exactly these weights leaves every agent's
 /// utility unchanged.
 pub fn honest_split(ring: &Graph, v: VertexId) -> (Rational, Rational) {
-    assert!(ring.is_ring());
-    let bd = decompose(ring).expect("ring decomposes");
-    let alloc = allocate(ring, &bd);
-    // Ring neighbors in sorted order; the split path walks from the
-    // *successor* = neighbors(v)[0] (see builders::sybil_split_path).
-    let succ = ring.neighbors(v)[0];
-    let pred = ring.neighbors(v)[1];
-    (alloc.sent(v, succ), alloc.sent(v, pred))
+    SybilContext::of(ring, v).honest_split().clone()
 }
 
 /// Verify Lemma 9 exactly on one ring and agent: the honest split is
@@ -132,26 +110,24 @@ pub fn honest_split(ring: &Graph, v: VertexId) -> (Rational, Rational) {
 ///
 /// Returns `(U_v, split payoff)`.
 pub fn lemma9_check(ring: &Graph, v: VertexId) -> (Rational, Rational) {
-    let bd = decompose(ring).expect("ring decomposes");
-    let honest_u = bd.utility(ring, v);
-    let (w1, w2) = honest_split(ring, v);
-    let fam = SybilSplitFamily::new(ring.clone(), v);
-    let (p, v1, v2) = fam.path_at(&w1, &w2);
-    let split_u = match decompose(&p) {
-        Ok(pbd) => &pbd.utility(&p, v1) + &pbd.utility(&p, v2),
-        Err(_) => {
-            // Degenerate split (e.g. w₁⁰ = w₂⁰ = 0 is impossible for
-            // positive w_v, but a zero side can make tiny paths
-            // undecomposable); fall back to the equality claim vacuously.
-            honest_u.clone()
-        }
-    };
-    (honest_u, split_u)
+    SybilContext::of(ring, v).lemma9_check()
+}
+
+impl SybilContext {
+    /// [`lemma9_check`] on this context's agent: `(U_v, split payoff)`.
+    pub fn lemma9_check(&mut self) -> (Rational, Rational) {
+        let (w1, w2) = self.honest_split().clone();
+        let split_u = self.payoff_at(&w1, &w2).map(|(u1, u2)| &u1 + &u2);
+        // An undecomposable honest split makes the claim vacuous.
+        let honest_u = self.honest_utility().clone();
+        (honest_u.clone(), split_u.unwrap_or(honest_u))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prs_bd::decompose;
     use prs_graph::random;
     use prs_numeric::{int, ratio};
     use rand::rngs::StdRng;

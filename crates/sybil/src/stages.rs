@@ -20,8 +20,8 @@
 //! inequality, yielding an executable audit of the proof skeleton on any
 //! concrete instance.
 
-use crate::split::{honest_split, SybilSplitFamily};
-use prs_bd::{decompose, AgentClass, DecompositionSession};
+use crate::context::SybilContext;
+use prs_bd::AgentClass;
 use prs_deviation::{solve_breakpoint, AlphaSample};
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
@@ -70,17 +70,6 @@ impl StageReport {
     }
 }
 
-fn corner(fam: &SybilSplitFamily, w1: &Rational, w2: &Rational) -> Option<Corner> {
-    let (p, v1, v2) = fam.path_at(w1, w2);
-    let bd = decompose(&p).ok()?;
-    Some(Corner {
-        w1: w1.clone(),
-        w2: w2.clone(),
-        u1: bd.utility(&p, v1),
-        u2: bd.utility(&p, v2),
-    })
-}
-
 /// The **Adjusting Technique** (paper, §III-C and §III-D): when both copies
 /// start in the same bottleneck pair, slide along the diagonal
 /// `(w₁⁰ + z, w₂⁰ − z)` — which keeps the decomposition, the α-ratio and the
@@ -94,14 +83,17 @@ fn corner(fam: &SybilSplitFamily, w1: &Rational, w2: &Rational) -> Option<Corner
 /// or `None` when the diagonal reaches `to` with the shape intact — then
 /// `U(w₁*, w₂*) = U_v`, the paper's "cannot improve by Sybil attack
 /// directly" case — or `to` is the start itself or undecomposable.
-fn adjusting_technique(fam: &SybilSplitFamily, from: &Rational, to: &Rational) -> Option<Rational> {
-    let mut session = DecompositionSession::detached();
-    let mut probe = |x: &Rational| AlphaSample::at(fam, x, &mut session);
-    let (start, end) = (probe(from)?, probe(to)?);
-    if end.bd.shape() == start.bd.shape() {
-        return None;
-    }
-    let out = solve_breakpoint(fam, start, end, 40, &mut probe);
+fn adjusting_technique(ctx: &SybilContext, from: &Rational, to: &Rational) -> Option<Rational> {
+    let mut session = ctx.pool.checkout();
+    let mut probe = |x: &Rational| AlphaSample::at(&ctx.fam, x, &mut session);
+    let out = match (probe(from), probe(to)) {
+        (Some(start), Some(end)) if end.bd.shape() != start.bd.shape() => {
+            Some(solve_breakpoint(&ctx.fam, start, end, 40, &mut probe))
+        }
+        _ => None,
+    };
+    ctx.pool.checkin(session);
+    let out = out?;
     let [last_same, _] = out.bracket;
     Some(out.x.unwrap_or(last_same.x))
 }
@@ -123,136 +115,136 @@ pub fn audit_stages(
     w1_star: &Rational,
     w2_star: &Rational,
 ) -> Option<StageReport> {
-    // prs-lint: allow(panic, reason = "validated positive-weight ring precondition: the decomposition always exists")
-    let ring_bd = decompose(ring).expect("ring decomposes");
-    let honest_u = ring_bd.utility(ring, v);
-    let ring_class = match ring_bd.class_of(v) {
-        AgentClass::Both => AgentClass::C,
-        c => c,
-    };
+    SybilContext::of(ring, v).audit_stages(w1_star, w2_star)
+}
 
-    let (w1_0, w2_0) = honest_split(ring, v);
-    let fam = SybilSplitFamily::new(ring.clone(), v);
-
-    // WLOG w₁* ≥ w₁⁰: otherwise swap the roles of the copies. Swapping
-    // means looking at the same physical trajectory with (w1, w2) read in
-    // the other order; utilities swap with them, which `Corner` handles by
-    // swapping at evaluation time.
-    let (mirrored, w1_0, w2_0, w1_s, w2_s) = if w1_star >= &w1_0 {
-        (false, w1_0, w2_0, w1_star.clone(), w2_star.clone())
-    } else {
-        (true, w2_0, w1_0, w2_star.clone(), w1_star.clone())
-    };
-    // Evaluate a corner in possibly-mirrored coordinates.
-    let eval = |a: &Rational, b: &Rational| -> Option<Corner> {
-        if mirrored {
-            corner(&fam, b, a).map(|c| Corner {
-                w1: a.clone(),
-                w2: b.clone(),
-                u1: c.u2,
-                u2: c.u1,
-            })
+impl SybilContext {
+    /// The copies' utilities at `(a, b)`, read in the audit's coordinates:
+    /// `(w₂, w₁)` in path order when the trajectory is `mirrored`.
+    fn corner(&mut self, mirrored: bool, a: &Rational, b: &Rational) -> Option<Corner> {
+        let (u1, u2) = if mirrored {
+            let (u2, u1) = self.payoff_at(b, a)?;
+            (u1, u2)
         } else {
-            corner(&fam, a, b)
-        }
-    };
-
-    // Apply the Adjusting Technique when both copies share a pair at the
-    // initial point (the paper's same-pair difficulty in Cases C-3 / D-1).
-    // In path order `v¹` weighs w₁ — or w₂, when mirrored.
-    let (w1_0, w2_0) = {
-        let (from, to) = if mirrored {
-            (&w2_0, &w2_s)
-        } else {
-            (&w1_0, &w1_s)
+            self.payoff_at(a, b)?
         };
-        let (p0, p_v1, p_v2) = fam.path_at(from, &(fam.total() - from));
-        let bd0 = decompose(&p0).ok()?;
-        if bd0.pair_of(p_v1) == bd0.pair_of(p_v2) {
-            let x = adjusting_technique(&fam, from, to)?;
-            let rest = fam.total() - &x;
-            if mirrored {
-                (rest, x)
-            } else {
-                (x, rest)
-            }
-        } else {
-            (w1_0, w2_0)
-        }
-    };
-
-    // C-class trajectories change w₂ first (Stage C-1); B-class change w₁
-    // first (Stage D-1).
-    let c_class = ring_class == AgentClass::C;
-    let (mid_w1, mid_w2) = if c_class {
-        (w1_0.clone(), w2_s.clone())
-    } else {
-        (w1_s.clone(), w2_0.clone())
-    };
-
-    let initial = eval(&w1_0, &w2_0)?;
-    let mid = eval(&mid_w1, &mid_w2)?;
-    let fin = eval(&w1_s, &w2_s)?;
-
-    let stage1 = (&mid.u1 - &initial.u1, &mid.u2 - &initial.u2);
-    let stage2 = (&fin.u1 - &mid.u1, &fin.u2 - &mid.u2);
-    let zero = Rational::zero();
-
-    let mut checks = Vec::new();
-    if c_class {
-        // Lemma 16.
-        checks.push(("Lemma 16: δ_v1(1) ≤ 0".into(), stage1.0 <= zero));
-        checks.push(("Lemma 16: δ_v2(1) ≤ 0".into(), stage1.1 <= zero));
-        // Lemma 18 / 19 depending on v¹'s final class.
-        let (p_fin, v1_fin, _) = fam.path_at(
-            if mirrored { &fin.w2 } else { &fin.w1 },
-            if mirrored { &fin.w1 } else { &fin.w2 },
-        );
-        let fin_bd = decompose(&p_fin).ok()?;
-        let v1_id = if mirrored { fam.v2() } else { v1_fin };
-        let v1_final_class = fin_bd.class_of(v1_id);
-        if matches!(v1_final_class, AgentClass::C) {
-            checks.push(("Lemma 18: δ_v1(2) ≤ U_v".into(), stage2.0 <= honest_u));
-            checks.push(("Lemma 18: δ_v2(2) ≤ 0".into(), stage2.1 <= zero));
-        }
-        // Theorem-level bound holds in every branch (Lemma 19 covers the
-        // B-class ending).
-        let total_fin = &fin.u1 + &fin.u2;
-        checks.push((
-            "Theorem 8: U(w1*,w2*) ≤ 2·U_v".into(),
-            total_fin <= &honest_u * &Rational::from_integer(2),
-        ));
-    } else {
-        // Lemma 22.
-        checks.push(("Lemma 22: Δ_v1(1) ≤ U_v".into(), stage1.0 <= honest_u));
-        checks.push(("Lemma 22: Δ_v2(1) = 0".into(), stage1.1.is_zero()));
-        // Lemma 24.
-        checks.push(("Lemma 24: Δ_v1(2) ≤ 0".into(), stage2.0 <= zero));
-        checks.push(("Lemma 24: Δ_v2(2) ≤ 0".into(), stage2.1 <= zero));
-        let total_fin = &fin.u1 + &fin.u2;
-        checks.push((
-            "Theorem 8: U(w1*,w2*) ≤ 2·U_v".into(),
-            total_fin <= &honest_u * &Rational::from_integer(2),
-        ));
+        Some(Corner {
+            w1: a.clone(),
+            w2: b.clone(),
+            u1,
+            u2,
+        })
     }
 
-    Some(StageReport {
-        ring_class,
-        mirrored,
-        honest_utility: honest_u,
-        initial,
-        mid,
-        fin,
-        stage1,
-        stage2,
-        checks,
-    })
+    /// [`audit_stages`] on this context's agent, reading its split table.
+    pub fn audit_stages(&mut self, w1_star: &Rational, w2_star: &Rational) -> Option<StageReport> {
+        let honest_u = self.honest_utility().clone();
+        let ring_class = self.ring_class();
+        let total = self.family().total().clone();
+        let (v1, v2) = (self.fam.v1(), self.fam.v2());
+        let (w1_0, w2_0) = self.honest_split().clone();
+
+        // WLOG w₁* ≥ w₁⁰: otherwise swap the roles of the copies. Swapping
+        // means looking at the same physical trajectory with (w1, w2) read
+        // in the other order; utilities swap with them, which `corner`
+        // handles by swapping at evaluation time.
+        let (mirrored, w1_0, w2_0, w1_s, w2_s) = if w1_star >= &w1_0 {
+            (false, w1_0, w2_0, w1_star.clone(), w2_star.clone())
+        } else {
+            (true, w2_0, w1_0, w2_star.clone(), w1_star.clone())
+        };
+
+        // Apply the Adjusting Technique when both copies share a pair at
+        // the initial point (the paper's same-pair difficulty in Cases C-3 /
+        // D-1). In path order `v¹` weighs w₁ — or w₂, when mirrored.
+        let (w1_0, w2_0) = {
+            let (from, to) = if mirrored {
+                (&w2_0, &w2_s)
+            } else {
+                (&w1_0, &w1_s)
+            };
+            let (bd0, _) = self.split_path(from, &(&total - from))?;
+            if bd0.pair_of(v1) == bd0.pair_of(v2) {
+                let x = adjusting_technique(self, from, to)?;
+                let rest = &total - &x;
+                if mirrored {
+                    (rest, x)
+                } else {
+                    (x, rest)
+                }
+            } else {
+                (w1_0, w2_0)
+            }
+        };
+
+        // C-class trajectories change w₂ first (Stage C-1); B-class change
+        // w₁ first (Stage D-1).
+        let c_class = ring_class == AgentClass::C;
+        let (mid_w1, mid_w2) = if c_class {
+            (w1_0.clone(), w2_s.clone())
+        } else {
+            (w1_s.clone(), w2_0.clone())
+        };
+
+        let initial = self.corner(mirrored, &w1_0, &w2_0)?;
+        let mid = self.corner(mirrored, &mid_w1, &mid_w2)?;
+        let fin = self.corner(mirrored, &w1_s, &w2_s)?;
+
+        let stage1 = (&mid.u1 - &initial.u1, &mid.u2 - &initial.u2);
+        let stage2 = (&fin.u1 - &mid.u1, &fin.u2 - &mid.u2);
+        let zero = Rational::zero();
+
+        let mut checks = Vec::new();
+        if c_class {
+            // Lemma 16.
+            checks.push(("Lemma 16: δ_v1(1) ≤ 0".into(), stage1.0 <= zero));
+            checks.push(("Lemma 16: δ_v2(1) ≤ 0".into(), stage1.1 <= zero));
+            // Lemma 18 / 19 depending on v¹'s final class.
+            let (fin_bd, v1_id) = if mirrored {
+                (self.split_path(&fin.w2, &fin.w1), v2)
+            } else {
+                (self.split_path(&fin.w1, &fin.w2), v1)
+            };
+            if matches!(fin_bd?.0.class_of(v1_id), AgentClass::C) {
+                checks.push(("Lemma 18: δ_v1(2) ≤ U_v".into(), stage2.0 <= honest_u));
+                checks.push(("Lemma 18: δ_v2(2) ≤ 0".into(), stage2.1 <= zero));
+            }
+        } else {
+            // Lemma 22.
+            checks.push(("Lemma 22: Δ_v1(1) ≤ U_v".into(), stage1.0 <= honest_u));
+            checks.push(("Lemma 22: Δ_v2(1) = 0".into(), stage1.1.is_zero()));
+            // Lemma 24.
+            checks.push(("Lemma 24: Δ_v1(2) ≤ 0".into(), stage2.0 <= zero));
+            checks.push(("Lemma 24: Δ_v2(2) ≤ 0".into(), stage2.1 <= zero));
+        }
+        // The theorem-level bound holds in every branch (Lemma 19 covers a
+        // C-class trajectory whose v¹ ends B-class).
+        let total_fin = &fin.u1 + &fin.u2;
+        checks.push((
+            "Theorem 8: U(w1*,w2*) ≤ 2·U_v".into(),
+            total_fin <= &honest_u * &Rational::from_integer(2),
+        ));
+
+        Some(StageReport {
+            ring_class,
+            mirrored,
+            honest_utility: honest_u,
+            initial,
+            mid,
+            fin,
+            stage1,
+            stage2,
+            checks,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attack::{best_sybil_split, AttackConfig};
+    use crate::split::SybilSplitFamily;
+    use prs_bd::decompose;
     use prs_graph::random;
     use prs_numeric::{int, ratio};
     use rand::rngs::StdRng;

@@ -14,6 +14,7 @@
 // prs-lint: allow-file(panic, reason = "search harness: rings are built from strictly positive literals and powers of two, and a search needs at least one restart")
 
 use crate::attack::{best_sybil_split, AttackConfig, SybilOutcome};
+use crate::context::SybilContext;
 use prs_bd::par::par_map_indexed;
 use prs_graph::{builders, Graph, VertexId};
 use prs_numeric::Rational;
@@ -41,15 +42,13 @@ pub fn check_ring_theorem8(ring: &Graph, cfg: &AttackConfig) -> RingTheorem8Repo
     let mut max_ratio = Rational::zero();
     let mut argmax_vertex = 0;
     let mut holds = true;
-    for v in 0..ring.n() {
-        let out = best_sybil_split(ring, v, cfg);
+    for (v, mut ctx) in SybilContext::for_agents(ring, 0..ring.n()).enumerate() {
+        let out = ctx.best_sybil_split(cfg);
         if out.ratio > max_ratio {
             max_ratio = out.ratio.clone();
             argmax_vertex = v;
         }
-        if out.ratio > two {
-            holds = false;
-        }
+        holds &= out.ratio <= two;
         outcomes.push(out);
     }
     RingTheorem8Report {

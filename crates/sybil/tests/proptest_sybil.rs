@@ -96,6 +96,8 @@ proptest! {
         let g = ring_of(&weights);
         let v = v_raw % g.n();
         let rep = classify_initial_path(&g, v);
+        prop_assert!(rep.is_ok(), "{:?}", rep);
+        let rep = rep.unwrap();
         match rep.ring_class {
             prs_bd::AgentClass::C => prop_assert!(matches!(
                 rep.case,

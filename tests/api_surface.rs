@@ -139,6 +139,7 @@ fn surface_is_importable_and_coherent() {
     let _ = deviation::reference::bisect_breakpoint::<MisreportFamily>;
     let _ = std::mem::size_of::<(deviation::Breakpoint, deviation::Moebius)>();
     let _ = sybil::certified_best_split;
+    let _ = std::mem::size_of::<(sybil::SybilContext, sybil::CaseViolation)>();
     let _: fn(&mut p2psim::SoaSwarm, &[f64], f64, usize) -> dynamics::ConvergenceReport =
         dynamics::run_until_close;
     let _ = std::mem::size_of::<eg::EgSolution>();

@@ -64,10 +64,12 @@ proptest! {
 
     #[test]
     fn initial_path_cases_are_total(ring in arb_ring(), v_raw in 0usize..7) {
-        // classify_initial_path asserts the Lemma 14 / 20 structure
-        // internally; reaching here without a panic is the property.
+        // classify_initial_path checks the Lemma 14 / 20 structure and
+        // returns a witness where it fails; an Ok report is the property.
         let v = v_raw % ring.n();
         let rep = classify_initial_path(ring.graph(), v);
+        prop_assert!(rep.is_ok(), "{:?}", rep);
+        let rep = rep.unwrap();
         prop_assert!(matches!(
             rep.case,
             InitialPathCase::C1 | InitialPathCase::C2 | InitialPathCase::C3 | InitialPathCase::D1

@@ -76,7 +76,8 @@ fn ring_11_6_5_satisfies_all_claims() {
         }
 
         // initial_path_cases_are_total
-        let rep = classify_initial_path(ring.graph(), v);
+        let rep = classify_initial_path(ring.graph(), v)
+            .expect("Lemmas 14/20: every initial path fits a published case");
         assert!(matches!(
             rep.case,
             InitialPathCase::C1 | InitialPathCase::C2 | InitialPathCase::C3 | InitialPathCase::D1
