@@ -822,8 +822,7 @@ pub(crate) enum Support {
 
 /// A settled certification (see [`certify`]).
 pub(crate) struct Certified {
-    /// The maximal tight set at `alpha`; empty only when a predicted `α̂`
-    /// undershot the round optimum.
+    /// The maximal tight set at `alpha`.
     pub(crate) b: VertexSet,
     /// The certified ratio.
     pub(crate) alpha: Rational,
@@ -846,10 +845,8 @@ pub(crate) struct Certified {
 /// * if `α̂ > α*`, the flow is infeasible and the exact descent proceeds as
 ///   if it had started there.
 ///
-/// A *predicted* `α̂` (a stability-cell evaluation) may sit below `α*`:
-/// the first flow is then feasible with slack on every source arc, so
-/// [`Certified::b`] comes back empty — the one signature of an
-/// under-prediction, which only that caller checks for.
+/// Every caller passes `α̂ = α(S)` of a real set `S`, so the tight set
+/// returned is never empty.
 pub(crate) fn certify(
     g: &Graph,
     alive: &VertexSet,
@@ -882,10 +879,7 @@ pub(crate) fn certify(
                     b.insert(v);
                 }
             }
-            debug_assert!(
-                first || !b.is_empty(),
-                "a tight set must exist at the optimum"
-            );
+            debug_assert!(!b.is_empty(), "a tight set must exist at the optimum");
             return Ok(Certified {
                 b,
                 alpha,

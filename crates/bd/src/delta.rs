@@ -3,10 +3,8 @@
 //! A deployed sharing mechanism does not see cold instances; it sees a
 //! stream of small mutations — one agent re-reports a weight, two peers
 //! open or close a link. This module defines the mutation vocabulary
-//! ([`Delta`]), the tier report every mutation comes back with
-//! ([`UpdateOutcome`]), and the reusable Prop. 11/12 breakpoint-cell
-//! certificate ([`StabilityCell`]) that the deviation sweep exports and the
-//! session consults to predict round ratios without re-deriving them.
+//! ([`Delta`]) and the tier report every mutation comes back with
+//! ([`UpdateOutcome`]).
 //!
 //! The serving tiers (cheapest first; see `DESIGN.md` §3.3 for the
 //! soundness argument of each):
@@ -26,7 +24,6 @@
 //!
 //! [`DecompositionSession`]: crate::DecompositionSession
 
-use crate::decomposition::BottleneckDecomposition;
 use prs_graph::VertexId;
 use prs_numeric::Rational;
 
@@ -111,85 +108,10 @@ pub enum UpdateOutcome {
     Recomputed,
 }
 
-/// Exact Möbius coefficients of one pair's α-curve inside a stability
-/// cell: `α(x) = (p·x + q)/(r·x + s)` as a function of the focus vertex's
-/// reported weight `x`.
-///
-/// Mirrors `prs-deviation`'s per-pair breakpoint model (Prop. 11/12): on a
-/// cell with constant combinatorial shape, each pair's ratio is a Möbius
-/// function of the single moving weight.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CellMoebius {
-    /// Numerator slope.
-    pub p: Rational,
-    /// Numerator constant.
-    pub q: Rational,
-    /// Denominator slope.
-    pub r: Rational,
-    /// Denominator constant.
-    pub s: Rational,
-}
-
-impl CellMoebius {
-    /// Evaluate the curve at `x`; `None` when the denominator vanishes.
-    pub fn eval(&self, x: &Rational) -> Option<Rational> {
-        let den = &(&self.r * x) + &self.s;
-        if den.is_zero() {
-            return None;
-        }
-        Some(&(&(&self.p * x) + &self.q) / &den)
-    }
-}
-
-/// A reusable single-weight stability certificate: on the closed interval
-/// `[lo, hi]` of vertex `vertex`'s reported weight, the decomposition keeps
-/// the combinatorial `shape` and each pair's α follows its exact
-/// [`CellMoebius`] curve.
-///
-/// Exported by the deviation sweep (`prs-deviation`) from its endpoint-
-/// verified `ShapeInterval`s and installed into a session with
-/// [`install_cell`](crate::DecompositionSession::install_cell). The session
-/// uses cells to **predict** round ratios on the recertified tier — every
-/// prediction is still validated by the certification max-flow (a feasible
-/// flow with no tight set exposes an under-predicted α and the session
-/// falls back to the exact candidate ratio), so a stale or lying cell can
-/// cost one wasted flow but never change a result.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StabilityCell {
-    /// The vertex whose weight the cell is parameterized by.
-    pub vertex: VertexId,
-    /// Lower end of the covered weight interval (inclusive).
-    pub lo: Rational,
-    /// Upper end of the covered weight interval (inclusive).
-    pub hi: Rational,
-    /// The constant combinatorial shape on the cell (pair memberships, as
-    /// produced by [`BottleneckDecomposition::shape`]).
-    pub shape: Vec<(Vec<VertexId>, Vec<VertexId>)>,
-    /// Per-pair α-curves, in pair order (`alphas.len() == shape.len()`).
-    pub alphas: Vec<CellMoebius>,
-}
-
-impl StabilityCell {
-    /// True iff the cell covers weight `x` for vertex `v`.
-    pub fn covers(&self, v: VertexId, x: &Rational) -> bool {
-        self.vertex == v && self.lo <= *x && *x <= self.hi
-    }
-
-    /// True iff the cell's shape equals the decomposition's.
-    pub fn shape_matches(&self, bd: &BottleneckDecomposition) -> bool {
-        self.shape == bd.shape()
-    }
-
-    /// The α-curve of pair `round`, if the cell has one.
-    pub fn alpha_curve(&self, round: usize) -> Option<&CellMoebius> {
-        self.alphas.get(round)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prs_numeric::{int, ratio};
+    use prs_numeric::int;
 
     #[test]
     fn delta_len_flattens_batches() {
@@ -204,50 +126,5 @@ mod tests {
         assert!(!d.is_empty());
         assert!(Delta::Batch(vec![]).is_empty());
         assert_eq!(Delta::AddEdge { u: 0, v: 1 }.len(), 1);
-    }
-
-    #[test]
-    fn moebius_eval() {
-        // α(x) = (x + 1) / (2x + 3) at x = 2 → 3/7.
-        let m = CellMoebius {
-            p: int(1),
-            q: int(1),
-            r: int(2),
-            s: int(3),
-        };
-        assert_eq!(m.eval(&int(2)), Some(ratio(3, 7)));
-        // Constant curve: α(x) = 5/9.
-        let c = CellMoebius {
-            p: int(0),
-            q: int(5),
-            r: int(0),
-            s: int(9),
-        };
-        assert_eq!(c.eval(&int(100)), Some(ratio(5, 9)));
-        // Vanishing denominator.
-        let z = CellMoebius {
-            p: int(1),
-            q: int(0),
-            r: int(1),
-            s: int(-2),
-        };
-        assert_eq!(z.eval(&int(2)), None);
-    }
-
-    #[test]
-    fn cell_covers_closed_interval() {
-        let cell = StabilityCell {
-            vertex: 3,
-            lo: ratio(1, 2),
-            hi: int(4),
-            shape: vec![],
-            alphas: vec![],
-        };
-        assert!(cell.covers(3, &ratio(1, 2)));
-        assert!(cell.covers(3, &int(4)));
-        assert!(cell.covers(3, &int(2)));
-        assert!(!cell.covers(3, &ratio(1, 3)));
-        assert!(!cell.covers(2, &int(2)));
-        assert_eq!(cell.alpha_curve(0), None);
     }
 }

@@ -58,7 +58,7 @@ pub use allocation::{allocate, Allocation};
 pub use decomposition::{
     decompose, decompose_exact, AgentClass, BottleneckDecomposition, BottleneckPair,
 };
-pub use delta::{CellMoebius, Delta, EdgeOp, StabilityCell, UpdateOutcome};
+pub use delta::{Delta, EdgeOp, UpdateOutcome};
 pub use error::BdError;
 pub use par::SessionPool;
 pub use session::{DecompositionSession, SessionConfig, SessionStats};

@@ -58,7 +58,7 @@
 //! flow via the kernel's `SeedArc` machinery) only the rounds whose
 //! bottleneck sets can see it, and falls back to the general warm solver
 //! the moment the round structure diverges — see `DESIGN.md` §3.3 for the
-//! tier soundness arguments and cell-cache invalidation rules.
+//! tier soundness arguments.
 //!
 //! **Bit-identity.** Replay is sound because the round solver is a pure
 //! function of the inputs it compares. For *any* vertex set `S`,
@@ -75,7 +75,7 @@
 use crate::decomposition::{
     certify, drive, maximal_bottleneck, AgentClass, BottleneckDecomposition, RoundNets, Support,
 };
-use crate::delta::{Delta, EdgeOp, StabilityCell, UpdateOutcome};
+use crate::delta::{Delta, EdgeOp, UpdateOutcome};
 use crate::error::BdError;
 use prs_flow::stats;
 use prs_graph::{Graph, VertexId, VertexSet};
@@ -199,7 +199,7 @@ struct ShapeEntry {
 }
 
 /// The owned instance a session serves deltas against, with its current
-/// certified decomposition and any installed stability cells.
+/// certified decomposition.
 struct DeltaState {
     /// The instance as of the last committed delta.
     graph: Graph,
@@ -207,9 +207,6 @@ struct DeltaState {
     /// first [`current`](DecompositionSession::current) /
     /// [`apply`](DecompositionSession::apply) forces a solve.
     current: Option<CurrentResult>,
-    /// Installed Prop. 11/12 breakpoint-cell certificates, consulted on the
-    /// recertified tier and invalidated on commit (`DESIGN.md` §3.3).
-    cells: Vec<StabilityCell>,
 }
 
 /// The decomposition of the owned instance together with the round
@@ -409,38 +406,13 @@ impl DecompositionSession {
         self.cache.clear();
     }
 
-    /// Number of installed stability cells.
-    pub fn cell_count(&self) -> usize {
-        self.delta.as_ref().map_or(0, |s| s.cells.len())
-    }
-
-    /// Install a [`StabilityCell`] certificate for the owned instance.
-    ///
-    /// Matching cells let the recertified tier predict a round's ratio
-    /// without computing any candidate α-ratio. Predictions are always
-    /// validated by the certification flow — a feasible flow with no tight
-    /// set exposes an under-predicted α̂ and the session retries with the
-    /// exact candidate ratio — so a stale or lying cell can waste one flow
-    /// but never change a result. Returns `false` (dropping the cell) when
-    /// the session is detached.
-    pub fn install_cell(&mut self, cell: StabilityCell) -> bool {
-        match self.delta.as_mut() {
-            Some(state) => {
-                state.cells.push(cell);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Replace (or attach) the owned instance wholesale, dropping the delta
-    /// state — current decomposition and stability cells — while keeping the
-    /// flow arenas and the MRU shape cache warm.
+    /// Replace (or attach) the owned instance wholesale, dropping its
+    /// current decomposition while keeping the flow arenas and the MRU shape
+    /// cache warm.
     pub fn replace_instance(&mut self, g: Graph) {
         self.delta = Some(DeltaState {
             graph: g,
             current: None,
-            cells: Vec::new(),
         });
     }
 
@@ -471,9 +443,8 @@ impl DecompositionSession {
 
     /// Apply one [`Delta`] to the owned instance and re-serve the
     /// decomposition, reporting which tier answered (module docs +
-    /// `DESIGN.md` §3.3). Atomic: on any error the instance, the current
-    /// decomposition, and the installed cells are left exactly as they
-    /// were.
+    /// `DESIGN.md` §3.3). Atomic: on any error the instance and the current
+    /// decomposition are left exactly as they were.
     pub fn apply(&mut self, delta: Delta) -> Result<UpdateOutcome, BdError> {
         let mut sp = prs_trace::span("bd", "delta_apply");
         sp.attr("ops", || delta.len().to_string());
@@ -550,7 +521,6 @@ impl DecompositionSession {
         let Some(cur) = state.current.as_ref() else {
             let (bd, certs) = self.run_decompose(&scratch, true)?;
             self.store(scratch.n(), certs.clone());
-            retain_cells(&mut state.cells, &diff, &scratch);
             state.graph = scratch;
             state.current = Some(CurrentResult { bd, certs });
             return Ok(UpdateOutcome::Recomputed);
@@ -573,7 +543,6 @@ impl DecompositionSession {
             // that is sound (replay *compares* inputs before trusting, and
             // seeds are clamped) but means the next visible delta sees the
             // edge as cache-stale, which costs at most one extra flow.
-            retain_cells(&mut state.cells, &diff, &scratch);
             state.graph = scratch;
             return Ok(UpdateOutcome::Unchanged);
         }
@@ -582,21 +551,8 @@ impl DecompositionSession {
         // rounds wherever the diff is invisible, recertify the rounds that
         // can see it, fall back to the general solver when the structure
         // diverges.
-        let cell = if diff.added.is_empty() && diff.removed.is_empty() && diff.weights.len() == 1 {
-            let v = diff.weights[0];
-            let x = scratch.weight(v);
-            state
-                .cells
-                .iter()
-                .find(|c| c.covers(v, x) && c.shape_matches(&cur.bd))
-                .cloned()
-        } else {
-            None
-        };
-        let (bd, certs, recert_rounds, clean) =
-            self.redecompose_delta(&scratch, cur, &diff, cell.as_ref())?;
+        let (bd, certs, recert_rounds, clean) = self.redecompose_delta(&scratch, cur, &diff)?;
         self.store(scratch.n(), certs.clone());
-        retain_cells(&mut state.cells, &diff, &scratch);
         state.graph = scratch;
         state.current = Some(CurrentResult { bd, certs });
         Ok(if clean {
@@ -619,7 +575,6 @@ impl DecompositionSession {
         g: &Graph,
         prev: &CurrentResult,
         diff: &GraphDiff,
-        cell: Option<&StabilityCell>,
     ) -> Result<(BottleneckDecomposition, Vec<RoundCert>, usize, bool), BdError> {
         let mut certified: Vec<RoundCert> = Vec::new();
         let mut recert_rounds = 0usize;
@@ -639,7 +594,6 @@ impl DecompositionSession {
             // the old certificates are usable as-is.
             let mut prefix_intact = true;
             let mut expected_alive = VertexSet::full(g.n());
-            let focus_x = cell.map(|c| g.weight(c.vertex).clone());
             drive(g, move |g, alive, round| {
                 if prefix_intact {
                     if round > 0 {
@@ -684,32 +638,14 @@ impl DecompositionSession {
                 sp.attr("round", || round.to_string());
                 local.record_warm_start();
                 let support = prev_certs.get(round).map(|rc| &rc.data.support);
-                let one = Rational::one();
-                let in_range = |a: &Rational| a.is_positive() && *a <= one;
-                let mut settled = None;
-                // A matching stability cell predicts this round's ratio
-                // outright. The certification flow adjudicates: a feasible
-                // flow with no tight set means the prediction undershot the
-                // optimum (a lying cell) and the exact candidate retries.
-                let predicted = cell
-                    .zip(focus_x.as_ref())
-                    .and_then(|(c, x)| c.alpha_curve(round)?.eval(x))
-                    .filter(in_range);
-                if let Some(alpha_hat) = predicted {
-                    sp.attr("cell", || "predicted".to_string());
-                    let c = certify(g, alive, round, nets, alpha_hat, support, "session")?;
-                    settled = (!c.b.is_empty()).then_some(c);
-                }
-                if settled.is_none() {
-                    // Exact candidate ratio of the previous bottleneck:
-                    // α(B_prev) ≥ α* always, so certification either
-                    // confirms it or the descent walks down from it.
-                    if let Some(alpha_hat) = g.alpha_ratio_in(&pair.b, alive).filter(in_range) {
-                        settled = Some(certify(
-                            g, alive, round, nets, alpha_hat, support, "session",
-                        )?);
-                    }
-                }
+                // Exact candidate ratio of the previous bottleneck:
+                // α(B_prev) ≥ α* always, so certification either confirms
+                // it or the descent walks down from it.
+                let settled = g
+                    .alpha_ratio_in(&pair.b, alive)
+                    .filter(|a| a.is_positive() && *a <= Rational::one())
+                    .map(|alpha_hat| certify(g, alive, round, nets, alpha_hat, support, "session"))
+                    .transpose()?;
                 let (b, alpha) = match settled {
                     Some(c) if c.first_try => {
                         sp.attr("path", || "delta_recert".to_string());
@@ -745,13 +681,13 @@ impl DecompositionSession {
     /// Warm-decompose an arbitrary instance on this session's arenas and
     /// shape cache. Bit-identical to [`decompose`](crate::decompose).
     ///
-    /// **Deprecated re-entry shim.** This predates the owned-instance delta
-    /// API: prefer constructing the session over the instance
-    /// ([`DecompositionSession::new`]) and streaming [`Delta`]s through
-    /// [`apply`](Self::apply), which replays/recertifies instead of
-    /// re-solving. `decompose` neither reads nor updates the session's delta
-    /// state; it is kept because the deviation sweep and the Sybil grids
-    /// legitimately decompose many *unrelated* instances through one arena.
+    /// The entry point for many *unrelated* instances: the deviation sweep
+    /// and the Sybil split tables decompose every sample through it, one
+    /// session per worker. It neither reads nor updates the owned instance;
+    /// to serve a stream of mutations of one instance, construct the
+    /// session over it ([`DecompositionSession::new`]) and stream [`Delta`]s
+    /// through [`apply`](Self::apply), which replays or recertifies rounds
+    /// instead of re-solving them.
     pub fn decompose(&mut self, g: &Graph) -> Result<BottleneckDecomposition, BdError> {
         let (bd, certs) = self.run_decompose(g, false)?;
         self.store(g.n(), certs);
@@ -832,21 +768,6 @@ fn apply_delta_ops(g: &mut Graph, delta: &Delta) -> Result<(), BdError> {
             }
             Ok(())
         }
-    }
-}
-
-/// Cell-cache invalidation on commit (`DESIGN.md` §3.3): a committed diff
-/// keeps only the cells it provably does not disturb — a pure single-weight
-/// move of the cell's own focus vertex, landing inside the cell's certified
-/// interval. Any edge churn or any other vertex's weight move invalidates
-/// every cell.
-fn retain_cells(cells: &mut Vec<StabilityCell>, diff: &GraphDiff, g: &Graph) {
-    if diff.added.is_empty() && diff.removed.is_empty() && diff.weights.len() == 1 {
-        let v = diff.weights[0];
-        let x = g.weight(v);
-        cells.retain(|c| c.covers(v, x));
-    } else {
-        cells.clear();
     }
 }
 
@@ -1029,7 +950,6 @@ fn snapshot_cert(
 mod tests {
     use super::*;
     use crate::decompose;
-    use crate::delta::CellMoebius;
     use prs_graph::builders;
     use prs_numeric::{int, ratio, Rational};
 
@@ -1147,13 +1067,6 @@ mod tests {
             Some(BdError::DetachedSession)
         );
         assert_eq!(session.graph(), None);
-        assert!(!session.install_cell(StabilityCell {
-            vertex: 0,
-            lo: int(1),
-            hi: int(2),
-            shape: vec![],
-            alphas: vec![],
-        }));
         // Attaching an instance turns the delta API on.
         session.replace_instance(path_graph(int(2)));
         assert!(session.current().is_ok());
@@ -1244,6 +1157,20 @@ mod tests {
     }
 
     #[test]
+    fn weight_move_inside_its_shape_interval_is_recertified() {
+        // Agent 0 of the ring (6, 2, 4, 3, 5) keeps its shape for weights in
+        // (4, 6] (the misreport sweep's one breakpoint is 4), so at weight 5
+        // every previous bottleneck's exact ratio certifies on the first try.
+        let g = builders::ring(vec![int(6), int(2), int(4), int(3), int(5)]).unwrap();
+        let mut session = DecompositionSession::new(g);
+        session.current().unwrap();
+        let out = session.update_weight(0, int(5)).unwrap();
+        assert!(matches!(out, UpdateOutcome::Recertified { .. }), "{out:?}");
+        let committed = session.graph().unwrap().clone();
+        assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());
+    }
+
+    #[test]
     fn edge_churn_matches_cold() {
         let g = builders::ring(vec![int(3), int(5), int(7), int(2)]).unwrap();
         let mut session = DecompositionSession::new(g);
@@ -1303,70 +1230,6 @@ mod tests {
         assert_eq!(*session.current().unwrap(), before);
         // And it still accepts good deltas afterwards.
         assert!(session.update_weight(0, int(4)).is_ok());
-        let committed = session.graph().unwrap().clone();
-        assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());
-    }
-
-    #[test]
-    fn stability_cells_install_and_invalidate() {
-        let g = path_graph(int(5));
-        let mut session = DecompositionSession::new(g);
-        let shape = session.current().unwrap().shape();
-        let alphas = session
-            .current()
-            .unwrap()
-            .pairs()
-            .iter()
-            .map(|p| CellMoebius {
-                p: Rational::zero(),
-                q: p.alpha.clone(),
-                r: Rational::zero(),
-                s: Rational::one(),
-            })
-            .collect::<Vec<_>>();
-        assert!(session.install_cell(StabilityCell {
-            vertex: 0,
-            lo: int(4),
-            hi: int(6),
-            shape,
-            alphas,
-        }));
-        assert_eq!(session.cell_count(), 1);
-        // A move inside the cell keeps it installed…
-        session.update_weight(0, int(6)).unwrap();
-        assert_eq!(session.cell_count(), 1);
-        let committed = session.graph().unwrap().clone();
-        assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());
-        // …a move outside (or any other mutation) invalidates.
-        session.update_weight(0, int(40)).unwrap();
-        assert_eq!(session.cell_count(), 0);
-        let committed = session.graph().unwrap().clone();
-        assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());
-    }
-
-    #[test]
-    fn lying_cell_cannot_change_results() {
-        let g = path_graph(int(5));
-        let mut session = DecompositionSession::new(g);
-        let shape = session.current().unwrap().shape();
-        let k = shape.len();
-        // A cell that predicts an absurdly low constant α for every round.
-        let alphas = (0..k)
-            .map(|_| CellMoebius {
-                p: Rational::zero(),
-                q: Rational::one(),
-                r: Rational::zero(),
-                s: int(1000),
-            })
-            .collect::<Vec<_>>();
-        session.install_cell(StabilityCell {
-            vertex: 0,
-            lo: int(1),
-            hi: int(100),
-            shape,
-            alphas,
-        });
-        session.update_weight(0, int(6)).unwrap();
         let committed = session.graph().unwrap().clone();
         assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());
     }

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment harness and the Criterion benches.
+//! Shared helpers for the experiment harness.
 
 use prs_core::graph::{builders, random, Graph};
 use prs_core::numeric::Rational;

@@ -68,7 +68,13 @@ pub fn cmd_dynamics(g: &Graph, eps: f64, out: &mut dyn Write) -> std::io::Result
         }
     };
     let target: Vec<f64> = bd.utilities(g).iter().map(|u| u.to_f64()).collect();
-    let mut swarm = SoaSwarm::new(g);
+    let mut swarm = match SoaSwarm::try_new(g) {
+        Ok(swarm) => swarm,
+        Err(e) => {
+            writeln!(out, "error: {e}")?;
+            return Ok(());
+        }
+    };
     let rep = run_until_close(&mut swarm, &target, eps, 2_000_000);
     writeln!(
         out,
@@ -1339,6 +1345,25 @@ mod tests {
             out.contains("error: positive weight of agent 2 underflows"),
             "{out}"
         );
+    }
+
+    #[test]
+    fn dynamics_rejects_weights_without_a_usable_f64_capacity() {
+        let huge: Rational = format!("1{}", "0".repeat(400)).parse().unwrap();
+        let g = builders::ring(vec![huge.clone(), int(1), int(4), int(1), int(5)]).unwrap();
+        let out = capture(|w| cmd_dynamics(&g, 1e-9, w));
+        assert!(
+            out.contains("error: weight of agent 0 has no finite f64 capacity"),
+            "{out}"
+        );
+        assert!(!out.contains("converged"), "{out}");
+        let g = builders::ring(vec![int(1), int(2), huge.recip()]).unwrap();
+        let out = capture(|w| cmd_dynamics(&g, 1e-9, w));
+        assert!(
+            out.contains("error: positive weight of agent 2 underflows"),
+            "{out}"
+        );
+        assert!(!out.contains("converged"), "{out}");
     }
 
     #[test]

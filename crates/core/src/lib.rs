@@ -53,12 +53,12 @@ pub mod prelude {
     pub use crate::parse::parse_instance;
     pub use prs_bd::{
         allocate, decompose, decompose_exact, AgentClass, Allocation, BdError,
-        BottleneckDecomposition, CellMoebius, DecompositionSession, Delta, EdgeOp, SessionConfig,
-        SessionPool, SessionStats, StabilityCell, UpdateOutcome,
+        BottleneckDecomposition, DecompositionSession, Delta, EdgeOp, SessionConfig, SessionPool,
+        SessionStats, UpdateOutcome,
     };
     pub use prs_deviation::{
-        classify_prop11, stability_cells, sweep, AlphaSample, GraphFamily, MisreportFamily,
-        Prop11Case, ShapeInterval, SweepConfig, SweepResult,
+        classify_prop11, sweep, AlphaSample, GraphFamily, MisreportFamily, Prop11Case,
+        ShapeInterval, SweepConfig, SweepResult,
     };
     pub use prs_dynamics::{run_until_close, ExactEngine};
     pub use prs_graph::{builders, Graph, GraphError, VertexId, VertexSet};

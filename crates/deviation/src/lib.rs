@@ -27,7 +27,6 @@ pub mod moebius;
 pub mod prop11;
 pub mod prop12;
 pub mod reference;
-pub mod stability;
 pub mod sweep;
 pub mod theorem10;
 
@@ -35,6 +34,5 @@ pub use family::{GraphFamily, MisreportFamily};
 pub use moebius::{pair_moebius, solve_breakpoint, Breakpoint, Moebius};
 pub use prop11::{classify_prop11, Prop11Case};
 pub use prop12::{classify_events, BreakpointEvent, EventKind};
-pub use stability::{interval_cell, stability_cells};
 pub use sweep::{sweep, AlphaSample, ShapeInterval, SweepConfig, SweepResult};
 pub use theorem10::{check_theorem10_monotonicity, Theorem10Report};

@@ -10,7 +10,7 @@
 //! decomposition; no floating point touches the combinatorics.
 
 use crate::family::GraphFamily;
-use crate::moebius::{measured, pair_moebius, solve_breakpoint, Breakpoint, Moebius};
+use crate::moebius::{pair_moebius, solve_breakpoint, Breakpoint, Moebius};
 use prs_bd::par::{worker_threads, SessionPool};
 use prs_bd::{AgentClass, BottleneckDecomposition, DecompositionSession, SessionConfig};
 use prs_graph::VertexId;
@@ -64,15 +64,8 @@ pub struct ShapeInterval {
     pub lo: Rational,
     /// Interval end, likewise.
     pub hi: Rational,
-    /// The first and last samples with this shape, where it was seen.
-    pub sampled: (Rational, Rational),
     /// The pair-membership shape shared by all samples in the interval.
     pub shape: Vec<(Vec<VertexId>, Vec<VertexId>)>,
-    /// `α`-ratios of the pairs measured at `lo` — at a solved breakpoint
-    /// of another shape, by that sample, for each pair's first `B` vertex.
-    pub alphas_lo: Vec<Rational>,
-    /// `α`-ratios of the pairs at `hi`, likewise.
-    pub alphas_hi: Vec<Rational>,
     /// Class of the focus vertex throughout the interval.
     pub focus_class: AgentClass,
     /// Each pair's exact Möbius α-model on the interval, in pair order.
@@ -234,20 +227,15 @@ fn assemble<F: GraphFamily>(
     let mut intervals: Vec<ShapeInterval> = Vec::new();
     let mut starts = Vec::new(); // each run's first sample index
     for (i, s) in samples.iter().enumerate() {
-        let (x, shape, alphas) = (&s.x, s.bd.shape(), measured(&s.bd));
+        let shape = s.bd.shape();
         match intervals.last_mut() {
-            Some(iv) if iv.shape == shape => {
-                (iv.hi, iv.sampled.1, iv.alphas_hi) = (x.clone(), x.clone(), alphas);
-            }
+            Some(iv) if iv.shape == shape => iv.hi = s.x.clone(),
             _ => {
                 starts.push(i);
                 intervals.push(ShapeInterval {
-                    lo: x.clone(),
-                    hi: x.clone(),
-                    sampled: (x.clone(), x.clone()),
+                    lo: s.x.clone(),
+                    hi: s.x.clone(),
                     shape,
-                    alphas_lo: alphas.clone(),
-                    alphas_hi: alphas,
                     focus_class: s.class,
                     models: pair_moebius(fam, s),
                 });
@@ -256,21 +244,16 @@ fn assemble<F: GraphFamily>(
     }
     let mut solved = Vec::new();
     for (k, &i) in starts.iter().enumerate().skip(1) {
-        let (last, first) = (&samples[i - 1], &samples[i]);
-        let root = roots.iter().find(|(l, f, _)| l == &last.x && f == &first.x);
-        if let Some((_, _, x)) = root {
-            let at = if x == &last.x { last } else { first };
-            let seen = |iv: &ShapeInterval| -> Vec<Rational> {
-                iv.shape
-                    .iter()
-                    .map(|(b, _)| at.bd.alpha_of(b[0]).clone())
-                    .collect()
-            };
-            let (left, right) = (seen(&intervals[k - 1]), seen(&intervals[k]));
-            (intervals[k - 1].hi, intervals[k - 1].alphas_hi) = (x.clone(), left);
-            (intervals[k].lo, intervals[k].alphas_lo) = (x.clone(), right);
+        let (last, first) = (&samples[i - 1].x, &samples[i].x);
+        let root = roots
+            .iter()
+            .find(|(l, f, _)| l == last && f == first)
+            .map(|(_, _, x)| x.clone());
+        if let Some(x) = &root {
+            intervals[k - 1].hi = x.clone();
+            intervals[k].lo = x.clone();
         }
-        solved.push(root.map(|(_, _, x)| x.clone()));
+        solved.push(root);
     }
     (intervals, solved)
 }

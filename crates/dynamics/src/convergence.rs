@@ -95,10 +95,19 @@ pub fn run_until_close(
 }
 
 /// Max-norm distance of `got` from `target`, relative to `1 + |target|`.
+/// A NaN term counts as infinite error: `f64::max` would drop it, and a NaN
+/// utility would then read as converged.
 pub(crate) fn error_vs(got: &[f64], target: &[f64]) -> f64 {
     got.iter()
         .zip(target)
-        .map(|(g, t)| (g - t).abs() / (1.0 + t.abs()))
+        .map(|(g, t)| {
+            let e = (g - t).abs() / (1.0 + t.abs());
+            if e.is_nan() {
+                f64::INFINITY
+            } else {
+                e
+            }
+        })
         .fold(0.0, f64::max)
 }
 
@@ -184,5 +193,15 @@ mod tests {
         let target = bd_targets(&g);
         let rep = run_until_close(&mut swarm, &target, 1e-9, 100_000);
         assert!(rep.converged, "{rep:?}");
+    }
+
+    #[test]
+    fn non_finite_capacity_never_converges() {
+        // Agent 0's weight 10^400 has an infinite f64 image, so the swarm's
+        // utilities turn NaN; a NaN must not read as zero error.
+        let g = builders::ring(vec![int(10).pow(400), int(1), int(4), int(1), int(5)]).unwrap();
+        let rep = run_until_close(&mut SoaSwarm::new(&g), &bd_targets(&g), 1e-9, 10);
+        assert!(!rep.converged, "{rep:?}");
+        assert!(!rep.final_error.is_finite(), "{rep:?}");
     }
 }

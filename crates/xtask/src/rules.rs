@@ -222,9 +222,10 @@ impl LintConfig {
             // module is carved back out via `float_boundary_exempt`.
             "crates/flow/src".to_string(),
             // The decomposition driver, the session replay/certify paths,
-            // the delta-mutation vocabulary (cells evaluate exact Möbius
-            // curves; a float anywhere here could skew an α̂), and the
-            // Rational oracle every one of them is tested against.
+            // the delta-mutation vocabulary (a `SetWeight` carries the exact
+            // weight every tier certifies against; a float here could skew
+            // it), and the Rational oracle every one of them is tested
+            // against.
             "crates/bd/src/decomposition.rs".to_string(),
             "crates/bd/src/session.rs".to_string(),
             "crates/bd/src/delta.rs".to_string(),

@@ -24,14 +24,14 @@ pub use prs_core::{Error, RingInstance};
 // The decomposition engine, session-first.
 pub use prs_core::bd::{
     allocate, decompose, decompose_exact, AgentClass, Allocation, BdError, BottleneckDecomposition,
-    BottleneckPair, CellMoebius, DecompositionSession, Delta, EdgeOp, SessionConfig, SessionPool,
-    SessionStats, StabilityCell, UpdateOutcome,
+    BottleneckPair, DecompositionSession, Delta, EdgeOp, SessionConfig, SessionPool, SessionStats,
+    UpdateOutcome,
 };
 
 // Misreport sweeps and Sybil attacks.
 pub use prs_core::deviation::{
-    classify_prop11, stability_cells, sweep, AlphaSample, GraphFamily, MisreportFamily, Prop11Case,
-    ShapeInterval, SweepConfig, SweepResult,
+    classify_prop11, sweep, AlphaSample, GraphFamily, MisreportFamily, Prop11Case, ShapeInterval,
+    SweepConfig, SweepResult,
 };
 pub use prs_core::sybil::{
     best_general_sybil, best_sybil_split, check_ring_theorem8, classify_initial_path, honest_split,

@@ -16,9 +16,9 @@ use prs::prelude::{
     AgentClass, Allocation, BdError, BottleneckDecomposition,
     DecompositionSession, SessionConfig, SessionPool, SessionStats,
     // Delta mutation API (ISSUE 7).
-    CellMoebius, Delta, EdgeOp, StabilityCell, UpdateOutcome,
+    Delta, EdgeOp, UpdateOutcome,
     // Misreport sweeps.
-    classify_prop11, stability_cells, sweep,
+    classify_prop11, sweep,
     AlphaSample, GraphFamily, MisreportFamily, Prop11Case, ShapeInterval,
     SweepConfig, SweepResult,
     // Dynamics: the exact engine and the convergence driver for SoaSwarm.
@@ -66,7 +66,6 @@ fn surface_is_importable_and_coherent() {
         run_until_close,
     );
     let _ = sweep::<MisreportFamily>;
-    let _ = stability_cells::<MisreportFamily>;
 
     // Type names must be type-typed (turbofish/`size_of` forces this).
     fn has_default<T: Default>() {}
@@ -196,7 +195,7 @@ fn prelude_alone_supports_the_delta_workflow() {
     let _ = session.update_weight(1, int(2)).unwrap();
     let _ = session.update_edge(0, 2, EdgeOp::Add).unwrap();
     // The tier vocabulary is part of the surface.
-    let _ = std::mem::size_of::<(Delta, UpdateOutcome, EdgeOp, StabilityCell, CellMoebius)>();
+    let _ = std::mem::size_of::<(Delta, UpdateOutcome, EdgeOp)>();
     match out {
         UpdateOutcome::Unchanged
         | UpdateOutcome::Recertified { rounds: _ }
