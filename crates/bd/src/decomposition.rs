@@ -37,6 +37,7 @@ use prs_flow::{stats, Cap, Capacity, EdgeId, Network, NetworkF64, SeedArc};
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::gcd::{lcm, lcm_u128};
 use prs_numeric::{BigInt, BigUint, Rational};
+use std::sync::Arc;
 
 /// Which side of its bottleneck pair an agent is on (Definition 4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -263,27 +264,41 @@ pub(crate) enum CertEngine {
     Int,
 }
 
-/// The arc ids of the current certification build. Both engines add arcs
-/// in the oracle's order, so the ids are valid for whichever engine built
-/// last.
-#[derive(Default)]
+/// A certification build's alive set and middle arcs
+/// `(v, u, edge left(v)→right(u))`, in the oracle's build order (both
+/// engines add arcs in it, so the ids hold on either). The certificates
+/// snapshotted off the build share it as their alive set and adjacency.
+#[derive(Clone, Default)]
 pub(crate) struct CertEdges {
-    /// Per alive vertex: `(v, source edge)`, in `alive` order.
-    source: Vec<(VertexId, EdgeId)>,
-    /// Per alive vertex: `(v, sink edge)`, in `alive` order.
-    sink: Vec<(VertexId, EdgeId)>,
-    /// The middle arcs `(v, u, edge left(v)→right(u))`, sorted
-    /// lexicographically by `(v, u)` (alive iteration is ascending and
-    /// neighbor lists are sorted). The session reads the certifying flow
-    /// off these arcs and seeds the next warm start from it.
-    pub(crate) mid: Vec<(VertexId, VertexId, EdgeId)>,
+    pub(crate) alive: VertexSet,
+    mid: Vec<(VertexId, VertexId, EdgeId)>,
 }
 
-/// One certification engine and the scratch its rounds reuse.
+impl CertEdges {
+    /// True iff `alive` and its induced adjacency in `g` are this build's.
+    pub(crate) fn matches(&self, g: &Graph, alive: &VertexSet) -> bool {
+        let mut mid = self.mid.iter();
+        self.alive == *alive
+            && alive.iter().all(|v| {
+                g.neighbors(v).iter().all(|&u| {
+                    !alive.contains(u) || mid.next().is_some_and(|m| (m.0, m.1) == (v, u))
+                })
+            })
+            && mid.next().is_none()
+    }
+}
+
+/// One certification build and the scratch its rounds reuse. Slot `i` (the
+/// `i`-th alive vertex, see `RoundNets::slot`) owns the source and sink arcs
+/// `ends[i]` and the middle arcs `edges.mid[mid_start[i]..mid_start[i + 1]]`,
+/// so a support arc resolves in O(degree).
 struct CertNet<C: Capacity> {
     net: Network<C>,
-    /// `(source, sink)` capacity per alive vertex, in `alive` order, at the
-    /// α the network was last built or re-parameterized for.
+    edges: Arc<CertEdges>,
+    ends: Vec<(EdgeId, EdgeId)>,
+    mid_start: Vec<usize>,
+    /// `(source, sink)` capacity per slot, at the α the network was last
+    /// built or re-parameterized for.
     caps: Vec<(C, C)>,
     /// The seed requests of the last warm start.
     seeds: Vec<SeedArc<C>>,
@@ -293,28 +308,37 @@ impl<C: Capacity> CertNet<C> {
     fn new(n_nodes: usize) -> Self {
         CertNet {
             net: Network::new(n_nodes),
+            edges: Arc::default(),
+            ends: Vec::new(),
+            mid_start: Vec::new(),
             caps: Vec::new(),
             seeds: Vec::new(),
         }
     }
 
     /// Build the certification arcs at `caps`, in the oracle's order, and
-    /// record their ids in `edges`.
-    fn build(&mut self, edges: &mut CertEdges, g: &Graph, alive: &VertexSet) {
+    /// record their ids (the shared part into a copy while a certificate
+    /// still holds the last build's).
+    fn build(&mut self, g: &Graph, alive: &VertexSet) {
         let layout = Layout { n: g.n() };
         self.net.clear(layout.nodes());
-        edges.source.clear();
-        edges.sink.clear();
+        let edges = Arc::make_mut(&mut self.edges);
+        edges.alive.clone_from(alive);
         edges.mid.clear();
+        self.ends.clear();
+        self.mid_start.clear();
+        // A session's build for a new round index starts empty: size once.
+        self.ends.reserve(self.caps.len());
+        self.mid_start.reserve(self.caps.len() + 1);
         for (v, (src, snk)) in alive.iter().zip(&self.caps) {
+            self.mid_start.push(edges.mid.len());
             let s = self
                 .net
                 .add_edge(Layout::S, layout.left(v), Cap::Finite(src.clone()));
             let e = self
                 .net
                 .add_edge(layout.right(v), Layout::T, Cap::Finite(snk.clone()));
-            edges.source.push((v, s));
-            edges.sink.push((v, e));
+            self.ends.push((s, e));
             for &u in g.neighbors(v) {
                 if alive.contains(u) {
                     let m = self
@@ -324,12 +348,12 @@ impl<C: Capacity> CertNet<C> {
                 }
             }
         }
+        self.mid_start.push(edges.mid.len());
     }
 
     /// Rewrite the source and sink arcs to `caps` and zero the flow.
-    fn set_caps(&mut self, edges: &CertEdges) {
-        for ((&(_, s), &(_, e)), (src, snk)) in edges.source.iter().zip(&edges.sink).zip(&self.caps)
-        {
+    fn set_caps(&mut self) {
+        for (&(s, e), (src, snk)) in self.ends.iter().zip(&self.caps) {
             self.net.set_capacity(s, Cap::Finite(src.clone()));
             self.net.set_capacity(e, Cap::Finite(snk.clone()));
         }
@@ -338,8 +362,8 @@ impl<C: Capacity> CertNet<C> {
 
     /// The feasibility test: the flow saturates every source arc, i.e. it
     /// equals `Σ w_v·D·p`.
-    fn saturated(&self, edges: &CertEdges) -> bool {
-        edges.source.iter().all(|&(_, e)| self.net.is_saturated(e))
+    fn saturated(&self) -> bool {
+        self.ends.iter().all(|&(s, _)| self.net.is_saturated(s))
     }
 
     /// Add a previous certifying flow onto the fresh build's zero flow:
@@ -350,29 +374,28 @@ impl<C: Capacity> CertNet<C> {
     /// the remaining capacity, installing a valid flow.
     fn seed<S>(
         &mut self,
-        edges: &CertEdges,
+        slot: &[usize],
         arcs: &[SupportArc<S>],
         rescale: impl Fn(&S, &C, &S) -> C,
     ) {
         self.seeds.clear();
+        let e = &*self.edges;
         for (v, u, f, c0) in arcs {
-            let Ok(mid) = edges
-                .mid
-                .binary_search_by(|probe| (probe.0, probe.1).cmp(&(*v, *u)))
+            if !e.alive.contains(*v) || !e.alive.contains(*u) {
+                continue;
+            }
+            let (sv, su) = (slot[*v], slot[*u]);
+            let Some(&(_, _, mid)) = e.mid[self.mid_start[sv]..self.mid_start[sv + 1]]
+                .iter()
+                .find(|m| m.1 == *u)
             else {
                 continue; // edge no longer present (different topology)
             };
-            let Ok(vpos) = edges.source.binary_search_by_key(v, |s| s.0) else {
-                continue;
-            };
-            let Ok(upos) = edges.sink.binary_search_by_key(u, |s| s.0) else {
-                continue;
-            };
             self.seeds.push(SeedArc {
-                source_edge: edges.source[vpos].1,
-                mid_edge: edges.mid[mid].2,
-                sink_edge: edges.sink[upos].1,
-                desired: rescale(f, &self.caps[vpos].0, c0),
+                source_edge: self.ends[sv].0,
+                mid_edge: mid,
+                sink_edge: self.ends[su].1,
+                desired: rescale(f, &self.caps[sv].0, c0),
             });
         }
         self.net.seed_flow(&self.seeds);
@@ -380,32 +403,79 @@ impl<C: Capacity> CertNet<C> {
         debug_assert!(self.net.check_conservation(Layout::S, Layout::T));
     }
 
-    /// The middle arcs carrying positive flow, as `(v, u, F, c₀)` in `mid`
+    /// The middle arcs carrying positive flow, as `(v, u, F, c₀)` in build
     /// order, in a Vec sized once.
-    fn support(&self, edges: &CertEdges) -> Vec<SupportArc<C>> {
-        let carries = |e: EdgeId| self.net.flow_on(e).is_positive();
-        let mut arcs = Vec::with_capacity(edges.mid.iter().filter(|m| carries(m.2)).count());
-        for &(v, u, e) in &edges.mid {
-            if !carries(e) {
-                continue;
-            }
-            if let Ok(vpos) = edges.source.binary_search_by_key(&v, |s| s.0) {
-                arcs.push((v, u, self.net.flow_on(e).clone(), self.caps[vpos].0.clone()));
+    fn support(&self) -> Vec<SupportArc<C>> {
+        let e = &*self.edges;
+        let carries = |j: &usize| self.net.flow_on(e.mid[*j].2).is_positive();
+        let mut arcs = Vec::with_capacity((0..e.mid.len()).filter(carries).count());
+        for (i, w) in self.mid_start.windows(2).enumerate() {
+            for (v, u, m) in (w[0]..w[1]).filter(carries).map(|j| e.mid[j]) {
+                arcs.push((v, u, self.net.flow_on(m).clone(), self.caps[i].0.clone()));
             }
         }
         arcs
     }
 }
 
+/// A candidate ratio `α(S)` of the entered round ([`RoundNets::ratio`]):
+/// the words `(w(Γ(S))·D, w(S)·D)`, or the `Rational` where they overflow.
+pub(crate) enum Ratio {
+    Words(u128, u128),
+    Exact(Rational),
+}
+
+impl Ratio {
+    /// `0 < α ≤ 1`, the range a certification candidate must lie in.
+    pub(crate) fn usable(&self) -> bool {
+        match self {
+            Ratio::Words(num, den) => 0 < *num && num <= den,
+            Ratio::Exact(a) => a.is_positive() && *a <= Rational::one(),
+        }
+    }
+
+    /// `self < other`, by checked cross-multiplication of the words, and
+    /// on `Rational`s where a product overflows: the same order either way.
+    pub(crate) fn below(&self, other: &Ratio) -> bool {
+        if let (Ratio::Words(a, b), Ratio::Words(c, d)) = (self, other) {
+            if let (Some(ad), Some(cb)) = (a.checked_mul(*d), c.checked_mul(*b)) {
+                return ad < cb;
+            }
+        }
+        self.to_rational() < other.to_rational()
+    }
+
+    pub(crate) fn to_rational(&self) -> Rational {
+        match self {
+            Ratio::Words(num, den) => {
+                Rational::new(BigInt::from(BigUint::from(*num)), BigUint::from(*den))
+            }
+            Ratio::Exact(a) => a.clone(),
+        }
+    }
+}
+
+/// A round's weights as its certificate keeps them: `D` and the words
+/// `w_v·D` in alive order, or the `Rational`s where the words overflowed.
+pub(crate) enum RoundWeights {
+    Words(u128, Vec<u128>),
+    Exact(Vec<Rational>),
+}
+
 /// The float proposal network and the scaled-integer certification
-/// networks of one decomposition round.
+/// networks of one decomposition.
 ///
-/// Rebuilt **in place** when the alive set changes (one `clear` per
-/// round and engine) and re-parameterized capacity-only between Dinkelbach
-/// steps — `set_capacity` over the α-dependent arcs plus `reset_flow`. The
-/// scaled weights, capacities and seed requests live in scratch buffers
-/// kept across rounds, so a warm round on the `i128` tier allocates only
-/// what it returns.
+/// [`RoundNets::enter`] starts a round: it computes the round's scaled
+/// weights once, for replay, the warm probe and certification. A session
+/// keeps one checked-`i128` build per round index: when a round's alive set
+/// and induced adjacency equal the kept build's, only the 2·|alive| source
+/// and sink capacities are rewritten — the arcs already stand in the
+/// oracle's order, so the network is the one a rebuild would make — and
+/// otherwise the build is redone in place. A one-shot `decompose` keeps one
+/// build for all rounds, and the BigInt twin is built only on promotion.
+/// Between Dinkelbach steps both are re-parameterized capacity-only, and
+/// capacities and seed requests live in scratch kept across rounds, so a
+/// warm round on the `i128` tier allocates only what it returns.
 ///
 /// Every certification capacity is multiplied by `p·D` (α = p/q in lowest
 /// terms, `D` the lcm of the alive weights' denominators): source arcs
@@ -419,33 +489,113 @@ pub(crate) struct RoundNets {
     /// Per alive vertex: `(f64 sink edge, w_v as f64)`, valid after
     /// [`RoundNets::rebuild_f64`].
     approx_sinks: Vec<(EdgeId, f64)>, // prs-lint: allow(float, reason = "the proposer's weight images")
-    /// The checked-`i128` fast tier.
-    exact_i128: CertNet<i128>,
+    /// The checked-`i128` builds, one per round index if `per_round`, and
+    /// the current round's, `kept[cur]`.
+    kept: Vec<CertNet<i128>>,
+    per_round: bool,
+    cur: usize,
     /// The BigInt fallback. Same arc order, hence the same `EdgeId`s.
     exact_int: CertNet<BigInt>,
     /// Which engine the last build or re-parameterization targeted.
     cert_engine: CertEngine,
-    /// True iff `D` and every `w_v·D` fit `u128`: the scaled weights are
-    /// then in `word_weights`, otherwise in `big_weights` (alive order).
-    words: bool,
-    word_weights: Vec<u128>,
+    /// The entered round's `D` when `D` and every `w_v·D` fit `u128`; the
+    /// words are then in `words`, else in `big_weights` (alive order).
+    d: Option<u128>,
+    words: Vec<u128>,
     big_weights: Vec<BigInt>,
-    /// The arc ids of the current certification build.
-    pub(crate) edges: CertEdges,
+    /// Per vertex: its slot, its position in the entered round's alive set
+    /// (meaningful for alive vertices only).
+    slot: Vec<usize>,
+    /// Per vertex: the stamp of the last word ratio that counted it in
+    /// `Γ(S)`, and the current stamp.
+    mark: Vec<u32>,
+    stamp: u32,
 }
 
 impl RoundNets {
-    pub(crate) fn new(n_nodes: usize) -> Self {
+    pub(crate) fn new(n_nodes: usize, per_round: bool) -> Self {
         RoundNets {
             approx: NetworkF64::new(n_nodes),
             approx_sinks: Vec::new(),
-            exact_i128: CertNet::new(n_nodes),
+            kept: vec![CertNet::new(n_nodes)],
+            per_round,
+            cur: 0,
             exact_int: CertNet::new(n_nodes),
             cert_engine: CertEngine::Int,
-            words: false,
-            word_weights: Vec::new(),
+            d: None,
+            words: Vec::new(),
             big_weights: Vec::new(),
-            edges: CertEdges::default(),
+            slot: Vec::new(),
+            mark: Vec::new(),
+            stamp: 0,
+        }
+    }
+
+    /// Start round `round` on `alive`: pick its build and compute the words
+    /// `w_v·D` and `D` that replay, the warm probe and certification read.
+    pub(crate) fn enter(&mut self, g: &Graph, alive: &VertexSet, round: usize) {
+        self.cur = if self.per_round { round } else { 0 };
+        self.d = word_weights(g, alive, &mut self.words);
+        self.slot.resize(g.n(), 0);
+        self.mark.resize(g.n(), 0);
+        for (i, v) in alive.iter().enumerate() {
+            self.slot[v] = i;
+        }
+    }
+
+    /// `α(S) = w(Γ(S) ∩ alive)/w(S)` for `S ⊆ alive` in the entered round,
+    /// `None` when `w(S) = 0`: two checked sums of the round's words, and
+    /// [`Graph::alpha_ratio_in`] only where they overflow.
+    pub(crate) fn ratio(&mut self, g: &Graph, alive: &VertexSet, s: &VertexSet) -> Option<Ratio> {
+        debug_assert!(s.is_subset(alive));
+        let sums = match self.d {
+            Some(_) => self.word_sums(g, alive, s),
+            None => None,
+        };
+        match sums {
+            Some((_, 0)) => None,
+            Some((num, den)) => Some(Ratio::Words(num, den)),
+            None => g.alpha_ratio_in(s, alive).map(Ratio::Exact),
+        }
+    }
+
+    /// `(w(Γ(S) ∩ alive)·D, w(S)·D)`, each vertex of `Γ(S)` counted once (a
+    /// stamp marks it); `None` when a sum overflows.
+    fn word_sums(&mut self, g: &Graph, alive: &VertexSet, s: &VertexSet) -> Option<(u128, u128)> {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.mark.fill(0);
+            self.stamp = 1;
+        }
+        let (mut num, mut den) = (0u128, 0u128);
+        for v in s.iter() {
+            den = den.checked_add(self.words[self.slot[v]])?;
+            for &u in g.neighbors(v) {
+                if alive.contains(u) && self.mark[u] != self.stamp {
+                    self.mark[u] = self.stamp;
+                    num = num.checked_add(self.words[self.slot[u]])?;
+                }
+            }
+        }
+        Some((num, den))
+    }
+
+    /// The entered round's weights, as a certificate keeps them.
+    pub(crate) fn weights(&self, g: &Graph, alive: &VertexSet) -> RoundWeights {
+        match self.d {
+            Some(d) => RoundWeights::Words(d, self.words.clone()),
+            None => RoundWeights::Exact(alive.iter().map(|v| g.weight(v).clone()).collect()),
+        }
+    }
+
+    /// True iff `w`, kept on the same alive set, are the entered round's
+    /// weights. Equal `(D, words)` mean equal weights (`w_v = (w_v·D)/D`),
+    /// and whether the words fit depends on the weights alone.
+    pub(crate) fn same_weights(&self, g: &Graph, alive: &VertexSet, w: &RoundWeights) -> bool {
+        match (self.d, w) {
+            (Some(d), RoundWeights::Words(d0, words)) => d == *d0 && self.words == *words,
+            (None, RoundWeights::Exact(ws)) => alive.iter().zip(ws).all(|(v, w)| g.weight(v) == w),
+            _ => false,
         }
     }
 
@@ -472,30 +622,43 @@ impl RoundNets {
         }
     }
 
-    /// Rebuild the scaled-integer certification network at `alpha = p/q`
-    /// on the engine its capacities fit. Uniform positive scaling preserves
-    /// the feasibility decision, min cuts, and residual reachability of the
-    /// rational network, so every set extracted here is bit-identical to
-    /// what the Rational oracle ([`decompose_exact`]) extracts at the same
-    /// `alpha`.
+    /// Set up the scaled-integer certification network at `alpha = p/q` on
+    /// the engine its capacities fit: the round index's kept build when its
+    /// topology matches, else a rebuild in place. Uniform positive scaling
+    /// preserves the feasibility decision, min cuts, and residual
+    /// reachability of the rational network, so every set extracted here is
+    /// bit-identical to what the Rational oracle ([`decompose_exact`])
+    /// extracts at the same `alpha`.
     fn rebuild_int(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
         debug_assert!(alpha.is_positive(), "bottleneck ratios are positive");
-        self.words = word_weights(g, alive, &mut self.word_weights).is_some();
-        if !self.words {
+        if self.d.is_none() {
             big_weights(g, alive, &mut self.big_weights);
         }
-        if self.admit_i128(alpha) {
-            self.cert_engine = CertEngine::I128;
-            reset_overflow();
-            self.exact_i128.build(&mut self.edges, g, alive);
-        } else {
-            // Build-time promotion: some p·D-scaled capacity (or an endpoint
-            // total) does not fit in i128 — go straight to BigInt.
-            stats::record_i128_promotions(1);
-            prs_trace::metrics::anomaly("i128_promotion_build");
-            self.cert_engine = CertEngine::Int;
-            self.exact_int.build(&mut self.edges, g, alive);
+        if self.kept.len() <= self.cur {
+            self.kept.resize_with(self.cur + 1, || CertNet::new(0));
         }
+        if !self.admit_i128(alpha) {
+            // Some p·D-scaled capacity (or an endpoint total) does not fit.
+            return self.promote(g, alive, "i128_promotion_build");
+        }
+        self.cert_engine = CertEngine::I128;
+        reset_overflow();
+        let kept = &mut self.kept[self.cur];
+        if kept.edges.matches(g, alive) {
+            stats::record_topology_reuses(1);
+            kept.set_caps();
+        } else {
+            kept.build(g, alive);
+        }
+    }
+
+    /// Move the round to the BigInt engine, whose capacities are in
+    /// `exact_int.caps`: its twin is built outright, in the same arc order.
+    fn promote(&mut self, g: &Graph, alive: &VertexSet, why: &'static str) {
+        stats::record_i128_promotions(1);
+        prs_trace::metrics::anomaly(why);
+        self.cert_engine = CertEngine::Int;
+        self.exact_int.build(g, alive);
     }
 
     /// Re-parameterize the integer network to `alpha = p'/q'`. Unlike the
@@ -507,39 +670,33 @@ impl RoundNets {
     fn set_alpha_int(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) {
         if self.cert_engine == CertEngine::Int {
             self.big_caps(alpha);
-            self.exact_int.set_caps(&self.edges);
+            self.exact_int.set_caps();
         } else if self.admit_i128(alpha) {
             reset_overflow();
-            self.exact_i128.set_caps(&self.edges);
+            self.kept[self.cur].set_caps();
         } else {
-            // Mid-descent promotion: the BigInt twin was never built this
-            // round, so construct it outright (same arc order → the
-            // recorded EdgeIds stay valid).
-            stats::record_i128_promotions(1);
-            prs_trace::metrics::anomaly("i128_promotion_descent");
-            self.cert_engine = CertEngine::Int;
-            self.exact_int.build(&mut self.edges, g, alive);
+            self.promote(g, alive, "i128_promotion_descent");
         }
     }
 
-    /// Compute the `i128` capacities at `alpha = p/q` into the fast tier's
-    /// scratch and report whether every capacity and both endpoint totals
-    /// fit — the admission test of the fast tier. Runs on words; on a word
-    /// overflow the capacities are recomputed in BigInt and narrowed, so the
-    /// answer is exactly "fits `i128`". On `false`, `exact_int.caps` holds
-    /// the BigInt capacities.
+    /// Compute the `i128` capacities at `alpha = p/q` into the current
+    /// build's scratch and report whether every capacity and both endpoint
+    /// totals fit — the admission test of the fast tier. Runs on words; on
+    /// a word overflow the capacities are recomputed in BigInt and narrowed,
+    /// so the answer is exactly "fits `i128`". On `false`, `exact_int.caps`
+    /// holds the BigInt capacities.
     fn admit_i128(&mut self, alpha: &Rational) -> bool {
         let fit = |c: u128| i128::try_from(c).ok();
-        if let (true, Some(p), Some(q)) = (
-            self.words,
+        if let (Some(_), Some(p), Some(q)) = (
+            self.d,
             alpha.numer().magnitude().to_u128(),
             alpha.denom().to_u128(),
         ) {
             let caps = self
-                .word_weights
+                .words
                 .iter()
                 .map(|&w| Some((fit(w.checked_mul(p)?)?, fit(w.checked_mul(q)?)?)));
-            if admit(caps, &mut self.exact_i128.caps).is_some() {
+            if admit(caps, &mut self.kept[self.cur].caps).is_some() {
                 return true;
             }
         }
@@ -549,7 +706,7 @@ impl RoundNets {
             .caps
             .iter()
             .map(|(s, k)| Some((s.to_i128()?, k.to_i128()?)));
-        admit(caps, &mut self.exact_i128.caps).is_some()
+        admit(caps, &mut self.kept[self.cur].caps).is_some()
     }
 
     /// The BigInt capacities `(w_v·D·p, w_v·D·q)` at `alpha = p/q`, into
@@ -558,8 +715,8 @@ impl RoundNets {
         let (p, q) = (alpha.numer(), BigInt::from(alpha.denom().clone()));
         let caps = &mut self.exact_int.caps;
         caps.clear();
-        if self.words {
-            caps.extend(self.word_weights.iter().map(|&w| {
+        if self.d.is_some() {
+            caps.extend(self.words.iter().map(|&w| {
                 let w = BigInt::from(BigUint::from(w));
                 (&w * p, &w * &q)
             }));
@@ -575,9 +732,10 @@ impl RoundNets {
     /// (the seed goes with the discarded network).
     fn cert_feasible(&mut self, g: &Graph, alive: &VertexSet, alpha: &Rational) -> bool {
         if self.cert_engine == CertEngine::I128 {
-            self.exact_i128.net.max_flow(Layout::S, Layout::T);
+            let kept = &mut self.kept[self.cur];
+            kept.net.max_flow(Layout::S, Layout::T);
             if !overflow_detected() {
-                return self.exact_i128.saturated(&self.edges);
+                return kept.saturated();
             }
             // The admission check bounds every partial sum by an endpoint
             // total that fits, so this is defense-in-depth rather than an
@@ -585,20 +743,17 @@ impl RoundNets {
             // argument staying true under refactors. (The poison flag
             // itself already tripped the flight recorder inside
             // `prs_flow`; this anomaly marks the promotion decision.)
-            stats::record_i128_promotions(1);
-            prs_trace::metrics::anomaly("i128_promotion_runtime");
             self.big_caps(alpha);
-            self.cert_engine = CertEngine::Int;
-            self.exact_int.build(&mut self.edges, g, alive);
+            self.promote(g, alive, "i128_promotion_runtime");
         }
         self.exact_int.net.max_flow(Layout::S, Layout::T);
-        self.exact_int.saturated(&self.edges)
+        self.exact_int.saturated()
     }
 
     /// Engine-dispatched [`prs_flow::Network::residual_reaches_sink`].
     fn cert_residual_reaches_sink(&self) -> Vec<bool> {
         match self.cert_engine {
-            CertEngine::I128 => self.exact_i128.net.residual_reaches_sink(Layout::T),
+            CertEngine::I128 => self.kept[self.cur].net.residual_reaches_sink(Layout::T),
             CertEngine::Int => self.exact_int.net.residual_reaches_sink(Layout::T),
         }
     }
@@ -606,16 +761,23 @@ impl RoundNets {
     /// Engine-dispatched [`prs_flow::Network::min_cut_source_side`].
     fn cert_min_cut_source_side(&self) -> Vec<bool> {
         match self.cert_engine {
-            CertEngine::I128 => self.exact_i128.net.min_cut_source_side(Layout::S),
+            CertEngine::I128 => self.kept[self.cur].net.min_cut_source_side(Layout::S),
             CertEngine::Int => self.exact_int.net.min_cut_source_side(Layout::S),
         }
     }
 
-    /// The certifying flow of the active engine, kept in its width.
-    pub(crate) fn support(&self) -> Support {
+    /// The certifying flow of the active engine, in its width, and the
+    /// build it ran on, shared.
+    pub(crate) fn support(&self) -> (Support, Arc<CertEdges>) {
         match self.cert_engine {
-            CertEngine::I128 => Support::I128(self.exact_i128.support(&self.edges)),
-            CertEngine::Int => Support::Int(self.exact_int.support(&self.edges)),
+            CertEngine::I128 => {
+                let kept = &self.kept[self.cur];
+                (Support::I128(kept.support()), Arc::clone(&kept.edges))
+            }
+            CertEngine::Int => (
+                Support::Int(self.exact_int.support()),
+                Arc::clone(&self.exact_int.edges),
+            ),
         }
     }
 
@@ -631,27 +793,25 @@ impl RoundNets {
     /// completes **any** valid flow to a maximum flow, so seeding changes
     /// only how many augmenting paths are needed, never the result.
     fn seed_from_support(&mut self, support: &Support) {
-        let edges = &self.edges;
+        let (kept, slot) = (&mut self.kept[self.cur], &self.slot);
         match (self.cert_engine, support) {
             (CertEngine::I128, Support::I128(arcs)) => {
-                self.exact_i128
-                    .seed(edges, arcs, |f, c, c0| rescale_i128(*f, *c, *c0))
+                kept.seed(slot, arcs, |f, c, c0| rescale_i128(*f, *c, *c0))
             }
             (CertEngine::I128, Support::Int(arcs)) => {
-                self.exact_i128
-                    .seed(edges, arcs, |f, c, c0| match (f.to_i128(), c0.to_i128()) {
-                        (Some(f), Some(c0)) => rescale_i128(f, *c, c0),
-                        _ => rescale_big(f, &BigInt::from(*c), c0)
-                            .to_i128()
-                            .unwrap_or(*c),
-                    })
+                kept.seed(slot, arcs, |f, c, c0| match (f.to_i128(), c0.to_i128()) {
+                    (Some(f), Some(c0)) => rescale_i128(f, *c, c0),
+                    _ => rescale_big(f, &BigInt::from(*c), c0)
+                        .to_i128()
+                        .unwrap_or(*c),
+                })
             }
             (CertEngine::Int, Support::I128(arcs)) => {
-                self.exact_int.seed(edges, arcs, |f, c, c0| {
+                self.exact_int.seed(slot, arcs, |f, c, c0| {
                     rescale_big(&BigInt::from(*f), c, &BigInt::from(*c0))
                 })
             }
-            (CertEngine::Int, Support::Int(arcs)) => self.exact_int.seed(edges, arcs, rescale_big),
+            (CertEngine::Int, Support::Int(arcs)) => self.exact_int.seed(slot, arcs, rescale_big),
         }
     }
 
@@ -665,25 +825,27 @@ impl RoundNets {
     }
 }
 
-/// `w_v·D` per alive vertex in machine words, `D` the lcm of the alive
-/// weights' denominators; `None` when `D` or a product does not fit `u128`.
-fn word_weights(g: &Graph, alive: &VertexSet, out: &mut Vec<u128>) -> Option<()> {
+/// `D`, the lcm of the alive weights' denominators, with `w_v·D` per alive
+/// vertex in `out` (alive order); `None` when `D` or a product does not fit
+/// `u128`. A weight whose denominator is 1 costs no division.
+fn word_weights(g: &Graph, alive: &VertexSet, out: &mut Vec<u128>) -> Option<u128> {
     out.clear();
     let mut d = 1;
-    for v in alive.iter() {
-        d = lcm_u128(d, g.weight(v).denom().to_u128()?)?;
+    for den in alive.iter().map(|v| g.weight(v).denom()) {
+        if !den.is_one() {
+            d = lcm_u128(d, den.to_u128()?)?;
+        }
     }
-    for v in alive.iter() {
-        let w = g.weight(v);
+    for w in alive.iter().map(|v| g.weight(v)) {
         // w_v·D is integral because denom(w_v) divides D.
-        out.push(
-            w.numer()
-                .magnitude()
-                .to_u128()?
-                .checked_mul(d / w.denom().to_u128()?)?,
-        );
+        let unit = if w.denom().is_one() {
+            d
+        } else {
+            d / w.denom().to_u128()?
+        };
+        out.push(w.numer().magnitude().to_u128()?.checked_mul(unit)?);
     }
-    Some(())
+    Some(d)
 }
 
 /// [`word_weights`] in BigInt, for an alive set whose words overflow.
@@ -707,6 +869,7 @@ fn admit(
     out: &mut Vec<(i128, i128)>,
 ) -> Option<()> {
     out.clear();
+    out.reserve(caps.size_hint().0);
     let (mut src_total, mut snk_total) = (0i128, 0i128);
     for cap in caps {
         let (src, snk) = cap?;
@@ -719,8 +882,15 @@ fn admit(
 
 /// `⌊f·c/c₀⌋` in words, through BigInt only when `f·c` overflows. A
 /// support arc's flow never exceeds its source capacity (`f ≤ c₀`), so the
-/// quotient is at most `c` and narrows back.
+/// quotient is at most `c` and narrows back. It is `f` when `c = c₀`, and
+/// `c` when the arc carried all of v's supply (`f = c₀`): no division.
 fn rescale_i128(f: i128, c: i128, c0: i128) -> i128 {
+    if c == c0 {
+        return f;
+    }
+    if f == c0 {
+        return c;
+    }
     match f.checked_mul(c) {
         Some(fc) => fc / c0,
         None => rescale_big(&BigInt::from(f), &BigInt::from(c), &BigInt::from(c0))
@@ -810,9 +980,10 @@ pub(crate) type SupportArc<C> = (VertexId, VertexId, C, C);
 
 /// A certifying flow kept to seed a later round (see
 /// `RoundNets::seed_from_support`): the middle arcs that carried positive
-/// flow, in `mid` order, in the width of the engine that certified them.
+/// flow, in build order, in the width of the engine that certified them.
 /// `F/c₀` is the share of v's supply the arc carried, so no weight or scale
 /// is stored beside them.
+#[derive(Debug, PartialEq)]
 pub(crate) enum Support {
     /// Certified on the checked-`i128` tier.
     I128(Vec<SupportArc<i128>>),
@@ -846,7 +1017,8 @@ pub(crate) struct Certified {
 ///   if it had started there.
 ///
 /// Every caller passes `α̂ = α(S)` of a real set `S`, so the tight set
-/// returned is never empty.
+/// returned is never empty. The caller has entered the round
+/// ([`RoundNets::enter`]), so each descent step's `α(S)` is a word ratio.
 pub(crate) fn certify(
     g: &Graph,
     alive: &VertexSet,
@@ -897,9 +1069,10 @@ pub(crate) fn certify(
             }
         }
         // prs-lint: allow(panic, reason = "the s-side of an infeasible cut contains a source arc, hence positive weight; failure is a solver bug")
-        let new_alpha = g
-            .alpha_ratio_in(&s_set, alive)
-            .expect("violating sets have positive weight");
+        let new_alpha = nets
+            .ratio(g, alive, &s_set)
+            .expect("violating sets have positive weight")
+            .to_rational();
         if new_alpha.is_zero() {
             return Err(BdError::ZeroAlpha { round });
         }
@@ -927,17 +1100,19 @@ pub(crate) fn maximal_bottleneck(
     nets: &mut RoundNets,
 ) -> Result<(VertexSet, Rational), BdError> {
     // prs-lint: allow(panic, reason = "decompose() rejects zero-weight alive sets before every round, so the ratio is defined")
-    let alpha0 = g
-        .alpha_ratio_in(alive, alive)
-        .expect("w(alive) > 0 checked by caller");
+    let alpha0 = nets
+        .ratio(g, alive, alive)
+        .expect("w(alive) > 0 checked by caller")
+        .to_rational();
     if alpha0.is_zero() {
         return Err(BdError::ZeroAlpha { round });
     }
     // Tier 1: float proposal, adopted only when its exact ratio is a valid
     // descent seed (0 < α̂ ≤ 1; anything else keeps α₀).
     let proposal = propose_f64(g, alive, &alpha0, nets)
-        .and_then(|candidate| g.alpha_ratio_in(&candidate, alive))
-        .filter(|a| a.is_positive() && *a <= Rational::one());
+        .and_then(|candidate| nets.ratio(g, alive, &candidate))
+        .filter(Ratio::usable)
+        .map(|a| a.to_rational());
     let proposed = proposal.is_some();
     // Tier 2: exact certification / descent.
     let c = certify(
@@ -971,8 +1146,9 @@ pub(crate) fn maximal_bottleneck(
 /// empty graphs, subgraphs whose minimum α-ratio is 0 (isolated
 /// positive-weight agents), or residues of total weight 0.
 pub fn decompose(g: &Graph) -> Result<BottleneckDecomposition, BdError> {
-    let mut nets = RoundNets::new(2 + 2 * g.n().max(1));
+    let mut nets = RoundNets::new(2 + 2 * g.n().max(1), false);
     drive(g, |g, alive, round| {
+        nets.enter(g, alive, round);
         maximal_bottleneck(g, alive, round, &mut nets)
     })
 }

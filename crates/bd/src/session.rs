@@ -20,19 +20,12 @@
 //!    `(B, α)` verbatim, zero flow work. This dominates inside a sweep:
 //!    only one weight moves per grid point, so every round solved after the
 //!    moving vertex is peeled is an exact replay of the cached tail.
-//! 2. **Warm certification** — otherwise compute `α̂ = α(B_cached)` (one
-//!    exact ratio) and certify it with a single max-flow on a
-//!    **scaled-integer network**: every capacity is multiplied by `p·D`
-//!    (`α̂ = p/q` in lowest terms, `D` the lcm of the alive weights'
-//!    denominators), so source arcs carry `(w_v·D)·p` and sink arcs
-//!    `(w_v·D)·q` — all integers, turning each Dinic step from a
-//!    gcd-normalized rational operation into plain integer arithmetic, in
-//!    checked `i128` words unless a capacity outgrows them. The cached
-//!    certifying flow stays in the units and width it was certified in:
-//!    each arc's flow `F` beside the capacity `c₀` of its source arc. It
-//!    pre-seeds the network with `⌊F·c/c₀⌋` for the current source
-//!    capacity `c`, so inside a known `ShapeInterval` the flow is (nearly)
-//!    maximal before the first BFS.
+//! 2. **Warm certification** — otherwise the cached candidate with the
+//!    smallest ratio `α̂ = α(B_cached)`, ranked in the round's scaled-integer
+//!    words, is certified by one max-flow on the round's scaled-integer
+//!    network (see `RoundNets`), pre-seeded with the cached certifying flow
+//!    rescaled to the current capacities, so inside a known `ShapeInterval`
+//!    the flow is (nearly) maximal before the first BFS.
 //! 3. **Descent** — at a breakpoint the certification is infeasible and the
 //!    exact Dinkelbach descent resumes from the min cut (still on the
 //!    integer network); with no usable candidate at all, the cold round's
@@ -73,13 +66,15 @@
 //! enforce this against cold [`decompose`](crate::decompose) calls.
 
 use crate::decomposition::{
-    certify, drive, maximal_bottleneck, AgentClass, BottleneckDecomposition, RoundNets, Support,
+    certify, drive, maximal_bottleneck, AgentClass, BottleneckDecomposition, CertEdges, Ratio,
+    RoundNets, RoundWeights, Support,
 };
 use crate::delta::{Delta, EdgeOp, UpdateOutcome};
 use crate::error::BdError;
 use prs_flow::stats;
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::Rational;
+use std::sync::Arc;
 
 /// How many MRU cache entries a warm-start probe inspects per round.
 /// Sweeps alternate between at most two shapes near a breakpoint (the
@@ -167,17 +162,18 @@ struct RoundCert {
     alpha: Rational,
     /// The certification context, shared so replaying a cached round into a
     /// fresh cache entry is a pointer bump, not a deep copy.
-    data: std::sync::Arc<CertData>,
+    data: Arc<CertData>,
 }
 
 /// The inputs and certificate of one solved round.
 struct CertData {
-    /// The alive set the round was solved on.
-    alive: VertexSet,
-    /// `w_v` for each alive `v`, in `alive` iteration order.
-    weights: Vec<Rational>,
-    /// The alive-induced adjacency `(v, u)` pairs, in network build order.
-    adj: Vec<(VertexId, VertexId)>,
+    /// The alive set and alive-induced adjacency the round was solved on:
+    /// the build that certified it, shared.
+    edges: Arc<CertEdges>,
+    /// The round's weights: `D` and the words `w_v·D`, or the `Rational`s
+    /// where the words overflowed. Replay compares them with the current
+    /// round's, which is exact (see `RoundNets::same_weights`).
+    weights: RoundWeights,
     /// The certifying max-flow's middle arcs carrying positive flow, as
     /// flows `F` beside their source arcs' capacities `c₀`. A later warm
     /// start seeds the arc `left(v)→right(u)` with `⌊F·c/c₀⌋`, where `c` is
@@ -371,7 +367,7 @@ impl DecompositionSession {
     pub fn detached_with_config(cfg: SessionConfig) -> Self {
         DecompositionSession {
             cfg,
-            nets: RoundNets::new(0),
+            nets: RoundNets::new(0, true),
             cache: Vec::new(),
             local: SessionStats::default(),
             delta: None,
@@ -637,14 +633,15 @@ impl DecompositionSession {
                 let mut sp = prs_trace::span("bd", "session_round");
                 sp.attr("round", || round.to_string());
                 local.record_warm_start();
+                nets.enter(g, alive, round);
                 let support = prev_certs.get(round).map(|rc| &rc.data.support);
-                // Exact candidate ratio of the previous bottleneck:
+                // Candidate ratio of the previous bottleneck, in words:
                 // α(B_prev) ≥ α* always, so certification either confirms
                 // it or the descent walks down from it.
-                let settled = g
-                    .alpha_ratio_in(&pair.b, alive)
-                    .filter(|a| a.is_positive() && *a <= Rational::one())
-                    .map(|alpha_hat| certify(g, alive, round, nets, alpha_hat, support, "session"))
+                let settled = nets
+                    .ratio(g, alive, &pair.b)
+                    .filter(Ratio::usable)
+                    .map(|a| certify(g, alive, round, nets, a.to_rational(), support, "session"))
                     .transpose()?;
                 let (b, alpha) = match settled {
                     Some(c) if c.first_try => {
@@ -799,7 +796,8 @@ fn solve_round_warm(
     // round: `replay`, `warm_hit`, `warm_descent`, or `cold`.
     let mut sp = prs_trace::span("bd", "session_round");
     sp.attr("round", || round.to_string());
-    if let Some(rc) = replay_candidate(g, alive, round, cache) {
+    nets.enter(g, alive, round);
+    if let Some(rc) = replay_candidate(g, alive, round, cache, nets) {
         sp.attr("path", || "replay".to_string());
         local.record_round(true);
         local.record_warm_start();
@@ -808,7 +806,7 @@ fn solve_round_warm(
         }
         return Ok((rc.b.clone(), rc.alpha.clone()));
     }
-    let (b, alpha) = match best_warm_candidate(g, alive, round, cache) {
+    let (b, alpha) = match best_warm_candidate(g, alive, round, cache, nets) {
         Some((alpha_hat, idx)) => {
             local.record_warm_start();
             let support = &cache[idx].rounds[round].data.support;
@@ -838,6 +836,7 @@ fn solve_round_warm(
 /// the alive-induced adjacency — equal the current round's. The round
 /// solver is a pure function of those inputs, so its certified `(B, α)`
 /// replays verbatim: no network rebuild, no ratio computation, no flow.
+/// The weights compare as the entered round's words.
 ///
 /// This is the dominant path inside a sweep: only one vertex's weight moves
 /// per grid point, so every round solved after that vertex is peeled is an
@@ -847,55 +846,35 @@ fn replay_candidate<'a>(
     alive: &VertexSet,
     round: usize,
     cache: &'a [ShapeEntry],
+    nets: &RoundNets,
 ) -> Option<&'a RoundCert> {
-    for entry in cache.iter().take(PROBE_WINDOW) {
-        if entry.n != g.n() || round >= entry.rounds.len() {
-            continue;
-        }
-        let data = &entry.rounds[round].data;
-        if data.alive != *alive {
-            continue;
-        }
-        if !alive
-            .iter()
-            .zip(&data.weights)
-            .all(|(v, w)| g.weight(v) == w)
-        {
-            continue;
-        }
-        // Same alive set and weights; confirm the induced adjacency (the
-        // session accepts arbitrary graphs, not just one weight family).
-        let mut cached_adj = data.adj.iter();
-        let mut same = true;
-        'topo: for v in alive.iter() {
-            for &u in g.neighbors(v) {
-                if alive.contains(u) && cached_adj.next() != Some(&(v, u)) {
-                    same = false;
-                    break 'topo;
-                }
-            }
-        }
-        if same && cached_adj.next().is_none() {
-            return Some(&entry.rounds[round]);
-        }
-    }
-    None
+    cache
+        .iter()
+        .take(PROBE_WINDOW)
+        .filter(|entry| entry.n == g.n())
+        .filter_map(|entry| entry.rounds.get(round))
+        .find(|rc| {
+            rc.data.edges.alive == *alive
+                && nets.same_weights(g, alive, &rc.data.weights)
+                && rc.data.edges.matches(g, alive)
+        })
 }
 
 /// Probe the MRU front of the cache for this round's best warm seed: the
-/// candidate set with the smallest exact α-ratio among usable entries
+/// candidate set with the smallest α-ratio among usable entries
 /// (`0 < α̂ ≤ 1`, candidate alive), together with the cache index it came
 /// from (its certifying flow pattern seeds the max-flow). Smaller seeds
 /// dominate: `α(S) ≥ α*` always, so the smallest available ratio is the one
-/// closest to the optimum.
+/// closest to the optimum. Candidates rank in words, the earlier entry
+/// winning a tie, and only the winner becomes a `Rational`.
 fn best_warm_candidate(
     g: &Graph,
     alive: &VertexSet,
     round: usize,
     cache: &[ShapeEntry],
+    nets: &mut RoundNets,
 ) -> Option<(Rational, usize)> {
-    let one = Rational::one();
-    let mut best: Option<(Rational, usize)> = None;
+    let mut best: Option<(Ratio, usize)> = None;
     for (idx, entry) in cache.iter().take(PROBE_WINDOW).enumerate() {
         if entry.n != g.n() || round >= entry.rounds.len() {
             continue;
@@ -904,25 +883,23 @@ fn best_warm_candidate(
         if cand.is_empty() || !cand.is_subset(alive) {
             continue;
         }
-        let Some(alpha_hat) = g.alpha_ratio_in(cand, alive) else {
+        let Some(alpha_hat) = nets.ratio(g, alive, cand).filter(Ratio::usable) else {
             continue;
         };
-        if !alpha_hat.is_positive() || alpha_hat > one {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(b, _)| alpha_hat < *b) {
+        if best.as_ref().is_none_or(|(b, _)| alpha_hat.below(b)) {
             best = Some((alpha_hat, idx));
         }
     }
-    best
+    best.map(|(a, idx)| (a.to_rational(), idx))
 }
 
 /// Snapshot a freshly certified round into a [`RoundCert`]: the answer,
-/// the inputs it was solved on, and the certifying max-flow's middle-arc
-/// pattern. Each support arc keeps its flow `F` and its source arc's
-/// capacity `c₀` as read off whichever engine (checked `i128` or BigInt)
-/// settled the round, in that engine's width; `seed_from_support` rescales
-/// them for whichever engine certifies next time.
+/// the round's words, the topology of the build that certified it
+/// (shared, not copied), and the certifying max-flow's middle-arc pattern.
+/// Each support arc keeps its flow `F` and its source arc's capacity `c₀`
+/// as read off whichever engine (checked `i128` or BigInt) settled the
+/// round, in that engine's width; `seed_from_support` rescales them for
+/// whichever engine certifies next time.
 fn snapshot_cert(
     nets: &RoundNets,
     g: &Graph,
@@ -930,18 +907,14 @@ fn snapshot_cert(
     b: &VertexSet,
     alpha: &Rational,
 ) -> RoundCert {
-    let mut weights = Vec::with_capacity(alive.len());
-    for v in alive.iter() {
-        weights.push(g.weight(v).clone());
-    }
+    let (support, edges) = nets.support();
     RoundCert {
         b: b.clone(),
         alpha: alpha.clone(),
-        data: std::sync::Arc::new(CertData {
-            alive: alive.clone(),
-            weights,
-            adj: nets.edges.mid.iter().map(|&(v, u, _)| (v, u)).collect(),
-            support: nets.support(),
+        data: Arc::new(CertData {
+            edges,
+            weights: nets.weights(g, alive),
+            support,
         }),
     }
 }
@@ -970,6 +943,102 @@ mod tests {
         assert!(s.hits > 0, "a 40-point sweep must re-enter shapes: {s:?}");
         assert!(s.hits + s.misses > 0);
         assert!(s.warm_starts >= s.hits);
+    }
+
+    #[test]
+    fn kept_builds_certify_as_fresh_builds_do() {
+        // Two sessions see the same sweep of agent 0 on the ring
+        // (6, 2, 4, 3, 5); one keeps its builds, the other gets fresh
+        // networks before every call. Each certified round must carry the
+        // same support, arc for arc, and the kept session's round 0 keeps
+        // its build (the certificate shares the very same arc ids).
+        let (mut kept, mut fresh) = (
+            DecompositionSession::detached(),
+            DecompositionSession::detached(),
+        );
+        let mut kept_round0 = 0;
+        for k in 1..=40 {
+            let g = builders::ring(vec![ratio(k, 5), int(2), int(4), int(3), int(5)]).unwrap();
+            fresh.nets = RoundNets::new(0, true);
+            let before = kept
+                .cache
+                .first()
+                .map(|e| Arc::clone(&e.rounds[0].data.edges));
+            assert_eq!(kept.decompose(&g), fresh.decompose(&g), "w0 = {k}/5");
+            let (a, b) = (&kept.cache[0].rounds, &fresh.cache[0].rounds);
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.data.support, y.data.support, "w0 = {k}/5");
+            }
+            kept_round0 += usize::from(before.is_some_and(|e| Arc::ptr_eq(&e, &a[0].data.edges)));
+        }
+        assert!(
+            kept_round0 > 30,
+            "round 0 kept its build {kept_round0} times"
+        );
+    }
+
+    #[test]
+    fn word_ratios_rank_as_rationals_do() {
+        // Every pair of candidate sets on a 4-ring ranks in words exactly as
+        // its `Rational` ratios do, ties included (neither is below the
+        // other); weights near 2^100 overflow the cross-products and take
+        // the `Rational` comparison. The probe over a four-entry cache picks
+        // what a strict `Rational` scan picks, the earlier entry on a tie.
+        let entry = |b: &[VertexId]| ShapeEntry {
+            n: 4,
+            rounds: vec![RoundCert {
+                b: VertexSet::from_iter_cap(4, b.iter().copied()),
+                alpha: Rational::one(),
+                data: Arc::new(CertData {
+                    edges: Arc::default(),
+                    weights: RoundWeights::Exact(Vec::new()),
+                    support: Support::I128(Vec::new()),
+                }),
+            }],
+        };
+        let cache = [&[0][..], &[2], &[1, 3], &[0, 2]].map(entry);
+        let big = int(2).pow(100);
+        for w in [[1, 1, 1, 1], [3, 1, 3, 1], [5, 2, 7, 3], [9, 4, 2, 8]] {
+            for scale in [int(1), big.clone(), ratio(1, 7)] {
+                let g = builders::ring(w.map(|x| &int(x) * &scale).into()).unwrap();
+                let alive = VertexSet::full(4);
+                let mut nets = RoundNets::new(0, true);
+                nets.enter(&g, &alive, 0);
+                let sets = (1..16)
+                    .map(|m| VertexSet::from_iter_cap(4, (0..4).filter(|v| m >> v & 1 == 1)));
+                let ranked: Vec<_> = sets
+                    .map(|s| {
+                        (
+                            nets.ratio(&g, &alive, &s).unwrap(),
+                            g.alpha_ratio_in(&s, &alive).unwrap(),
+                        )
+                    })
+                    .collect();
+                for (a, exact_a) in &ranked {
+                    assert!(matches!(a, Ratio::Words(..)), "{w:?}");
+                    assert_eq!(
+                        (a.to_rational(), a.usable()),
+                        (exact_a.clone(), *exact_a <= Rational::one())
+                    );
+                    for (b, exact_b) in &ranked {
+                        assert_eq!(
+                            a.below(b),
+                            exact_a < exact_b,
+                            "{w:?}: {exact_a} vs {exact_b}"
+                        );
+                    }
+                }
+                let mut want: Option<(Rational, usize)> = None;
+                for (idx, e) in cache.iter().enumerate() {
+                    let a = g.alpha_ratio_in(&e.rounds[0].b, &alive).unwrap();
+                    if a <= Rational::one() && want.as_ref().is_none_or(|(b, _)| a < *b) {
+                        want = Some((a, idx));
+                    }
+                }
+                let got = best_warm_candidate(&g, &alive, 0, &cache, &mut nets);
+                assert_eq!(got, want, "{w:?}");
+            }
+        }
     }
 
     #[test]

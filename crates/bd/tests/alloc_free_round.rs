@@ -2,9 +2,12 @@
 //!
 //! A session that has seen a shape serves a nearby instance with one seeded
 //! certification max-flow per round. On the checked-`i128` tier that round
-//! computes its scaled weights, capacities and seed requests in scratch
-//! buffers the session keeps, and sizes the certificate it stores exactly,
-//! so the number of allocations it makes does not depend on the ring size.
+//! keeps its round index's network (same alive set and adjacency, so only
+//! the source and sink capacities are rewritten), computes its scaled
+//! weights, capacities and seed requests in scratch buffers the session
+//! keeps, and sizes the certificate it stores exactly, sharing the build's
+//! topology, so the number of allocations it makes does not depend on the
+//! ring size.
 //! Counted with a global allocator that counts only the allocations of the
 //! thread that asks.
 
@@ -13,13 +16,14 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use prs_bd::DecompositionSession;
+use prs_flow::stats;
 use prs_graph::builders;
 use prs_numeric::{int, ratio, Rational};
 
 /// The most allocations one warm-hit round may make: the decomposition it
 /// returns, the round's certificate and the sets of the round loop. An
 /// unoptimized build adds the debug checks' own vectors.
-const MAX_ALLOCATIONS: u64 = if cfg!(debug_assertions) { 20 } else { 17 };
+const MAX_ALLOCATIONS: u64 = if cfg!(debug_assertions) { 17 } else { 14 };
 
 /// Allocations of one `decompose` on a ring of `n` agents whose weights
 /// alternate 2 and 5, with agent 0 at 23/10, after the session has seen
@@ -41,8 +45,14 @@ fn warm_round_allocations(n: usize) -> u64 {
     }
     let g = ring(ratio(23, 10));
     let before = session.stats();
+    let reuses = stats::snapshot().topology_reuses;
     let (bd, count) = allocations(|| session.decompose(&g));
     let after = session.stats();
+    assert_eq!(
+        stats::snapshot().topology_reuses - reuses,
+        1,
+        "n = {n}: the round must keep its build"
+    );
     assert_eq!(bd.unwrap().k(), 1, "n = {n}: one round");
     assert_eq!(
         (after.hits - before.hits, after.misses - before.misses),

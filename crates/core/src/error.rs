@@ -7,6 +7,7 @@
 
 use prs_bd::BdError;
 use prs_graph::GraphError;
+use prs_p2psim::CapacityError;
 use std::fmt;
 
 /// Any failure the `prs` stack can report.
@@ -16,6 +17,9 @@ pub enum Error {
     Bd(BdError),
     /// A graph-construction failure (bad topology or weights).
     Graph(GraphError),
+    /// A weight without a usable f64 capacity, so the f64 swarm cannot
+    /// play it.
+    Capacity(CapacityError),
     /// An instance-file parse failure, with its 1-based line number
     /// (0 for file-level problems like a missing directive).
     Parse {
@@ -31,6 +35,7 @@ impl fmt::Display for Error {
         match self {
             Error::Bd(e) => write!(f, "{e}"),
             Error::Graph(e) => write!(f, "{e}"),
+            Error::Capacity(e) => write!(f, "{e}"),
             Error::Parse { line, message } => write!(f, "line {line}: {message}"),
         }
     }
@@ -41,6 +46,7 @@ impl std::error::Error for Error {
         match self {
             Error::Bd(e) => Some(e),
             Error::Graph(e) => Some(e),
+            Error::Capacity(e) => Some(e),
             Error::Parse { .. } => None,
         }
     }
@@ -58,6 +64,12 @@ impl From<GraphError> for Error {
     }
 }
 
+impl From<CapacityError> for Error {
+    fn from(e: CapacityError) -> Self {
+        Error::Capacity(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +80,12 @@ mod tests {
         assert!(matches!(bd, Error::Bd(BdError::EmptyGraph)));
         let graph: Error = GraphError::SelfLoop { vertex: 3 }.into();
         assert!(graph.to_string().contains("self-loop"));
+        let capacity: Error = CapacityError::Underflow(2).into();
+        assert_eq!(
+            capacity.to_string(),
+            "positive weight of agent 2 underflows to f64 capacity 0"
+        );
+        assert!(std::error::Error::source(&capacity).is_some());
         let parse = Error::Parse {
             line: 2,
             message: "invalid weight `x`".into(),

@@ -84,13 +84,18 @@ impl RingInstance {
 
     /// Run the proportional response protocol from the Definition 1 initial
     /// condition until it is `eps`-close to the Proposition 6 utilities.
-    pub fn run_dynamics(&self, eps: f64, max_rounds: usize) -> ConvergenceReport {
+    ///
+    /// Fails with [`Error::Capacity`] before the first round when a weight
+    /// has no usable f64 capacity (its image is infinite, or zero for a
+    /// positive weight), as `prs dynamics` and `prs swarm` do.
+    pub fn run_dynamics(&self, eps: f64, max_rounds: usize) -> Result<ConvergenceReport, Error> {
+        let mut swarm = SoaSwarm::try_new(&self.graph)?;
         let target: Vec<f64> = self
             .equilibrium_utilities()
             .iter()
             .map(|u| u.to_f64())
             .collect();
-        run_until_close(&mut SoaSwarm::new(&self.graph), &target, eps, max_rounds)
+        Ok(run_until_close(&mut swarm, &target, eps, max_rounds))
     }
 
     /// Agent `v`'s Sybil context, built from the cached decomposition.
@@ -128,6 +133,7 @@ impl RingInstance {
 mod tests {
     use super::*;
     use prs_numeric::{int, ratio};
+    use prs_p2psim::CapacityError;
 
     #[test]
     fn construction_and_basics() {
@@ -155,8 +161,24 @@ mod tests {
     #[test]
     fn dynamics_reach_equilibrium() {
         let r = RingInstance::from_integers(&[2, 7, 1, 8]).unwrap();
-        let rep = r.run_dynamics(1e-8, 100_000);
+        let rep = r.run_dynamics(1e-8, 100_000).unwrap();
         assert!(rep.converged, "{rep:?}");
+    }
+
+    #[test]
+    fn dynamics_reject_weights_without_a_usable_f64_capacity() {
+        // 10^400 has an infinite f64 image and 10^-400 underflows to 0: the
+        // run fails at once instead of stepping every round on NaN.
+        let ten = Rational::from_integer(10);
+        for (w0, want) in [
+            (ten.pow(400), CapacityError::NotFinite(0)),
+            (ten.pow(-400), CapacityError::Underflow(0)),
+        ] {
+            let mut w = vec![w0];
+            w.extend([1, 4, 1, 5].map(Rational::from_integer));
+            let r = RingInstance::new(w).unwrap();
+            assert_eq!(r.run_dynamics(1e-8, 100_000), Err(Error::Capacity(want)));
+        }
     }
 
     #[test]

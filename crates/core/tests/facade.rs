@@ -20,7 +20,7 @@ fn prelude_covers_the_full_workflow() {
 
     // Dynamics. (This instance's terminal pair has α = 1, where the
     // dynamics converge sublinearly — tolerance chosen accordingly.)
-    let report = ring.run_dynamics(1e-5, 500_000);
+    let report = ring.run_dynamics(1e-5, 500_000).unwrap();
     assert!(report.converged);
 
     // Misreport analysis.

@@ -57,6 +57,11 @@ pub struct FlowStats {
     pub networks_built: u64,
     /// Network rebuilds that reused existing arc storage (arena hits).
     pub networks_reused: u64,
+    /// Certification rounds that kept their round index's last build: same
+    /// alive set and induced adjacency, so only the source and sink
+    /// capacities were rewritten (no rebuild, counted in neither of the two
+    /// counters above).
+    pub topology_reuses: u64,
     /// Session rounds settled by a cached shape certificate (one exact
     /// certification max-flow, no descent).
     pub session_hits: u64,
@@ -143,6 +148,7 @@ impl FlowStats {
                 .saturating_sub(earlier.fast_path_fallbacks),
             networks_built: self.networks_built.saturating_sub(earlier.networks_built),
             networks_reused: self.networks_reused.saturating_sub(earlier.networks_reused),
+            topology_reuses: self.topology_reuses.saturating_sub(earlier.topology_reuses),
             session_hits: self.session_hits.saturating_sub(earlier.session_hits),
             session_misses: self.session_misses.saturating_sub(earlier.session_misses),
             session_warm_starts: self
@@ -182,6 +188,7 @@ impl FlowStats {
             ("fast-path fallbacks", self.fast_path_fallbacks),
             ("networks built", self.networks_built),
             ("networks reused", self.networks_reused),
+            ("topology reuses", self.topology_reuses),
             ("session hits", self.session_hits),
             ("session misses", self.session_misses),
             ("session warm-starts", self.session_warm_starts),
@@ -229,7 +236,8 @@ impl FlowStats {
                 "\"i128_promotions\": {}, ",
                 "\"dinkelbach_iterations\": {}, \"fast_path_hits\": {}, ",
                 "\"fast_path_fallbacks\": {}, \"networks_built\": {}, ",
-                "\"networks_reused\": {}, \"session_hits\": {}, ",
+                "\"networks_reused\": {}, \"topology_reuses\": {}, ",
+                "\"session_hits\": {}, ",
                 "\"session_misses\": {}, \"session_warm_starts\": {}, ",
                 "\"delta_unchanged\": {}, \"delta_recertified\": {}, ",
                 "\"delta_recomputed\": {}"
@@ -252,6 +260,7 @@ impl FlowStats {
             self.fast_path_fallbacks,
             self.networks_built,
             self.networks_reused,
+            self.topology_reuses,
             self.session_hits,
             self.session_misses,
             self.session_warm_starts,
@@ -320,6 +329,7 @@ counters! {
     FAST_FALLBACKS("bd.fast_path_fallbacks") => fast_path_fallbacks, record_fast_path_fallbacks;
     NETS_BUILT("flow.networks_built") => networks_built, record_networks_built;
     NETS_REUSED("flow.networks_reused") => networks_reused, record_networks_reused;
+    TOPOLOGY_REUSES("bd.topology_reuses") => topology_reuses, record_topology_reuses;
     SESSION_HITS("bd.session_hits") => session_hits, record_session_hits;
     SESSION_MISSES("bd.session_misses") => session_misses, record_session_misses;
     SESSION_WARM("bd.session_warm_starts") => session_warm_starts, record_session_warm_starts;
@@ -340,10 +350,12 @@ mod tests {
         let before = snapshot();
         record_fast_path_hits(3);
         record_networks_reused(2);
+        record_topology_reuses(4);
         let after = snapshot();
         let delta = after.since(&before);
         assert!(delta.fast_path_hits >= 3);
         assert!(delta.networks_reused >= 2);
+        assert!(delta.topology_reuses >= 4);
     }
 
     #[test]
@@ -351,13 +363,16 @@ mod tests {
         let s = FlowStats {
             fast_path_hits: 7,
             fast_path_fallbacks: 1,
+            topology_reuses: 5,
             ..FlowStats::default()
         };
         let text = s.render();
         assert!(text.contains("fast-path hits"));
+        assert!(text.contains("topology reuses"), "{text}");
         assert!(text.contains("87.5%"), "rate rendering: {text}");
         let json = s.to_json();
         assert!(json.contains("\"fast_path_hits\": 7"));
+        assert!(json.contains("\"topology_reuses\": 5"), "{json}");
         assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
@@ -418,12 +433,14 @@ mod tests {
     fn counters_surface_in_trace_registry() {
         record_exact_max_flows(1);
         record_session_hits(1);
+        record_topology_reuses(1);
         let names: Vec<&str> = prs_trace::counter_values()
             .into_iter()
             .map(|(n, _)| n)
             .collect();
         assert!(names.contains(&"flow.exact_max_flows"), "{names:?}");
         assert!(names.contains(&"bd.session_hits"), "{names:?}");
+        assert!(names.contains(&"bd.topology_reuses"), "{names:?}");
     }
 
     #[test]

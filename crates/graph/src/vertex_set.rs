@@ -8,8 +8,9 @@
 use crate::VertexId;
 use std::fmt;
 
-/// A subset of the vertices `0..capacity` of a graph.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// A subset of the vertices `0..capacity` of a graph (the default is the
+/// empty set over no vertices).
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct VertexSet {
     words: Vec<u64>,
     capacity: usize,

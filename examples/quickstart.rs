@@ -53,7 +53,9 @@ fn main() {
 
     // 4. The distributed protocol (Definition 1) reaches the same fixed
     //    point without any global computation.
-    let report = ring.run_dynamics(1e-10, 100_000);
+    let report = ring
+        .run_dynamics(1e-10, 100_000)
+        .expect("integer weights have f64 capacities");
     println!(
         "\nproportional response dynamics: converged = {} after {} rounds (err {:.2e})",
         report.converged, report.rounds, report.final_error

@@ -26,7 +26,7 @@ fn full_pipeline_on_random_rings() {
         }
 
         // Distributed protocol reaches the same fixed point.
-        let report = ring.run_dynamics(1e-8, 300_000);
+        let report = ring.run_dynamics(1e-8, 300_000).unwrap();
         assert!(report.converged, "dynamics failed on {:?}", g.weights());
 
         // Message-level swarm agrees with everything above. (The swarm's

@@ -81,7 +81,7 @@ proptest! {
         // Wu–Zhang guarantee convergence but not a rate; near-degenerate
         // instances (e.g. α-ratios at or near 1) converge sublinearly, so
         // the property asserts a modest tolerance within a bounded horizon.
-        let report = ring.run_dynamics(1e-4, 400_000);
+        let report = ring.run_dynamics(1e-4, 400_000).unwrap();
         prop_assert!(report.converged, "{:?} on {:?}", report, ring.graph().weights());
     }
 }

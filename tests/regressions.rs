@@ -85,6 +85,6 @@ fn ring_11_6_5_satisfies_all_claims() {
     }
 
     // dynamics_converge
-    let report = ring.run_dynamics(1e-4, 400_000);
+    let report = ring.run_dynamics(1e-4, 400_000).unwrap();
     assert!(report.converged, "{report:?}");
 }
