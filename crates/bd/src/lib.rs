@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # prs-bd — bottleneck decomposition and the BD Allocation Mechanism
 //!
@@ -61,4 +62,4 @@ pub use decomposition::{
 pub use delta::{Delta, EdgeOp, UpdateOutcome};
 pub use error::BdError;
 pub use par::SessionPool;
-pub use session::{DecompositionSession, SessionConfig, SessionStats};
+pub use session::{DecompositionSession, SessionStats};

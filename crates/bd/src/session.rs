@@ -76,43 +76,11 @@ use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::Rational;
 use std::sync::Arc;
 
-/// How many MRU cache entries a warm-start probe inspects per round.
-/// Sweeps alternate between at most two shapes near a breakpoint (the
-/// bisection pattern), so a small probe window captures essentially all
-/// hits without scanning the whole cache.
-const PROBE_WINDOW: usize = 4;
-
-/// Tuning knobs for a [`DecompositionSession`].
-///
-/// Construct via [`SessionConfig::new`] + `with_*` builders; the struct is
-/// `#[non_exhaustive]` so future knobs are non-breaking.
-#[non_exhaustive]
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionConfig {
-    /// Maximum number of cached shape certificates (default `32`). `0`
-    /// disables the cache entirely: the session still amortizes arena
-    /// allocation, but every round outside the delta path is cold.
-    pub cache_capacity: usize,
-}
-
-impl SessionConfig {
-    /// The default configuration: 32 cached shapes.
-    pub fn new() -> Self {
-        SessionConfig { cache_capacity: 32 }
-    }
-
-    /// Set the shape-cache capacity (`0` disables caching).
-    pub fn with_cache_capacity(mut self, cap: usize) -> Self {
-        self.cache_capacity = cap;
-        self
-    }
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig::new()
-    }
-}
+/// How many shapes the MRU cache keeps, all of which a warm-start probe
+/// inspects per round. Sweeps alternate between at most two shapes near a
+/// breakpoint (the bisection pattern), so a small cache captures
+/// essentially all hits without scanning a long list.
+const CACHE_SHAPES: usize = 4;
 
 /// Counter snapshot of one session (see [`DecompositionSession::stats`]).
 ///
@@ -289,8 +257,8 @@ impl GraphDiff {
 /// Results are **bit-identical** to [`decompose`](crate::decompose) on every
 /// input; see the module docs for the argument.
 ///
-/// A session constructed with [`new`](Self::new) / [`with_config`](Self::with_config)
-/// *owns* its instance and serves mutations through [`apply`](Self::apply):
+/// A session constructed with [`new`](Self::new) *owns* its instance and
+/// serves mutations through [`apply`](Self::apply):
 ///
 /// ```
 /// use prs_bd::{decompose, DecompositionSession, Delta, UpdateOutcome};
@@ -329,7 +297,6 @@ impl GraphDiff {
 /// assert!(session.stats().hits > 0); // the shape repeated across the sweep
 /// ```
 pub struct DecompositionSession {
-    cfg: SessionConfig,
     nets: RoundNets,
     /// MRU-ordered shape certificates (front = most recent).
     cache: Vec<ShapeEntry>,
@@ -340,17 +307,12 @@ pub struct DecompositionSession {
 }
 
 impl DecompositionSession {
-    /// A session owning `g`, with the default [`SessionConfig`].
+    /// A session owning `g`.
     ///
     /// The first [`current`](Self::current) or [`apply`](Self::apply) call
     /// decomposes the instance; construction itself does no flow work.
     pub fn new(g: Graph) -> Self {
-        Self::with_config(g, SessionConfig::new())
-    }
-
-    /// A session owning `g`, with explicit tuning knobs.
-    pub fn with_config(g: Graph, cfg: SessionConfig) -> Self {
-        let mut s = Self::detached_with_config(cfg);
+        let mut s = Self::detached();
         s.replace_instance(g);
         s
     }
@@ -360,23 +322,12 @@ impl DecompositionSession {
     /// [`decompose`](Self::decompose) serves arbitrary instances through the
     /// shared arenas and shape cache.
     pub fn detached() -> Self {
-        Self::detached_with_config(SessionConfig::new())
-    }
-
-    /// A detached session with explicit tuning knobs.
-    pub fn detached_with_config(cfg: SessionConfig) -> Self {
         DecompositionSession {
-            cfg,
             nets: RoundNets::new(0, true),
             cache: Vec::new(),
             local: SessionStats::default(),
             delta: None,
         }
-    }
-
-    /// This session's configuration.
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
     }
 
     /// The owned instance as of the last committed delta (`None` when
@@ -395,11 +346,6 @@ impl DecompositionSession {
     /// Number of cached shape certificates.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Drop every cached shape certificate (arenas are kept).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
     }
 
     /// Replace (or attach) the owned instance wholesale, dropping its
@@ -423,7 +369,7 @@ impl DecompositionSession {
                 Some(state) => state.graph.clone(),
                 None => return Err(BdError::DetachedSession),
             };
-            let (bd, certs) = self.run_decompose(&g, true)?;
+            let (bd, certs) = self.run_decompose(&g)?;
             self.store(g.n(), certs.clone());
             if let Some(state) = self.delta.as_mut() {
                 state.current = Some(CurrentResult { bd, certs });
@@ -515,7 +461,7 @@ impl DecompositionSession {
         // Cold delta state: nothing to be incremental against — decompose
         // the mutated instance through the general warm solver.
         let Some(cur) = state.current.as_ref() else {
-            let (bd, certs) = self.run_decompose(&scratch, true)?;
+            let (bd, certs) = self.run_decompose(&scratch)?;
             self.store(scratch.n(), certs.clone());
             state.graph = scratch;
             state.current = Some(CurrentResult { bd, certs });
@@ -609,7 +555,7 @@ impl DecompositionSession {
                     // Structural break: serve the remaining rounds through
                     // the general solver (MRU replay, cached shape, cold).
                     *clean = false;
-                    return solve_round_warm(g, alive, round, nets, cache, local, certified, true);
+                    return solve_round_warm(g, alive, round, nets, cache, local, certified);
                 }
                 let pair = &prev_bd.pairs()[round];
                 if !diff.visible_in(alive) {
@@ -686,21 +632,17 @@ impl DecompositionSession {
     /// through [`apply`](Self::apply), which replays or recertifies rounds
     /// instead of re-solving them.
     pub fn decompose(&mut self, g: &Graph) -> Result<BottleneckDecomposition, BdError> {
-        let (bd, certs) = self.run_decompose(g, false)?;
+        let (bd, certs) = self.run_decompose(g)?;
         self.store(g.n(), certs);
         Ok(bd)
     }
 
     /// Drive a full decomposition through [`solve_round_warm`], collecting
-    /// round certificates when the cache wants them or `force_collect` asks
-    /// for them (the delta path needs certificates even with the MRU cache
-    /// disabled).
+    /// its round certificates.
     fn run_decompose(
         &mut self,
         g: &Graph,
-        force_collect: bool,
     ) -> Result<(BottleneckDecomposition, Vec<RoundCert>), BdError> {
-        let collect = force_collect || self.cfg.cache_capacity > 0;
         let mut certified: Vec<RoundCert> = Vec::new();
         let result = {
             let nets = &mut self.nets;
@@ -708,7 +650,7 @@ impl DecompositionSession {
             let local = &mut self.local;
             let certified = &mut certified;
             drive(g, |g, alive, round| {
-                solve_round_warm(g, alive, round, nets, cache, local, certified, collect)
+                solve_round_warm(g, alive, round, nets, cache, local, certified)
             })
         };
         result.map(|bd| (bd, certified))
@@ -716,11 +658,8 @@ impl DecompositionSession {
 
     /// Insert a freshly certified shape at the cache front (MRU), deduping
     /// identical shapes (the fresh entry wins, so the cached flow pattern
-    /// tracks the most recent weights) and evicting beyond capacity.
+    /// tracks the most recent weights) and evicting beyond [`CACHE_SHAPES`].
     fn store(&mut self, n: usize, rounds: Vec<RoundCert>) {
-        if self.cfg.cache_capacity == 0 {
-            return;
-        }
         if let Some(pos) = self.cache.iter().position(|e| {
             e.n == n
                 && e.rounds.len() == rounds.len()
@@ -729,7 +668,7 @@ impl DecompositionSession {
             self.cache.remove(pos);
         }
         self.cache.insert(0, ShapeEntry { n, rounds });
-        self.cache.truncate(self.cfg.cache_capacity);
+        self.cache.truncate(CACHE_SHAPES);
     }
 }
 
@@ -776,12 +715,11 @@ fn apply_delta_ops(g: &mut Graph, delta: &Delta) -> Result<(), BdError> {
 ///    induced adjacency) match the current ones returns its certified
 ///    `(B, α)` verbatim — zero flow work. Sound because the round solver is
 ///    a pure function of those inputs.
-/// 2. **Cached shape**: the best candidate set in the MRU probe window; its
+/// 2. **Cached shape**: the best candidate set in the MRU cache; its
 ///    ratio `α̂` is certified seeded with the cached certifying flow.
 /// 3. **Cold**: the float proposal of [`maximal_bottleneck`].
 ///
 /// A certification that fails at a breakpoint resumes the exact descent.
-#[allow(clippy::too_many_arguments)]
 fn solve_round_warm(
     g: &Graph,
     alive: &VertexSet,
@@ -790,7 +728,6 @@ fn solve_round_warm(
     cache: &[ShapeEntry],
     local: &mut SessionStats,
     certified: &mut Vec<RoundCert>,
-    collect: bool,
 ) -> Result<(VertexSet, Rational), BdError> {
     // The `path` attribute names which of the session's tiers settled the
     // round: `replay`, `warm_hit`, `warm_descent`, or `cold`.
@@ -801,9 +738,7 @@ fn solve_round_warm(
         sp.attr("path", || "replay".to_string());
         local.record_round(true);
         local.record_warm_start();
-        if collect {
-            certified.push(rc.clone());
-        }
+        certified.push(rc.clone());
         return Ok((rc.b.clone(), rc.alpha.clone()));
     }
     let (b, alpha) = match best_warm_candidate(g, alive, round, cache, nets) {
@@ -826,9 +761,7 @@ fn solve_round_warm(
             maximal_bottleneck(g, alive, round, nets)?
         }
     };
-    if collect {
-        certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
-    }
+    certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
     Ok((b, alpha))
 }
 
@@ -850,7 +783,6 @@ fn replay_candidate<'a>(
 ) -> Option<&'a RoundCert> {
     cache
         .iter()
-        .take(PROBE_WINDOW)
         .filter(|entry| entry.n == g.n())
         .filter_map(|entry| entry.rounds.get(round))
         .find(|rc| {
@@ -860,7 +792,7 @@ fn replay_candidate<'a>(
         })
 }
 
-/// Probe the MRU front of the cache for this round's best warm seed: the
+/// Probe the MRU cache for this round's best warm seed: the
 /// candidate set with the smallest α-ratio among usable entries
 /// (`0 < α̂ ≤ 1`, candidate alive), together with the cache index it came
 /// from (its certifying flow pattern seeds the max-flow). Smaller seeds
@@ -875,7 +807,7 @@ fn best_warm_candidate(
     nets: &mut RoundNets,
 ) -> Option<(Rational, usize)> {
     let mut best: Option<(Ratio, usize)> = None;
-    for (idx, entry) in cache.iter().take(PROBE_WINDOW).enumerate() {
+    for (idx, entry) in cache.iter().enumerate() {
         if entry.n != g.n() || round >= entry.rounds.len() {
             continue;
         }
@@ -1042,38 +974,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_zero_disables_caching() {
-        // With no cache every round is cold: no warm start, no hit.
-        let cfg = SessionConfig::new().with_cache_capacity(0);
-        let mut session = DecompositionSession::detached_with_config(cfg);
-        for k in 1..10 {
-            let g = path_graph(int(k));
-            assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
-        }
-        assert_eq!(session.cache_len(), 0);
-        let s = session.stats();
-        assert_eq!(s.warm_starts, 0);
-        assert_eq!(s.hits, 0);
-        assert!(s.misses > 0);
-    }
-
-    #[test]
     fn cache_evicts_beyond_capacity_and_dedupes() {
-        let cfg = SessionConfig::new().with_cache_capacity(2);
-        let mut session = DecompositionSession::detached_with_config(cfg);
+        let mut session = DecompositionSession::detached();
         // Same shape every time → a single deduped entry.
         for k in 1..5 {
             session.decompose(&path_graph(int(k))).unwrap();
         }
         assert_eq!(session.cache_len(), 1);
-        // Distinct shapes (different n) evict down to capacity.
-        session
-            .decompose(&builders::path(vec![int(1), int(4)]).unwrap())
-            .unwrap();
-        session
-            .decompose(&builders::star(vec![int(10), int(1), int(1), int(1)]).unwrap())
-            .unwrap();
-        assert_eq!(session.cache_len(), 2);
+        // Five distinct shapes (paths of 2..=6 vertices) evict down to the
+        // cache size, oldest first.
+        let path = |n: i64| builders::path((1..=n).map(int).collect()).unwrap();
+        for n in 2..=6 {
+            session.decompose(&path(n)).unwrap();
+        }
+        assert_eq!(session.cache_len(), CACHE_SHAPES);
+        let ns = |s: &DecompositionSession| s.cache.iter().map(|e| e.n).collect::<Vec<_>>();
+        assert_eq!(ns(&session), [6, 5, 4, 3]);
+        // A repeated shape moves to the front instead of taking a new slot.
+        session.decompose(&path(4)).unwrap();
+        assert_eq!(ns(&session), [4, 6, 5, 3]);
     }
 
     #[test]
@@ -1106,13 +1025,6 @@ mod tests {
         ));
         let g = path_graph(int(3));
         assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
-    }
-
-    #[test]
-    fn config_builders_compose() {
-        let cfg = SessionConfig::new().with_cache_capacity(7);
-        assert_eq!(cfg.cache_capacity, 7);
-        assert_eq!(SessionConfig::default(), SessionConfig::new());
     }
 
     // ---- delta API ----

@@ -12,7 +12,7 @@
 //! separation.
 
 use proptest::prelude::*;
-use prs_bd::{decompose, decompose_exact, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, decompose_exact, DecompositionSession};
 use prs_graph::builders;
 use prs_numeric::Rational;
 
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn session_matches_cold_decompose_on_adversarial_rings(weights in arb_scale_separated_ring()) {
         let g = builders::ring(weights).unwrap();
-        let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
+        let mut session = DecompositionSession::detached();
         // Twice through the session: the first call populates the shape
         // cache (cold inside the session), the second re-certifies the
         // remembered shape on the scaled-integer network (the warm path
@@ -59,7 +59,7 @@ proptest! {
         // members share decomposition shapes, so the session must take
         // its warm path (not silently fall back to cold) while agreeing
         // with the cold engine bit-for-bit.
-        let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
+        let mut session = DecompositionSession::detached();
         for j in 0..4u32 {
             let eps = pow2(-(k as i32) - j as i32);
             let big = pow2(k as i32 + j as i32);

@@ -11,7 +11,7 @@
 //! process-global, so a concurrently running promoting test would make a
 //! "promotions == 0" window assertion flaky.
 
-use prs_bd::{decompose, decompose_exact, DecompositionSession, SessionConfig};
+use prs_bd::{decompose, decompose_exact, DecompositionSession};
 use prs_flow::stats;
 use prs_graph::{builders, Graph};
 use prs_numeric::{int, ratio, Rational};
@@ -25,7 +25,7 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     // Phase 1 — small weights: the warm certification must run on
     // the i128 engine (i128 max-flows move) and never promote.
     let before = stats::snapshot();
-    let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
+    let mut session = DecompositionSession::detached();
     let g1 = builders::ring(vec![int(3), int(1), int(4), int(1), int(5)]).unwrap();
     let g2 = builders::ring(vec![int(4), int(1), int(4), int(1), int(5)]).unwrap();
     assert_eq!(session.decompose(&g1).unwrap(), decompose(&g1).unwrap());
@@ -47,7 +47,7 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     // fails and the round promotes to BigInt. The decomposition is still
     // bit-identical to the Rational oracle.
     let before = stats::snapshot();
-    let mut session = DecompositionSession::detached_with_config(SessionConfig::new());
+    let mut session = DecompositionSession::detached();
     for j in 0..2i32 {
         let eps = pow2(-200 - j);
         let big = pow2(200 + j);

@@ -13,22 +13,18 @@
 //! is available.
 
 use loom::sync::Arc;
-use prs_bd::{decompose, SessionConfig, SessionPool};
+use prs_bd::{decompose, SessionPool};
 use prs_graph::builders;
 use prs_numeric::int;
 
 #[test]
 fn concurrent_checkout_yields_distinct_sessions() {
     loom::model(|| {
-        let pool = Arc::new(SessionPool::new(SessionConfig::new()));
+        let pool = Arc::new(SessionPool::new());
         // Pre-warm two sessions into the pool so both threads contend for
         // pooled (not freshly created) sessions.
-        pool.checkin(prs_bd::DecompositionSession::detached_with_config(
-            SessionConfig::new(),
-        ));
-        pool.checkin(prs_bd::DecompositionSession::detached_with_config(
-            SessionConfig::new(),
-        ));
+        pool.checkin(prs_bd::DecompositionSession::detached());
+        pool.checkin(prs_bd::DecompositionSession::detached());
 
         let handles: Vec<_> = (0..2)
             .map(|k| {
@@ -59,7 +55,7 @@ fn concurrent_checkout_yields_distinct_sessions() {
 #[test]
 fn map_indexed_is_order_deterministic_under_interleaving() {
     loom::model(|| {
-        let pool = SessionPool::new(SessionConfig::new());
+        let pool = SessionPool::new();
         let out = pool.map_indexed(6, 3, |session, i| {
             let g = builders::path(vec![int(1 + i as i64), int(7), int(2)]).unwrap();
             session.decompose(&g).unwrap()
@@ -76,7 +72,7 @@ fn map_indexed_is_order_deterministic_under_interleaving() {
 #[test]
 fn checkin_preserves_warm_caches_across_fanouts() {
     loom::model(|| {
-        let pool = SessionPool::new(SessionConfig::new());
+        let pool = SessionPool::new();
         let g = builders::path(vec![int(2), int(9), int(4)]).unwrap();
         pool.map_indexed(4, 2, |session, _| session.decompose(&g).unwrap());
         let before = pool.stats();

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # prs-core — resource sharing over rings: the paper, as a library
 //!
@@ -53,8 +54,8 @@ pub mod prelude {
     pub use crate::parse::parse_instance;
     pub use prs_bd::{
         allocate, decompose, decompose_exact, AgentClass, Allocation, BdError,
-        BottleneckDecomposition, DecompositionSession, Delta, EdgeOp, SessionConfig, SessionPool,
-        SessionStats, UpdateOutcome,
+        BottleneckDecomposition, DecompositionSession, Delta, EdgeOp, SessionPool, SessionStats,
+        UpdateOutcome,
     };
     pub use prs_deviation::{
         classify_prop11, sweep, AlphaSample, GraphFamily, MisreportFamily, Prop11Case,

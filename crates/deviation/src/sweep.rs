@@ -12,7 +12,7 @@
 use crate::family::GraphFamily;
 use crate::moebius::{pair_moebius, solve_breakpoint, Breakpoint, Moebius};
 use prs_bd::par::{worker_threads, SessionPool};
-use prs_bd::{AgentClass, BottleneckDecomposition, DecompositionSession, SessionConfig};
+use prs_bd::{AgentClass, BottleneckDecomposition, DecompositionSession};
 use prs_graph::VertexId;
 use prs_numeric::{Poly, Rational, RationalFunction};
 
@@ -275,7 +275,7 @@ pub fn sweep<F: GraphFamily + Sync>(fam: &F, cfg: &SweepConfig) -> SweepResult {
     assert!(lo < hi, "degenerate domain");
     let grid = cfg.grid.max(1);
     let width = &(&hi - &lo) / &Rational::from_integer(grid as i64);
-    let pool = SessionPool::new(SessionConfig::new());
+    let pool = SessionPool::new();
 
     // Grid pass (boundary points where the decomposition is undefined are
     // skipped — see `AlphaSample::at`).

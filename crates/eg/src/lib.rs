@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # prs-eg — the Eisenberg–Gale view of the sharing equilibrium
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # prs-graph — weighted undirected graphs for resource-sharing games
 //!

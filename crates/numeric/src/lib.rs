@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # prs-numeric — exact arbitrary-precision arithmetic
 //!

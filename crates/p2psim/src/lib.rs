@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! # prs-p2psim — a round-based P2P bandwidth-sharing simulator
 //!
@@ -8,10 +9,10 @@
 //! Definition 1). This crate simulates that protocol at the *message* level:
 //!
 //! * [`soa`] — [`SoaSwarm`], the one f64 proportional-response engine:
-//!   flat capacity/utility lanes, CSR peer adjacency, contiguous per-edge
-//!   send/receive lanes, and a deterministic partitioned parallel runner.
-//!   Rounds are two allocation-free passes, which is what takes the
-//!   simulator from n = 64 rings to 10⁶-agent swarms.
+//!   flat capacity/utility lanes, CSR peer adjacency and contiguous
+//!   per-edge send/receive lanes. Rounds are two allocation-free passes,
+//!   which is what takes the simulator from n = 64 rings to 10⁶-agent
+//!   swarms, and run one after the other on the caller's thread.
 //! * [`agent::Strategy`] — how each agent plays. A **Sybil attacker**
 //!   participates *in-protocol*: it presents a distinct fictitious identity
 //!   to each neighbor with its capacity split between them, exactly the

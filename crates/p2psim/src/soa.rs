@@ -439,11 +439,11 @@ impl ArcLanes for EdgeLanes {
 
 /// Raw pointer views over the round-pass lanes.
 ///
-/// Plain pointers instead of slices so the deterministic parallel
-/// partitioning can hand every worker the same view: disjointness is by
-/// agent region (each agent's cells are written only by the worker that
-/// owns the agent), not by a contiguous split of the arena — after churn
-/// the regions of a contiguous agent range need not be contiguous.
+/// Plain pointers instead of slices so the two per-agent kernels run with
+/// no bounds checks, the reverse-arc gather included: every index they
+/// follow comes from the topology, whose invariants (`CsrTopology::check`)
+/// keep it inside the lanes. Only `&mut self` methods of [`SoaSwarm`] build
+/// a view and call the kernels, one agent at a time.
 #[derive(Clone, Copy)]
 struct RawLanes {
     offsets: *const usize,
@@ -455,30 +455,17 @@ struct RawLanes {
     received: *mut f64,
     u_cur: *mut f64,
     u_prev: *mut f64,
-    avg: *mut f64,
 }
-
-// SAFETY: the pointers are only dereferenced inside the two round passes,
-// where every cell has exactly one writing owner (the worker that owns the
-// agent's slot) and cross-worker reads are separated from the writes by a
-// barrier. See `run_partitioned` for the pass-by-pass argument.
-unsafe impl Send for RawLanes {}
-unsafe impl Sync for RawLanes {}
-
-/// Shared per-worker convergence-delta cells for the parallel run.
-#[derive(Clone, Copy)]
-struct SharedDeltas(*mut f64);
-// SAFETY: cell `w` is written only by worker `w`; all reads happen after
-// the barrier following the writes.
-unsafe impl Send for SharedDeltas {}
-unsafe impl Sync for SharedDeltas {}
 
 /// One agent's respond pass (equation (1) over its receive lane).
 ///
-/// SAFETY: the caller must guarantee exclusive access to agent `v`'s arc
-/// region of `outgoing` and to no other cells; the agent's `received`
-/// region and the per-agent lanes are read-only here and unwritten by any
-/// concurrent respond call.
+/// # Safety
+///
+/// `l` must come from `SoaSwarm::raw` on the swarm the caller holds by
+/// `&mut`, with no lane resized since, and `v` must be a slot of its
+/// topology: the pass reads `v`'s per-agent cells and `received` region and
+/// writes its `outgoing` region, all inside the lanes.
+#[allow(unsafe_code)]
 unsafe fn respond_agent(l: &RawLanes, v: usize) {
     if *l.fixed.add(v) {
         // Fixed-split (Sybil) identities re-upload their constant split;
@@ -509,9 +496,12 @@ unsafe fn respond_agent(l: &RawLanes, v: usize) {
 /// One agent's deliver pass: gather `received[arc] = outgoing[rev[arc]]`
 /// and refresh the utility lanes.
 ///
-/// SAFETY: the caller must guarantee exclusive access to agent `v`'s arc
-/// region of `received` and to `u_cur[v]`/`u_prev[v]`, plus shared read
-/// access to the whole `outgoing` lane (no concurrent writer).
+/// # Safety
+///
+/// As for [`respond_agent`]; the pass writes `v`'s `received` region and
+/// `u_cur[v]`/`u_prev[v]`, and reads `outgoing` at the reverse arcs of
+/// `v`'s region, which the topology keeps inside the arena.
+#[allow(unsafe_code)]
 unsafe fn deliver_agent(l: &RawLanes, v: usize) {
     let start = *l.offsets.add(v);
     let d = *l.degrees.add(v);
@@ -738,7 +728,6 @@ impl SoaSwarm {
             received: self.lanes.received.as_mut_ptr(),
             u_cur: self.u_cur.as_mut_ptr(),
             u_prev: self.u_prev.as_mut_ptr(),
-            avg: self.avg_scratch.as_mut_ptr(),
         }
     }
 
@@ -751,16 +740,18 @@ impl SoaSwarm {
 
     /// The deliver pass alone (used once at construction and after
     /// membership edits that must refresh receipts).
+    #[allow(unsafe_code)]
     pub(crate) fn deliver(&mut self) {
         let l = self.raw();
         for v in 0..self.topo.n_slots() {
-            // SAFETY: sequential loop — each agent's cells are written
-            // exactly once, with no concurrent access.
+            // SAFETY: `l` is this swarm's, held by `&mut self`, and `v` is
+            // one of its slots.
             unsafe { deliver_agent(&l, v) }
         }
     }
 
     /// One protocol round: respond, then deliver. Allocation-free.
+    #[allow(unsafe_code)]
     pub fn step(&mut self) {
         let mut sp = prs_trace::span("p2psim", PSPAN_ROUND);
         let r = self.round;
@@ -768,11 +759,13 @@ impl SoaSwarm {
         let l = self.raw();
         let n = self.topo.n_slots();
         for v in 0..n {
-            // SAFETY: sequential loop — exclusive access trivially holds.
+            // SAFETY: `l` is this swarm's, held by `&mut self`, and `v` is
+            // one of its slots.
             unsafe { respond_agent(&l, v) }
         }
         for v in 0..n {
-            // SAFETY: as above; `outgoing` is no longer written this round.
+            // SAFETY: as above; every send region is written before the
+            // first gather reads one.
             unsafe { deliver_agent(&l, v) }
         }
         self.round += 1;
@@ -861,151 +854,6 @@ impl SoaSwarm {
             hi / lo
         } else {
             f64::NAN
-        }
-    }
-
-    /// Deterministic parallel run: agents are partitioned into `threads`
-    /// contiguous slot ranges, each owned by one worker for the whole run.
-    ///
-    /// Per round, two barrier-separated passes execute exactly the
-    /// sequential per-agent kernels; every lane cell is written by exactly
-    /// one worker (the owner of its agent), cross-worker reads of the send
-    /// lane happen only after the barrier that ends the respond pass, and
-    /// the convergence delta is a max-reduction over per-worker partials —
-    /// order-independent for the NaN-free values the protocol produces.
-    /// The result is therefore bit-identical to [`SoaSwarm::run`] for any
-    /// thread count, which `soa::tests::partitioned_run_is_bit_identical`
-    /// pins.
-    ///
-    /// Falls back to the sequential loop for one thread or when
-    /// `cfg.record_trace` asks for per-round snapshots.
-    // prs-lint: allow(panic, reason = "poison/join propagation in the partitioned fan-out: a worker panic already aborted the run")
-    pub fn run_partitioned(&mut self, cfg: &SwarmConfig, threads: usize) -> SwarmMetrics {
-        let slots = self.topo.n_slots();
-        let threads = threads.max(1).min(slots.max(1));
-        if threads == 1 || cfg.record_trace {
-            return self.run(cfg);
-        }
-        let mut sp = prs_trace::span("p2psim", "swarm_run");
-        let agents = self.live;
-        sp.attr("agents", || agents.to_string());
-        sp.attr("workers", || threads.to_string());
-
-        let chunk = slots.div_ceil(threads);
-        let ranges: Vec<Range<usize>> = (0..threads)
-            .map(|w| (w * chunk).min(slots)..((w + 1) * chunk).min(slots))
-            .collect();
-        let l = self.raw();
-        let mut deltas = vec![0.0f64; threads];
-        let dp = SharedDeltas(deltas.as_mut_ptr());
-        let barrier = std::sync::Barrier::new(threads);
-        let (tol, max_rounds) = (cfg.tol, cfg.max_rounds);
-        let outcome = std::sync::Mutex::new((0usize, false));
-
-        crossbeam::scope(|scope| {
-            let (barrier, outcome, ranges) = (&barrier, &outcome, &ranges);
-            for (w, range) in ranges.iter().cloned().enumerate() {
-                scope.spawn(move |_| {
-                    // Bind the Send wrappers whole: edition-2021 disjoint
-                    // capture would otherwise capture their raw-pointer
-                    // fields directly, which are not `Send`.
-                    let (l, dp) = (l, dp);
-                    {
-                        let mut wsp = prs_trace::span("p2psim", "par_worker");
-                        wsp.attr("worker", || w.to_string());
-                        let mut rounds = 0usize;
-                        let mut converged = false;
-                        let mut checkpoint = 16usize;
-                        // Prime the owned `avg` cells with the pre-loop
-                        // cycle averages; each deliver pass writes the
-                        // fresh averages back, mirroring the fused
-                        // sequential loop in `run`.
-                        for v in range.clone() {
-                            // SAFETY: this worker owns slot range `range`;
-                            // the `avg`/`u_*` cells of owned agents have
-                            // no other reader or writer before the spawn
-                            // scope joins.
-                            unsafe {
-                                *l.avg.add(v) = 0.5 * (*l.u_cur.add(v) + *l.u_prev.add(v));
-                            }
-                        }
-                        for _ in 0..max_rounds {
-                            for v in range.clone() {
-                                // SAFETY: this worker owns slot range
-                                // `range`; the `outgoing` region and
-                                // `u_*` cells of each owned agent have no
-                                // other writer, and `received` regions
-                                // read here were last written by this
-                                // same worker's previous deliver pass
-                                // (barrier-separated).
-                                unsafe { respond_agent(&l, v) }
-                            }
-                            barrier.wait();
-                            let mut local = 0.0f64;
-                            for v in range.clone() {
-                                // SAFETY: exclusive access to the owned
-                                // agents' `received`/`u_*`/`avg` cells;
-                                // `outgoing` is read-shared — the barrier
-                                // above ends all respond-pass writes.
-                                unsafe {
-                                    deliver_agent(&l, v);
-                                    let after = 0.5 * (*l.u_cur.add(v) + *l.u_prev.add(v));
-                                    local = local
-                                        .max((*l.avg.add(v) - after).abs() / (1.0 + after.abs()));
-                                    *l.avg.add(v) = after;
-                                }
-                            }
-                            // SAFETY: cell `w` is this worker's partial;
-                            // peers read it only after the next barrier.
-                            unsafe { *dp.0.add(w) = local };
-                            barrier.wait();
-                            rounds += 1;
-                            let mut delta = 0.0f64;
-                            for t in 0..threads {
-                                // SAFETY: all partials were written before
-                                // the barrier just crossed; no writer
-                                // touches them until every worker passes
-                                // the *next* first barrier, which cannot
-                                // happen before this read.
-                                delta = delta.max(unsafe { *dp.0.add(t) });
-                            }
-                            if w == 0 && rounds == checkpoint {
-                                checkpoint = checkpoint.saturating_mul(2);
-                                if prs_trace::is_enabled() {
-                                    prs_trace::instant("p2psim", PSPAN_CHECKPOINT, || {
-                                        vec![
-                                            ("round", rounds.to_string()),
-                                            ("delta", format!("{delta:e}")),
-                                        ]
-                                    });
-                                }
-                            }
-                            if delta <= tol {
-                                converged = true;
-                                break;
-                            }
-                        }
-                        if w == 0 {
-                            *outcome.lock().expect("poisoned") = (rounds, converged);
-                        }
-                        wsp.attr("rounds", || rounds.to_string());
-                    }
-                    // Last act: the scope join can race TLS destructors.
-                    prs_trace::flush_thread();
-                });
-            }
-        })
-        .expect("swarm worker panicked");
-
-        let (rounds, converged) = *outcome.lock().expect("poisoned");
-        self.round += rounds;
-        sp.attr("rounds", || rounds.to_string());
-        sp.attr("converged", || converged.to_string());
-        SwarmMetrics {
-            rounds,
-            converged,
-            utilities: self.averaged_utilities(),
-            trace: Vec::new(),
         }
     }
 
@@ -1101,10 +949,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn bits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
-    }
-
     #[test]
     fn topology_matches_graph_adjacency() {
         let g = builders::ring(vec![int(3), int(1), int(4), int(1), int(5)]).unwrap();
@@ -1187,29 +1031,6 @@ mod tests {
             assert!(m.converged);
             for (got, want) in m.utilities.iter().zip(&target) {
                 assert!((got - want).abs() < 1e-6, "{got} vs BD {want}");
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_run_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(77);
-        for n in [5usize, 12, 33] {
-            let g = random::random_ring(&mut rng, n, 1, 9);
-            let cfg = SwarmConfig::default();
-            let mut seq = SoaSwarm::new(&g);
-            let m_seq = seq.run(&cfg);
-            for threads in [2usize, 3, 7] {
-                let mut par = SoaSwarm::new(&g);
-                let m_par = par.run_partitioned(&cfg, threads);
-                assert_eq!(m_par.rounds, m_seq.rounds, "n={n} threads={threads}");
-                assert_eq!(m_par.converged, m_seq.converged);
-                assert_eq!(
-                    bits(&m_par.utilities),
-                    bits(&m_seq.utilities),
-                    "n={n} threads={threads}: utilities not bit-identical"
-                );
-                assert_eq!(bits(&par.lanes.outgoing), bits(&seq.lanes.outgoing));
             }
         }
     }

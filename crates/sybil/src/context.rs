@@ -9,7 +9,7 @@ use crate::split::SybilSplitFamily;
 use prs_bd::par::SessionPool;
 use prs_bd::{
     allocate, decompose, AgentClass, Allocation, BdError, BottleneckDecomposition,
-    DecompositionSession, SessionConfig,
+    DecompositionSession,
 };
 use prs_graph::{Graph, VertexId};
 use prs_numeric::Rational;
@@ -52,7 +52,7 @@ impl SybilContext {
             alpha: bd.alpha_of(v).clone(),
             fam: SybilSplitFamily::new(ring.clone(), v),
             paths: BTreeMap::new(),
-            pool: SessionPool::new(SessionConfig::new()),
+            pool: SessionPool::new(),
         }
     }
 

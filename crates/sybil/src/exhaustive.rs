@@ -6,14 +6,13 @@
 //! ring, the grid over-counts — but over-counting only strengthens the
 //! audit. Used by experiment E15.
 
-// prs-lint: allow-file(panic, reason = "poison/join propagation in the audit fan-out, plus ring construction from enumerated strictly-positive integer weights")
+// prs-lint: allow-file(panic, reason = "ring construction from enumerated strictly-positive integer weights")
 
 use crate::attack::AttackConfig;
 use crate::context::SybilContext;
+use prs_bd::par::par_map_indexed;
 use prs_graph::builders;
 use prs_numeric::Rational;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Outcome of an exhaustive grid audit.
 #[derive(Clone, Debug)]
@@ -58,8 +57,8 @@ pub fn for_each_weight_tuple(n: usize, w_max: i64, mut f: impl FnMut(&[i64])) {
 }
 
 /// Audit every ring in `{1..=w_max}^n` with every agent attacking,
-/// in parallel over `threads` workers (tuples are dealt round-robin via an
-/// atomic cursor over the mixed-radix index space).
+/// in parallel over `threads` workers (tuples are dealt by index over the
+/// mixed-radix index space and folded back in index order).
 pub fn exhaustive_ring_audit(
     n: usize,
     w_max: i64,
@@ -69,12 +68,6 @@ pub fn exhaustive_ring_audit(
     assert!(n >= 3, "rings need n ≥ 3");
     assert!(w_max >= 1);
     let total: usize = (w_max as usize).pow(n as u32);
-    let threads = threads.max(1).min(total);
-    let cursor = AtomicUsize::new(0);
-    let attacks = AtomicUsize::new(0);
-    let best: Mutex<(Rational, Vec<i64>, usize, bool)> =
-        Mutex::new((Rational::zero(), Vec::new(), 0, true));
-
     let decode = |mut idx: usize| -> Vec<i64> {
         let mut weights = vec![1i64; n];
         for w in weights.iter_mut() {
@@ -83,77 +76,57 @@ pub fn exhaustive_ring_audit(
         }
         weights
     };
+    let two = Rational::from_integer(2);
 
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut local_best = Rational::zero();
-                let mut local_arg: (Vec<i64>, usize) = (Vec::new(), 0);
-                let mut local_holds = true;
-                let mut local_attacks = 0usize;
-                let two = Rational::from_integer(2);
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= total {
-                        break;
-                    }
-                    let weights = decode(idx);
-                    let g = builders::ring(
-                        weights.iter().map(|&w| Rational::from_integer(w)).collect(),
-                    )
-                    .expect("n ≥ 3");
-                    for mut ctx in SybilContext::for_agents(&g, 0..n) {
-                        let v = ctx.family().agent();
-                        let out = ctx.best_sybil_split(cfg);
-                        local_attacks += 1;
-                        local_holds &= out.ratio <= two;
-                        // Same total order as the global merge (ratio desc,
-                        // then lexicographically smallest weights, then
-                        // smallest agent) so the result is independent of
-                        // how tuples are dealt to threads.
-                        let better = out.ratio > local_best
-                            || (out.ratio == local_best
-                                && (local_arg.0.is_empty()
-                                    || (weights.clone(), v) < local_arg.clone()));
-                        if better {
-                            local_best = out.ratio;
-                            local_arg = (weights.clone(), v);
-                        }
-                    }
-                }
-                attacks.fetch_add(local_attacks, Ordering::Relaxed);
-                let mut guard = best.lock().expect("poisoned");
-                guard.3 &= local_holds;
-                // Deterministic tie-break: prefer lexicographically smaller
-                // argmax weights so runs are reproducible across thread
-                // schedules.
-                let better = local_best > guard.0
-                    || (local_best == guard.0
-                        && !local_arg.0.is_empty()
-                        && (guard.1.is_empty()
-                            || (local_arg.0.clone(), local_arg.1) < (guard.1.clone(), guard.2)));
-                if better {
-                    guard.0 = local_best;
-                    guard.1 = local_arg.0;
-                    guard.2 = local_arg.1;
-                }
-            });
+    // Per tuple: its best `(ratio, agent)` (the first maximum in agent
+    // order), whether every attack stayed within 2, and the attack count.
+    let tuples = par_map_indexed(total, threads, |idx| {
+        let weights = decode(idx);
+        let g = builders::ring(weights.iter().map(|&w| Rational::from_integer(w)).collect())
+            .expect("n ≥ 3");
+        let mut best: Option<(Rational, usize)> = None;
+        let (mut holds, mut attacks) = (true, 0usize);
+        for mut ctx in SybilContext::for_agents(&g, 0..n) {
+            let v = ctx.family().agent();
+            let ratio = ctx.best_sybil_split(cfg).ratio;
+            attacks += 1;
+            holds &= ratio <= two;
+            if best.as_ref().is_none_or(|(r, _)| ratio > *r) {
+                best = Some((ratio, v));
+            }
         }
-    })
-    .expect("audit worker panicked");
+        (best, holds, attacks)
+    });
 
-    let (max_ratio, argmax_weights, argmax_vertex, upper_bound_holds) =
-        best.into_inner().expect("poisoned");
-    ExhaustiveReport {
+    // Fold in index order under a total order independent of the dealing:
+    // the larger ratio wins, a tie goes to the lexicographically smaller
+    // `(weights, agent)`, and the empty initial argmax loses every tie.
+    let mut report = ExhaustiveReport {
         n,
         w_max,
         instances: total,
-        attacks: attacks.load(Ordering::Relaxed),
-        max_ratio,
-        argmax_weights,
-        argmax_vertex,
-        upper_bound_holds,
+        attacks: 0,
+        max_ratio: Rational::zero(),
+        argmax_weights: Vec::new(),
+        argmax_vertex: 0,
+        upper_bound_holds: true,
+    };
+    for (idx, (best, holds, attacks)) in tuples.into_iter().enumerate() {
+        report.attacks += attacks;
+        report.upper_bound_holds &= holds;
+        let Some((ratio, v)) = best else { continue };
+        let weights = decode(idx);
+        let better = ratio > report.max_ratio
+            || (ratio == report.max_ratio
+                && (report.argmax_weights.is_empty()
+                    || (&weights, v) < (&report.argmax_weights, report.argmax_vertex)));
+        if better {
+            report.max_ratio = ratio;
+            report.argmax_weights = weights;
+            report.argmax_vertex = v;
+        }
     }
+    report
 }
 
 #[cfg(test)]
@@ -195,11 +168,21 @@ mod tests {
 
     #[test]
     fn exhaustive_is_deterministic_across_thread_counts() {
-        let a = exhaustive_ring_audit(3, 3, &cfg(), 1);
-        let b = exhaustive_ring_audit(3, 3, &cfg(), 8);
-        assert_eq!(a.max_ratio, b.max_ratio);
-        assert_eq!(a.argmax_weights, b.argmax_weights);
-        assert_eq!(a.argmax_vertex, b.argmax_vertex);
+        let fields = |r: ExhaustiveReport| {
+            (
+                (r.n, r.w_max, r.instances, r.attacks),
+                (r.max_ratio, r.argmax_weights, r.argmax_vertex),
+                r.upper_bound_holds,
+            )
+        };
+        let one = fields(exhaustive_ring_audit(3, 3, &cfg(), 1));
+        for threads in [2, 8] {
+            assert_eq!(
+                fields(exhaustive_ring_audit(3, 3, &cfg(), threads)),
+                one,
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

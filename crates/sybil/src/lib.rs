@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # prs-sybil — Sybil attacks on the BD mechanism over rings
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `prs-trace` — structured tracing for the whole solver stack.
 //!
 //! A process-global span/event recorder with lock-free per-thread buffers,
@@ -242,7 +243,7 @@ impl ThreadBuf {
 
 impl Drop for ThreadBuf {
     fn drop(&mut self) {
-        // Worker threads (crossbeam scopes, std::thread) flush on exit, so
+        // Worker threads (scoped or spawned) flush on exit, so
         // a `take()` after the join sees every worker's events.
         self.flush();
     }
@@ -404,11 +405,10 @@ pub fn instant(
 /// Flush the calling thread's buffered events to the global sink.
 ///
 /// Scoped worker closures must call this as their **last act** (after
-/// their span guards drop): `std::thread::scope` — and the crossbeam shim
-/// over it — can return to the parent before a child thread's
-/// thread-local destructors run, so relying on the TLS drop-flush alone
-/// races the parent's [`take`]. The drop-flush stays as a backstop for
-/// plain `std::thread::spawn` + `join` threads.
+/// their span guards drop): `std::thread::scope` can return to the parent
+/// before a child thread's thread-local destructors run, so relying on the
+/// TLS drop-flush alone races the parent's [`take`]. The drop-flush stays
+/// as a backstop for plain `std::thread::spawn` + `join` threads.
 pub fn flush_thread() {
     let _ = BUF.try_with(|cell| {
         if let Ok(mut buf) = cell.try_borrow_mut() {

@@ -300,10 +300,6 @@ impl LintConfig {
                     ["grid", "refine_bits"].map(String::from).to_vec(),
                 ),
                 (
-                    "SessionConfig".to_string(),
-                    ["cache_capacity"].map(String::from).to_vec(),
-                ),
-                (
                     "TraceConfig".to_string(),
                     ["enabled", "max_events_per_thread"]
                         .map(String::from)
@@ -342,6 +338,8 @@ impl LintConfig {
                 // `PSPAN_*` consts in the SoA swarm engine and the
                 // membership layer (round, checkpoint, membership spans).
                 ("PSPAN_".to_string(), "p2psim".to_string()),
+                // `BSPAN_*` consts in bd's fan-out (the worker sections).
+                ("BSPAN_".to_string(), "bd".to_string()),
             ],
         }
     }

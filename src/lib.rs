@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Umbrella crate: the curated public surface of the `prs` stack.
 //!
 //! See the README for the architecture overview and [`prs_core`] for the
@@ -24,8 +25,7 @@ pub use prs_core::{Error, RingInstance};
 // The decomposition engine, session-first.
 pub use prs_core::bd::{
     allocate, decompose, decompose_exact, AgentClass, Allocation, BdError, BottleneckDecomposition,
-    BottleneckPair, DecompositionSession, Delta, EdgeOp, SessionConfig, SessionPool, SessionStats,
-    UpdateOutcome,
+    BottleneckPair, DecompositionSession, Delta, EdgeOp, SessionPool, SessionStats, UpdateOutcome,
 };
 
 // Misreport sweeps and Sybil attacks.

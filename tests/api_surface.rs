@@ -14,7 +14,7 @@ use prs::prelude::{
     // Decomposition engine, session-first.
     allocate, decompose, decompose_exact,
     AgentClass, Allocation, BdError, BottleneckDecomposition,
-    DecompositionSession, SessionConfig, SessionPool, SessionStats,
+    DecompositionSession, SessionPool, SessionStats,
     // Delta mutation API (ISSUE 7).
     Delta, EdgeOp, UpdateOutcome,
     // Misreport sweeps.
@@ -69,7 +69,7 @@ fn surface_is_importable_and_coherent() {
 
     // Type names must be type-typed (turbofish/`size_of` forces this).
     fn has_default<T: Default>() {}
-    has_default::<SessionConfig>();
+    has_default::<SessionPool>();
     has_default::<SessionStats>();
     has_default::<DecompositionSession>();
     has_default::<SweepConfig>();
@@ -167,8 +167,7 @@ fn prelude_alone_supports_the_swarm_workflow() {
 // touching component crates.
 #[test]
 fn prelude_alone_supports_the_session_workflow() {
-    let mut session =
-        DecompositionSession::detached_with_config(SessionConfig::new().with_cache_capacity(8));
+    let mut session = DecompositionSession::detached();
     let g = builders::ring(vec![int(5), int(1), int(4), int(2)]).unwrap();
     let bd = session.decompose(&g).unwrap();
     assert_eq!(bd.utilities(&g).iter().sum::<Rational>(), g.total_weight());

@@ -210,7 +210,7 @@ fn parallel_sweep_records_worker_tagged_sections() {
     // count `sweep` adapts to) and check both workers' sections merge.
     trace::clear();
     trace::enable();
-    let pool = SessionPool::new(SessionConfig::new());
+    let pool = SessionPool::new();
     let _results = pool.map_indexed(8, 2, |session, i| {
         let g = builders::ring(vec![int(1 + i as i64), int(2), int(3), int(4)]).unwrap();
         session.decompose(&g).unwrap()
