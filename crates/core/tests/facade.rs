@@ -72,7 +72,7 @@ fn component_crate_reexports_are_reachable() {
     assert_eq!(bd.k(), 2);
     let _one = prs_core::numeric::Rational::one();
     let _cfg = prs_core::eg::EgConfig::default();
-    let _sched = prs_core::dynamics::Schedule::RoundRobin;
+    let _ = prs_core::dynamics::run_until_close;
     let _ = prs_core::sybil::theorem8::lower_bound_ring(2);
     let _ = prs_core::deviation::SweepConfig::default();
     let _net = prs_core::flow::FlowNetwork::new(2);

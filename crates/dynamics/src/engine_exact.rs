@@ -115,9 +115,9 @@ impl ExactEngine {
 }
 
 /// Reverse-arc index: `rev[v][i]` is the position of `v` in the neighbor
-/// list of `adj[v][i]`. (Nested-vec form, used by the exact and async
-/// engines; `SoaSwarm` keeps the flat `CsrTopology` equivalent.)
-pub(crate) fn build_rev(adj: &[Vec<VertexId>]) -> Vec<Vec<usize>> {
+/// list of `adj[v][i]`. (Nested-vec form for the exact engine; `SoaSwarm`
+/// keeps the flat `CsrTopology` equivalent.)
+fn build_rev(adj: &[Vec<VertexId>]) -> Vec<Vec<usize>> {
     adj.iter()
         .enumerate()
         .map(|(v, nb)| {

@@ -27,15 +27,11 @@
 //! * [`ExactEngine`] — exact rational iteration (denominators grow with the
 //!   round count; intended for small instances and short horizons, where it
 //!   certifies the f64 engine against drift).
-//! * [`AsyncEngine`] — the Gauss–Seidel schedule: agents update one at a
-//!   time from the current state.
 
 pub mod convergence;
-pub mod engine_async;
 pub mod engine_exact;
 pub mod trace;
 
 pub use convergence::{run_until_close, ConvergenceReport};
-pub use engine_async::{AsyncEngine, Schedule};
 pub use engine_exact::ExactEngine;
 pub use trace::ConvergenceTrace;

@@ -342,3 +342,124 @@ fn churn_script_replays_bit_identically() {
 
     soa.check_invariants().unwrap();
 }
+
+#[test]
+fn kernels_match_the_reference_at_every_degree() {
+    // Agent 0, a centre with leaves 7 and 8, has degree 4, agent 2 degree
+    // 3, agents 1 and 3–5 degree 2, and agents 6–8 degree 1. Agent 1 plays a
+    // fixed (Sybil) split. Agents 4 and 6 have only zero-capacity peers, so
+    // they keep the even split of a zero total.
+    let text = "graph\nweights: 4 7 3 0 5 0 2 6 1\nedges: 0-1 1-2 0-2 2-3 3-4 4-5 5-6 0-7 0-8\n";
+    let g: Graph = parse_instance(text).unwrap();
+    let strat = |v: usize| match v {
+        1 => Strategy::Sybil { w1: 2.5, w2: 4.5 },
+        _ => Strategy::Honest,
+    };
+    let mut soa = SoaSwarm::with_strategies(&g, strat);
+    let mut reference = reference::RefSwarm::with_strategies(&g, strat);
+    assert_lockstep(&mut soa, &mut reference, 30);
+
+    // A peer joined with three neighbours starts on the even split at
+    // degree 3. Agent 5's departure leaves its slot at degree 0, and agent 6
+    // alive at degree 0.
+    let join = MembershipEvent::Join {
+        capacity: 4.5,
+        peers: vec![3, 4, 7],
+    };
+    assert_eq!(soa.apply(&join).unwrap(), MembershipOutcome::Joined(9));
+    assert_eq!(reference.join(4.5, &[3, 4, 7]), 9);
+    assert_lockstep(&mut soa, &mut reference, 20);
+    soa.apply(&MembershipEvent::Leave { agent: 5 }).unwrap();
+    reference.leave(5);
+    assert_eq!(soa.degree(5) + soa.degree(6), 0);
+    assert!(soa.is_alive(6));
+    assert_lockstep(&mut soa, &mut reference, 30);
+}
+
+/// `SoaSwarm::run` against its stopping rule rebuilt from public calls: per
+/// round, one sequential `f64::max` fold of `|before − after| / (1 + |after|)`
+/// over the cycle averages taken around `step()`, each of which must pair
+/// the round's utilities with the last round's. Run on clones of `s` at
+/// tolerance 0, 1e-9 and a rebuilt delta that ties exactly.
+fn assert_run_matches_sequential_fold(s: &SoaSwarm, max_rounds: usize) {
+    let run_both = |tol: f64| {
+        let mut slow = s.clone();
+        let mut deltas = Vec::new();
+        let mut before = slow.averaged_utilities();
+        while deltas.last().is_none_or(|&d| d > tol) && deltas.len() < max_rounds {
+            let last = slow.utilities();
+            slow.step();
+            let after = slow.averaged_utilities();
+            for ((a, u), p) in after.iter().zip(slow.utilities()).zip(&last) {
+                assert_eq!(a.to_bits(), (0.5 * (u + p)).to_bits(), "{}", slow.round());
+            }
+            deltas.push(
+                before
+                    .iter()
+                    .zip(&after)
+                    .map(|(b, a)| (b - a).abs() / (1.0 + a.abs()))
+                    .fold(0.0, f64::max),
+            );
+            before = after;
+        }
+        let cfg = SwarmConfig {
+            max_rounds,
+            tol,
+            record_trace: false,
+        };
+        let m = s.clone().run(&cfg);
+        let converged = deltas.last().is_some_and(|&d| d <= tol);
+        assert_eq!(
+            (m.rounds, m.converged),
+            (deltas.len(), converged),
+            "tol {tol:e}"
+        );
+        assert_eq!(
+            bits(&m.utilities),
+            bits(&slow.averaged_utilities()),
+            "tol {tol:e}"
+        );
+        deltas
+    };
+    let deltas = run_both(0.0);
+    run_both(1e-9);
+    // The last round whose delta is below every earlier one: with that delta
+    // as the tolerance, the run must stop exactly there (`delta <= tol`).
+    let tie = (0..deltas.len())
+        .rfind(|&k| deltas[..k].iter().all(|&d| deltas[k] < d))
+        .expect("round 1 always qualifies");
+    assert_eq!(run_both(deltas[tie]).len(), tie + 1);
+}
+
+#[test]
+fn run_matches_the_sequential_fold() {
+    let mut rng = StdRng::seed_from_u64(2026);
+    for n in [4usize, 9, 17, 33, 64, 100] {
+        let g = prs::graph::random::random_ring(&mut rng, n, 1, 12);
+        assert_run_matches_sequential_fold(&SoaSwarm::new(&g), 400);
+    }
+    let g = builders::ring([4, 2, 6, 3, 5, 1].map(int).to_vec()).unwrap();
+    let s = SoaSwarm::with_strategies(&g, |v| match v {
+        0 => Strategy::Sybil { w1: 2.5, w2: 1.5 },
+        2 => Strategy::Misreport { reported: 3.5 },
+        _ => Strategy::Honest,
+    });
+    assert_run_matches_sequential_fold(&s, 400);
+
+    // After churn: a joined slot, a rewire and a departed slot.
+    let g = prs::graph::random::random_ring(&mut rng, 11, 1, 9);
+    let mut s = SoaSwarm::new(&g);
+    let events = [
+        MembershipEvent::Join {
+            capacity: 5.0,
+            peers: vec![0, 3, 7],
+        },
+        MembershipEvent::Rewire { agent: 11 },
+        MembershipEvent::Leave { agent: 5 },
+    ];
+    for e in &events {
+        s.step();
+        s.apply(e).unwrap();
+    }
+    assert_run_matches_sequential_fold(&s, 400);
+}
