@@ -24,16 +24,16 @@
 //! is exactly their union — see DESIGN.md §3.1 for the exchange argument.)
 //!
 //! Every production round reads "pick a candidate ratio, then certify it":
-//! a float Dinkelbach pass (or a session cache) proposes `α̂`, and
-//! [`certify`] — the one production descent — decides it on the network
-//! scaled by `p·D` to integers (checked `i128`, BigInt on promotion). The
-//! Rational-capacity descent lives on as the test oracle
+//! a cold round starts from `α̂ = α(V_alive)`, a session round from a cached
+//! shape's ratio, and [`certify`] — the one production descent — decides it
+//! on the network scaled by `p·D` to integers (checked `i128`, BigInt on
+//! promotion). The Rational-capacity descent lives on as the test oracle
 //! [`decompose_exact`] in [`crate::reference`].
 
 use crate::error::BdError;
 pub use crate::reference::decompose_exact;
 use prs_flow::network_i128::{overflow_detected, reset_overflow};
-use prs_flow::{stats, Cap, Capacity, EdgeId, Network, NetworkF64, SeedArc};
+use prs_flow::{stats, Cap, Capacity, EdgeId, Network, SeedArc};
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::gcd::{lcm, lcm_u128};
 use prs_numeric::{BigInt, BigUint, Rational};
@@ -462,8 +462,7 @@ pub(crate) enum RoundWeights {
     Exact(Vec<Rational>),
 }
 
-/// The float proposal network and the scaled-integer certification
-/// networks of one decomposition.
+/// The scaled-integer certification networks of one decomposition.
 ///
 /// [`RoundNets::enter`] starts a round: it computes the round's scaled
 /// weights once, for replay, the warm probe and certification. A session
@@ -485,10 +484,6 @@ pub(crate) enum RoundWeights {
 /// overflows; the round promotes to the BigInt engine exactly when a
 /// capacity or an endpoint total does not fit `i128`.
 pub(crate) struct RoundNets {
-    approx: NetworkF64,
-    /// Per alive vertex: `(f64 sink edge, w_v as f64)`, valid after
-    /// [`RoundNets::rebuild_f64`].
-    approx_sinks: Vec<(EdgeId, f64)>, // prs-lint: allow(float, reason = "the proposer's weight images")
     /// The checked-`i128` builds, one per round index if `per_round`, and
     /// the current round's, `kept[cur]`.
     kept: Vec<CertNet<i128>>,
@@ -515,8 +510,6 @@ pub(crate) struct RoundNets {
 impl RoundNets {
     pub(crate) fn new(n_nodes: usize, per_round: bool) -> Self {
         RoundNets {
-            approx: NetworkF64::new(n_nodes),
-            approx_sinks: Vec::new(),
             kept: vec![CertNet::new(n_nodes)],
             per_round,
             cur: 0,
@@ -596,29 +589,6 @@ impl RoundNets {
             (Some(d), RoundWeights::Words(d0, words)) => d == *d0 && self.words == *words,
             (None, RoundWeights::Exact(ws)) => alive.iter().zip(ws).all(|(v, w)| g.weight(v) == w),
             _ => false,
-        }
-    }
-
-    // prs-lint: allow(float, reason = "two-tier proposer: the approx network is built from to_f64 images and only ever proposes; certification is exact")
-    /// Rebuild the float proposal network for the induced subgraph on
-    /// `alive` at `alpha_f`.
-    fn rebuild_f64(&mut self, g: &Graph, alive: &VertexSet, alpha_f: f64) {
-        let layout = Layout { n: g.n() };
-        self.approx.clear(layout.nodes());
-        self.approx_sinks.clear();
-        for v in alive.iter() {
-            let w = g.weight(v).to_f64();
-            self.approx.add_edge(Layout::S, layout.left(v), w);
-            let a = self
-                .approx
-                .add_edge(layout.right(v), Layout::T, w / alpha_f);
-            self.approx_sinks.push((a, w));
-            for &u in g.neighbors(v) {
-                if alive.contains(u) {
-                    self.approx
-                        .add_edge(layout.left(v), layout.right(u), f64::INFINITY);
-                }
-            }
         }
     }
 
@@ -814,15 +784,6 @@ impl RoundNets {
             (CertEngine::Int, Support::Int(arcs)) => self.exact_int.seed(slot, arcs, rescale_big),
         }
     }
-
-    // prs-lint: allow(float, reason = "two-tier proposer: re-parameterizes the approx network only; certification is exact")
-    /// Re-parameterize the float network to `alpha_f`.
-    fn set_alpha_f64(&mut self, alpha_f: f64) {
-        for &(a, w) in &self.approx_sinks {
-            self.approx.set_capacity(a, w / alpha_f);
-        }
-        self.approx.reset_flow();
-    }
 }
 
 /// `D`, the lcm of the alive weights' denominators, with `w_v·D` per alive
@@ -902,75 +863,6 @@ fn rescale_i128(f: i128, c: i128, c0: i128) -> i128 {
 /// `⌊f·c/c₀⌋` in BigInt.
 fn rescale_big(f: &BigInt, c: &BigInt, c0: &BigInt) -> BigInt {
     &(f * c) / c0
-}
-
-// prs-lint: allow(float, reason = "tier-1 proposer: every candidate it returns is re-certified by an exact max-flow before adoption (see maximal_bottleneck)")
-/// Tier 1: run the Dinkelbach descent on the float network and return a
-/// candidate bottleneck set, or `None` when the float loop stalls or
-/// produces nothing usable (the exact tier then starts from α₀ unchanged).
-///
-/// The parameter values fed to the float network are `to_f64` images of
-/// *exact* α-ratios of actual vertex sets, so the returned candidate always
-/// corresponds to a well-defined exact ratio for the certification pass.
-fn propose_f64(
-    g: &Graph,
-    alive: &VertexSet,
-    alpha0: &Rational,
-    nets: &mut RoundNets,
-) -> Option<VertexSet> {
-    let _sp = prs_trace::span("bd", "f64_propose");
-    let layout = Layout { n: g.n() };
-    let mut alpha_f = alpha0.to_f64();
-    nets.rebuild_f64(g, alive, alpha_f);
-    let w_alive_f: f64 = nets.approx_sinks.iter().map(|&(_, w)| w).sum();
-    let tol = 1e-9 * (1.0 + w_alive_f);
-    if alpha_f.is_nan() || alpha_f <= 0.0 {
-        return None; // α₀ underflowed: nothing useful to propose
-    }
-    let mut last_violating: Option<VertexSet> = None;
-
-    // The exact descent takes at most |alive| strictly decreasing steps;
-    // give the float loop the same budget plus slack, then give up.
-    for _ in 0..alive.len() + 4 {
-        nets.set_alpha_f64(alpha_f);
-        let flow = nets.approx.max_flow(Layout::S, Layout::T);
-        if flow >= w_alive_f - tol {
-            // Float-feasible: extract the unreachable set as the candidate
-            // maximal bottleneck. Empty (float α slipped strictly below the
-            // optimum, every source arc has slack) falls back to the last
-            // violating set.
-            let reaches = nets.approx.residual_reaches_sink(Layout::T);
-            let mut b = VertexSet::empty(g.n());
-            for v in alive.iter() {
-                if !reaches[layout.left(v)] {
-                    b.insert(v);
-                }
-            }
-            if !b.is_empty() {
-                return Some(b);
-            }
-            return last_violating;
-        }
-        let side = nets.approx.min_cut_source_side(Layout::S);
-        let mut s_set = VertexSet::empty(g.n());
-        for v in alive.iter() {
-            if side[layout.left(v)] {
-                s_set.insert(v);
-            }
-        }
-        if s_set.is_empty() {
-            return last_violating;
-        }
-        let new_alpha_f = g.alpha_ratio_in(&s_set, alive)?.to_f64();
-        if new_alpha_f.is_nan() || new_alpha_f <= 0.0 || new_alpha_f >= alpha_f {
-            // No float-visible progress (near-tie or rounding): stop and let
-            // the exact tier certify what we have.
-            return Some(s_set);
-        }
-        alpha_f = new_alpha_f;
-        last_violating = Some(s_set);
-    }
-    last_violating
 }
 
 /// One middle arc of a certifying flow: `(v, u, F, c₀)`, where `F` is the
@@ -1085,14 +977,10 @@ pub(crate) fn certify(
 }
 
 /// Find the maximal bottleneck of the induced subgraph on `alive` with no
-/// cached candidate — the cold round.
-///
-/// Tier 1 ([`propose_f64`]) runs the Dinkelbach descent approximately and
-/// proposes a candidate set `B̂`; its **exact** ratio `α̂ = α(B̂)` (or `α₀`
-/// when nothing usable is proposed) goes to [`certify`] with no seed.
-/// The float tier can therefore change only *how fast* the optimum is
-/// reached (one exact flow on a hit instead of a full descent), never the
-/// result.
+/// cached candidate — the cold round: [`certify`] from `α₀ = α(alive)`,
+/// with no seed. `α₀ ≥ α*`, since `alive` is itself a candidate set, so the
+/// exact descent starts at or above the optimum and ends at the maximal
+/// tight set.
 pub(crate) fn maximal_bottleneck(
     g: &Graph,
     alive: &VertexSet,
@@ -1107,40 +995,18 @@ pub(crate) fn maximal_bottleneck(
     if alpha0.is_zero() {
         return Err(BdError::ZeroAlpha { round });
     }
-    // Tier 1: float proposal, adopted only when its exact ratio is a valid
-    // descent seed (0 < α̂ ≤ 1; anything else keeps α₀).
-    let proposal = propose_f64(g, alive, &alpha0, nets)
-        .and_then(|candidate| nets.ratio(g, alive, &candidate))
-        .filter(Ratio::usable)
-        .map(|a| a.to_rational());
-    let proposed = proposal.is_some();
-    // Tier 2: exact certification / descent.
-    let c = certify(
-        g,
-        alive,
-        round,
-        nets,
-        proposal.unwrap_or(alpha0),
-        None,
-        "two_tier",
-    )?;
-    if proposed && c.first_try {
-        stats::record_fast_path_hits(1);
-    } else if proposed {
-        stats::record_fast_path_fallbacks(1);
-    }
+    let c = certify(g, alive, round, nets, alpha0, None, "cold")?;
     Ok((c.b, c.alpha))
 }
 
 /// Compute the bottleneck decomposition of `g` (Definition 2), exactly.
 ///
-/// Each round a floating-point Dinkelbach pass proposes the optimum and
-/// one max-flow on the scaled-integer network certifies it (checked `i128`,
-/// promoting to BigInt when a capacity outgrows the word); a miss resumes
-/// the exact descent on the same network. The result is bit-identical to
-/// the Rational oracle [`decompose_exact`]. Flow networks are rebuilt in
-/// place across rounds and re-parameterized capacity-only inside each
-/// round's descent.
+/// Each round runs the exact Dinkelbach descent from the alive set's own
+/// ratio on the scaled-integer network (checked `i128`, promoting to BigInt
+/// when a capacity outgrows the word). The result is bit-identical to the
+/// Rational oracle [`decompose_exact`]. Flow networks are rebuilt in place
+/// across rounds and re-parameterized capacity-only inside each round's
+/// descent.
 ///
 /// Errors on the degenerate inputs for which the decomposition is undefined:
 /// empty graphs, subgraphs whose minimum α-ratio is 0 (isolated

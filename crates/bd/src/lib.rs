@@ -13,12 +13,13 @@
 //!   strictly better candidates until the optimum is hit, and residual
 //!   reachability extracts the (unique) maximal bottleneck.
 //! * **One round solver.** Every round of [`decompose`] and of a
-//!   [`DecompositionSession`] picks a candidate ratio — a float proposal, a
-//!   cached shape, or the previous round's bottleneck — and certifies it
-//!   with one Dinkelbach descent on the Hall network scaled by `p·D` to
-//!   integers: checked `i128` first, BigInt when a capacity outgrows the
-//!   word. Uniform scaling preserves every decision, so the results are
-//!   bit-identical to the Rational-capacity descent [`decompose_exact`].
+//!   [`DecompositionSession`] picks a candidate ratio — the alive set's own
+//!   ratio, a cached shape, or the previous round's bottleneck — and
+//!   certifies it with one Dinkelbach descent on the Hall network scaled by
+//!   `p·D` to integers: checked `i128` first, BigInt when a capacity
+//!   outgrows the word. Uniform scaling preserves every decision, so the
+//!   results are bit-identical to the Rational-capacity descent
+//!   [`decompose_exact`].
 //! * **Class partition** (Definition 4): every agent is a B-class or C-class
 //!   vertex (both, in the terminal `B_k = C_k`, `α_k = 1` pair).
 //! * **BD Allocation Mechanism** (Definition 5): the per-pair bipartite

@@ -7,8 +7,8 @@
 //! ratios `w(Γ(S))/w(S)` cross each other at finitely many `x`), the
 //! combinatorial *shape* — which vertices form each round's maximal
 //! bottleneck — repeats across almost the entire grid. A cold call cannot
-//! exploit that: every round re-runs the float Dinkelbach descent (each step
-//! of which computes an exact α-ratio), then certifies.
+//! exploit that: every round re-runs the exact Dinkelbach descent from the
+//! alive set's own ratio.
 //!
 //! A session keeps the flow arenas **and** a small MRU cache of *shape
 //! certificates*: the per-round certified bottleneck sets of recent
@@ -28,8 +28,8 @@
 //!    the flow is (nearly) maximal before the first BFS.
 //! 3. **Descent** — at a breakpoint the certification is infeasible and the
 //!    exact Dinkelbach descent resumes from the min cut (still on the
-//!    integer network); with no usable candidate at all, the cold round's
-//!    float proposal is certified on the same network instead.
+//!    integer network); with no usable candidate at all, the round descends
+//!    from `α(alive)` on the same network, as a cold round does.
 //!
 //! Every path but replay is the same two steps — pick a candidate ratio,
 //! then certify it with the one production descent (`certify` in
@@ -249,7 +249,7 @@ impl GraphDiff {
     }
 }
 
-/// A reusable decomposition solver: owns the exact and f64 flow arenas
+/// A reusable decomposition solver: owns the certification flow arenas
 /// across calls and memoizes shape certificates so repeated decompositions
 /// of nearby instances cost one certification max-flow per round instead of
 /// a full Dinkelbach descent.
@@ -717,7 +717,7 @@ fn apply_delta_ops(g: &mut Graph, delta: &Delta) -> Result<(), BdError> {
 ///    a pure function of those inputs.
 /// 2. **Cached shape**: the best candidate set in the MRU cache; its
 ///    ratio `α̂` is certified seeded with the cached certifying flow.
-/// 3. **Cold**: the float proposal of [`maximal_bottleneck`].
+/// 3. **Cold**: [`maximal_bottleneck`]'s descent from `α(alive)`.
 ///
 /// A certification that fails at a breakpoint resumes the exact descent.
 fn solve_round_warm(

@@ -162,7 +162,7 @@ pub fn cmd_general_attack(g: &Graph, v: usize, out: &mut dyn Write) -> std::io::
 /// `prs audit`: the full paper-claim battery on a ring instance. With
 /// `stats = true`, also prints the flow-engine instrumentation counters
 /// accumulated while the battery ran (max-flows, Dinkelbach iterations,
-/// fast-path hit rate, arena reuse — see `prs_flow::stats`).
+/// session hit rate, arena reuse — see `prs_flow::stats`).
 pub fn cmd_audit(g: &Graph, stats: bool, out: &mut dyn Write) -> std::io::Result<()> {
     if !g.is_ring() {
         writeln!(out, "error: `audit` requires a ring instance")?;
@@ -1118,7 +1118,7 @@ mod tests {
         assert!(out.contains("flow-engine stats"), "{out}");
         assert!(out.contains("exact max-flows"), "{out}");
         assert!(out.contains("int max-flows"), "{out}");
-        assert!(out.contains("fast-path"), "{out}");
+        assert!(out.contains("Dinkelbach iterations"), "{out}");
         assert!(out.contains("session"), "{out}");
     }
 

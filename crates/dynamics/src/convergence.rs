@@ -97,7 +97,7 @@ pub fn run_until_close(
 /// Max-norm distance of `got` from `target`, relative to `1 + |target|`.
 /// A NaN term counts as infinite error: `f64::max` would drop it, and a NaN
 /// utility would then read as converged.
-pub(crate) fn error_vs(got: &[f64], target: &[f64]) -> f64 {
+fn error_vs(got: &[f64], target: &[f64]) -> f64 {
     got.iter()
         .zip(target)
         .map(|(g, t)| {

@@ -23,15 +23,12 @@
 //! * [`run_until_close`] — step a swarm until its cycle-averaged utilities
 //!   are within `eps` of a target, with Richardson checkpoints for the
 //!   sublinear `α = 1` tail; returns a [`ConvergenceReport`].
-//! * [`ConvergenceTrace`] — per-round error traces and decay-rate estimates.
 //! * [`ExactEngine`] — exact rational iteration (denominators grow with the
 //!   round count; intended for small instances and short horizons, where it
 //!   certifies the f64 engine against drift).
 
 pub mod convergence;
 pub mod engine_exact;
-pub mod trace;
 
 pub use convergence::{run_until_close, ConvergenceReport};
 pub use engine_exact::ExactEngine;
-pub use trace::ConvergenceTrace;

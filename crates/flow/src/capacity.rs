@@ -2,20 +2,17 @@
 //!
 //! Every flow engine in this crate is the same algorithm — BFS level
 //! graph, explicit-stack DFS augmentation, residual min-cut extraction —
-//! over a different number type. [`Capacity`] captures exactly what the
-//! kernel needs from that number type: a zero, reference arithmetic,
-//! the bottleneck ordering, and a *tolerance hook* ([`Capacity::Tol`])
-//! deciding when an arc still has residual headroom. For the exact
-//! backends ([`Rational`], [`BigInt`]) the tolerance is the unit type and
-//! every comparison is exact; the `f64` backend threads a capacity-scaled
-//! epsilon through the same hook (see `network_f64`), so "saturated" means
-//! "within `eps` of capacity" there — and nowhere else.
+//! over a different exact number type. [`Capacity`] captures exactly what
+//! the kernel needs from that number type: a zero, reference arithmetic,
+//! the bottleneck ordering, and the saturation and termination tests. Every
+//! comparison is exact; the checked-`i128` backend overrides the last two
+//! only to close the network once its arithmetic has overflowed (see
+//! `network_i128`).
 //!
 //! The trait also owns the per-engine observability surface: stable span
 //! names, the `engine` span attribute, and the routing of kernel events
-//! into [`crate::stats`] (the scaled-integer backend deliberately shares
-//! the `exact_*` counters with the rational one — both are exact engines,
-//! and the session's certification path predates the split).
+//! into [`crate::stats`], where each backend has counters of its own
+//! (`exact_*`, `int_*`, `i128_*`).
 
 use prs_numeric::Rational;
 
@@ -45,18 +42,10 @@ impl<C: Capacity> Cap<C> {
 ///
 /// Implementations provide reference arithmetic (capacities can be
 /// arbitrary-precision, so the kernel never clones where a borrow will
-/// do), the bottleneck ordering, and the saturation predicate. The
-/// `*_EPSILON`-style escape hatch lives entirely in [`Capacity::Tol`]:
-/// exact backends use `()` and compare exactly, tolerant backends carry
-/// whatever scale state they need.
+/// do), the bottleneck ordering, and the saturation predicate.
 pub trait Capacity: Clone + PartialEq + std::fmt::Debug {
-    /// Comparison state threaded through every residual test. `Default`
-    /// is the state of an empty network; [`Capacity::observe`] folds each
-    /// finite capacity into it as the network is built.
-    type Tol: Clone + Default + std::fmt::Debug;
-
     /// Engine label surfaced as the `engine` span attribute
-    /// (`"exact"`, `"int"`, `"f64"`).
+    /// (`"exact"`, `"int"`, `"i128"`).
     const ENGINE: &'static str;
     /// Stable span name for one BFS phase.
     const SPAN_BFS: &'static str;
@@ -83,19 +72,12 @@ pub trait Capacity: Clone + PartialEq + std::fmt::Debug {
     fn sub_ref(lhs: &Self, rhs: &Self) -> Self;
 
     /// Saturation predicate: can an arc with capacity `cap` and current
-    /// `flow` still carry more? Exact backends test `flow < cap`; the
-    /// tolerant backend tests `flow + eps(tol) < cap` so float dust never
-    /// opens a phantom residual arc.
-    fn has_headroom(flow: &Self, cap: &Self, tol: &Self::Tol) -> bool;
-    /// Loop-termination test on an augmentation result. Exact backends
-    /// stop on exactly zero; the tolerant backend also treats negative
-    /// dust as spent.
+    /// `flow` still carry more? `flow < cap`, except on a poisoned
+    /// checked-`i128` run, where no arc can.
+    fn has_headroom(flow: &Self, cap: &Self) -> bool;
+    /// Loop-termination test on an augmentation result: exactly zero, or
+    /// any result of a poisoned checked-`i128` run.
     fn exhausted(pushed: &Self) -> bool;
-    /// Conservation test on a node's net flow (testing hook).
-    fn conserved(net: &Self, tol: &Self::Tol) -> bool;
-    /// Fold one finite capacity into the tolerance state (called from
-    /// `add_edge`/`set_capacity`; exact backends ignore it).
-    fn observe(tol: &mut Self::Tol, cap: &Self);
 
     /// Count one BFS phase in [`crate::stats`].
     fn record_bfs_phase();
@@ -106,13 +88,11 @@ pub trait Capacity: Clone + PartialEq + std::fmt::Debug {
 }
 
 /// Implement the boilerplate half of [`Capacity`] — reference arithmetic,
-/// ordering, exact-zero tolerance — for an exact backend type from
-/// `prs-numeric`. The per-engine observability consts/hooks stay written
-/// out at each impl site, where their stability matters.
+/// ordering, the exact saturation and termination tests — for a backend
+/// type from `prs-numeric`. The per-engine observability consts/hooks stay
+/// written out at each impl site, where their stability matters.
 macro_rules! exact_capacity_arith {
     () => {
-        type Tol = ();
-
         fn zero() -> Self {
             Self::zero()
         }
@@ -134,16 +114,12 @@ macro_rules! exact_capacity_arith {
         fn sub_ref(lhs: &Self, rhs: &Self) -> Self {
             lhs - rhs
         }
-        fn has_headroom(flow: &Self, cap: &Self, _tol: &()) -> bool {
+        fn has_headroom(flow: &Self, cap: &Self) -> bool {
             flow < cap
         }
         fn exhausted(pushed: &Self) -> bool {
             pushed.is_zero()
         }
-        fn conserved(net: &Self, _tol: &()) -> bool {
-            net.is_zero()
-        }
-        fn observe(_tol: &mut (), _cap: &Self) {}
     };
 }
 

@@ -38,10 +38,10 @@ impl<C: Capacity> Arc<C> {
         }
     }
 
-    fn has_residual(&self, tol: &C::Tol) -> bool {
+    fn has_residual(&self) -> bool {
         match &self.cap {
             Cap::Infinite => true,
-            Cap::Finite(c) => C::has_headroom(&self.flow, c, tol),
+            Cap::Finite(c) => C::has_headroom(&self.flow, c),
         }
     }
 }
@@ -71,8 +71,6 @@ pub struct Network<C: Capacity> {
     queue: Vec<NodeId>,
     iter: Vec<usize>,
     path: Vec<usize>,
-    /// Backend tolerance state, fed by every finite capacity seen.
-    tol: C::Tol,
 }
 
 const UNREACHED: u32 = u32::MAX;
@@ -88,7 +86,6 @@ impl<C: Capacity> Network<C> {
             queue: Vec::new(),
             iter: vec![0; n],
             path: Vec::new(),
-            tol: C::Tol::default(),
         }
     }
 
@@ -109,7 +106,6 @@ impl<C: Capacity> Network<C> {
         self.level.resize(n, UNREACHED);
         self.iter.clear();
         self.iter.resize(n, 0);
-        self.tol = C::Tol::default();
     }
 
     /// Replace the capacity of forward edge `id` without touching topology —
@@ -118,11 +114,7 @@ impl<C: Capacity> Network<C> {
     /// next [`max_flow`](Self::max_flow).
     pub fn set_capacity(&mut self, id: EdgeId, cap: impl Into<Cap<C>>) {
         debug_assert_eq!(id % 2, 0, "capacities live on forward arcs");
-        let cap = cap.into();
-        if let Cap::Finite(c) = &cap {
-            C::observe(&mut self.tol, c);
-        }
-        self.arcs[id].cap = cap;
+        self.arcs[id].cap = cap.into();
     }
 
     /// Add a directed edge `from → to` with the given capacity; returns its
@@ -131,15 +123,11 @@ impl<C: Capacity> Network<C> {
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, cap: impl Into<Cap<C>>) -> EdgeId {
         assert!(from < self.n() && to < self.n(), "node out of range");
         assert_ne!(from, to, "self-loop arcs are not supported");
-        let cap = cap.into();
-        if let Cap::Finite(c) = &cap {
-            C::observe(&mut self.tol, c);
-        }
         let id = self.arcs.len();
         self.adj[from].push(id);
         self.arcs.push(Arc {
             to,
-            cap,
+            cap: cap.into(),
             flow: C::zero(),
         });
         self.adj[to].push(id + 1);
@@ -205,7 +193,7 @@ impl<C: Capacity> Network<C> {
     /// True iff edge `id` is saturated (meaningless for infinite arcs: always
     /// false there).
     pub fn is_saturated(&self, id: EdgeId) -> bool {
-        !self.arcs[id].has_residual(&self.tol)
+        !self.arcs[id].has_residual()
     }
 
     /// Reset all flows to zero.
@@ -229,7 +217,7 @@ impl<C: Capacity> Network<C> {
             head += 1;
             for &aid in &self.adj[v] {
                 let a = &self.arcs[aid];
-                if a.has_residual(&self.tol) && self.level[a.to] == UNREACHED {
+                if a.has_residual() && self.level[a.to] == UNREACHED {
                     self.level[a.to] = self.level[v] + 1;
                     self.queue.push(a.to);
                 }
@@ -275,7 +263,7 @@ impl<C: Capacity> Network<C> {
             while self.iter[v] < self.adj[v].len() {
                 let aid = self.adj[v][self.iter[v]];
                 let a = &self.arcs[aid];
-                if a.has_residual(&self.tol) && self.level[a.to] == self.level[v] + 1 {
+                if a.has_residual() && self.level[a.to] == self.level[v] + 1 {
                     self.path.push(aid);
                     v = a.to;
                     advanced = true;
@@ -297,13 +285,10 @@ impl<C: Capacity> Network<C> {
         }
     }
 
-    /// Compute the maximum `s → t` flow in the backend's arithmetic. The
-    /// network must not contain an infinite-capacity `s → t` path; the
+    /// Compute the exact maximum `s → t` flow in the backend's arithmetic.
+    /// The network must not contain an infinite-capacity `s → t` path; the
     /// Definition 2/5 networks never do (every path crosses a finite source
-    /// or sink arc). Exact backends return the exact optimum; the tolerant
-    /// backend treats augmentations below its saturation tolerance as zero,
-    /// so its value is within `O(E · eps)` of the true max flow — good
-    /// enough to propose, never to certify.
+    /// or sink arc).
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> C {
         assert_ne!(s, t, "source equals sink");
         C::record_max_flow();
@@ -340,7 +325,7 @@ impl<C: Capacity> Network<C> {
         while let Some(v) = stack.pop() {
             for &aid in &self.adj[v] {
                 let a = &self.arcs[aid];
-                if a.has_residual(&self.tol) && !seen[a.to] {
+                if a.has_residual() && !seen[a.to] {
                     seen[a.to] = true;
                     stack.push(a.to);
                 }
@@ -367,7 +352,7 @@ impl<C: Capacity> Network<C> {
         while let Some(x) = stack.pop() {
             for &aid in &self.adj[x] {
                 let u = self.arcs[aid].to;
-                if !reaches[u] && self.arcs[aid ^ 1].has_residual(&self.tol) {
+                if !reaches[u] && self.arcs[aid ^ 1].has_residual() {
                     reaches[u] = true;
                     stack.push(u);
                 }
@@ -400,7 +385,7 @@ impl<C: Capacity> Network<C> {
             for &aid in &self.adj[v] {
                 net.add_assign_ref(&self.arcs[aid].flow);
             }
-            if !C::conserved(&net, &self.tol) {
+            if !net.is_zero() {
                 return false;
             }
         }

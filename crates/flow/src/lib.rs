@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-//! # prs-flow — one Dinic kernel, four capacity backends
+//! # prs-flow — one Dinic kernel, three exact capacity backends
 //!
 //! The bottleneck decomposition (Definition 2 of the paper) and the BD
 //! Allocation Mechanism (Definition 5) are both defined through max-flow /
@@ -20,7 +20,7 @@
 //!   residual path *to* `t`, used to extract the maximal tight set
 //!   (= maximal bottleneck).
 //!
-//! Four backends instantiate the kernel:
+//! Three backends instantiate the kernel, all exact:
 //!
 //! * [`FlowNetwork`] = `Network<Rational>` — unscaled exact capacities:
 //!   the Definition-5 allocation and `prs-bd`'s reference oracle.
@@ -30,8 +30,6 @@
 //! * [`NetworkI128`] = `Network<i128>` — the checked machine-word fast tier
 //!   of the scaled-integer certifier; overflow poisons the run (see
 //!   [`network_i128`]) and promotes the round back to [`NetworkInt`].
-//! * [`NetworkF64`] = `Network<f64>` — the proposal half of the two-tier
-//!   Dinkelbach driver in `prs-bd`; tolerant comparisons, never decisive.
 //!
 //! The backend modules contribute only a `Capacity` impl and a type alias;
 //! the traversal order — hence the decomposition output — is bit-identical
@@ -42,7 +40,6 @@
 pub mod capacity;
 pub mod kernel;
 pub mod network;
-pub mod network_f64;
 pub mod network_i128;
 pub mod network_int;
 pub mod stats;
@@ -51,7 +48,6 @@ pub mod testkit;
 pub use capacity::{Cap, Capacity};
 pub use kernel::{EdgeId, Network, NodeId, SeedArc};
 pub use network::FlowNetwork;
-pub use network_f64::NetworkF64;
 pub use network_i128::{CapI128, NetworkI128};
 pub use network_int::{CapInt, NetworkInt};
 pub use stats::FlowStats;

@@ -83,8 +83,6 @@ fn poison() {
 }
 
 impl Capacity for i128 {
-    type Tol = ();
-
     const ENGINE: &'static str = "i128";
     const SPAN_BFS: &'static str = "i128_bfs_phase";
     const SPAN_MAX_FLOW: &'static str = "i128_max_flow";
@@ -128,7 +126,7 @@ impl Capacity for i128 {
             }
         }
     }
-    fn has_headroom(flow: &Self, cap: &Self, _tol: &()) -> bool {
+    fn has_headroom(flow: &Self, cap: &Self) -> bool {
         // A poisoned thread has no trustworthy residual structure: close
         // every arc so the kernel's BFS dead-ends and the run terminates.
         !overflow_detected() && flow < cap
@@ -136,10 +134,6 @@ impl Capacity for i128 {
     fn exhausted(pushed: &Self) -> bool {
         overflow_detected() || *pushed == 0
     }
-    fn conserved(net: &Self, _tol: &()) -> bool {
-        *net == 0
-    }
-    fn observe(_tol: &mut (), _cap: &Self) {}
 
     fn record_bfs_phase() {
         stats::record_i128_bfs_phases(1);
@@ -199,13 +193,13 @@ mod tests {
     #[test]
     fn poison_closes_headroom_and_forces_exhaustion() {
         reset_overflow();
-        assert!(i128::has_headroom(&0, &10, &()));
+        assert!(i128::has_headroom(&0, &10));
         assert!(!i128::exhausted(&3));
         poison();
-        assert!(!i128::has_headroom(&0, &10, &()));
+        assert!(!i128::has_headroom(&0, &10));
         assert!(i128::exhausted(&3));
         reset_overflow();
-        assert!(i128::has_headroom(&0, &10, &()));
+        assert!(i128::has_headroom(&0, &10));
     }
 
     #[test]

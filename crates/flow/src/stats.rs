@@ -25,12 +25,6 @@ pub struct FlowStats {
     pub exact_augmenting_paths: u64,
     /// Exact max-flow computations run to completion.
     pub exact_max_flows: u64,
-    /// Float-engine Dinic BFS phases.
-    pub f64_bfs_phases: u64,
-    /// Float-engine augmenting paths pushed.
-    pub f64_augmenting_paths: u64,
-    /// Float max-flow computations run to completion.
-    pub f64_max_flows: u64,
     /// Checked-i128 engine Dinic BFS phases.
     pub i128_bfs_phases: u64,
     /// Checked-i128 engine augmenting paths pushed.
@@ -47,12 +41,9 @@ pub struct FlowStats {
     /// Certification rounds promoted from the i128 tier to BigInt
     /// (build-time width rejection or a runtime checked-arithmetic trip).
     pub i128_promotions: u64,
-    /// Exact Dinkelbach descent steps (certifications + fallback steps).
+    /// Exact Dinkelbach descent steps (each one certification feasibility
+    /// test).
     pub dinkelbach_iterations: u64,
-    /// Rounds where the float proposal certified on the first exact flow.
-    pub fast_path_hits: u64,
-    /// Rounds where certification failed and the exact descent resumed.
-    pub fast_path_fallbacks: u64,
     /// Flow networks built from scratch (fresh arc storage).
     pub networks_built: u64,
     /// Network rebuilds that reused existing arc storage (arena hits).
@@ -82,19 +73,6 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    /// Fraction of decomposition rounds settled by the fast path
-    /// (`NaN` when no round was instrumented).
-    // prs-lint: allow(float, reason = "display-only ratio; derived from exact counters, never fed back into the solver")
-    pub fn fast_path_rate(&self) -> f64 {
-        let total = self.fast_path_hits + self.fast_path_fallbacks;
-        if total == 0 {
-            f64::NAN
-        } else {
-            // prs-lint: allow(cast, reason = "display-only ratio of event counters; f64 precision loss above 2^53 events is irrelevant")
-            self.fast_path_hits as f64 / total as f64
-        }
-    }
-
     /// Fraction of session-served rounds settled straight from the shape
     /// cache (`NaN` when no session round was instrumented).
     // prs-lint: allow(float, reason = "display-only ratio; derived from exact counters, never fed back into the solver")
@@ -123,11 +101,6 @@ impl FlowStats {
                 .exact_augmenting_paths
                 .saturating_sub(earlier.exact_augmenting_paths),
             exact_max_flows: self.exact_max_flows.saturating_sub(earlier.exact_max_flows),
-            f64_bfs_phases: self.f64_bfs_phases.saturating_sub(earlier.f64_bfs_phases),
-            f64_augmenting_paths: self
-                .f64_augmenting_paths
-                .saturating_sub(earlier.f64_augmenting_paths),
-            f64_max_flows: self.f64_max_flows.saturating_sub(earlier.f64_max_flows),
             i128_bfs_phases: self.i128_bfs_phases.saturating_sub(earlier.i128_bfs_phases),
             i128_augmenting_paths: self
                 .i128_augmenting_paths
@@ -142,10 +115,6 @@ impl FlowStats {
             dinkelbach_iterations: self
                 .dinkelbach_iterations
                 .saturating_sub(earlier.dinkelbach_iterations),
-            fast_path_hits: self.fast_path_hits.saturating_sub(earlier.fast_path_hits),
-            fast_path_fallbacks: self
-                .fast_path_fallbacks
-                .saturating_sub(earlier.fast_path_fallbacks),
             networks_built: self.networks_built.saturating_sub(earlier.networks_built),
             networks_reused: self.networks_reused.saturating_sub(earlier.networks_reused),
             topology_reuses: self.topology_reuses.saturating_sub(earlier.topology_reuses),
@@ -168,14 +137,10 @@ impl FlowStats {
     // prs-lint: allow(float, reason = "percentage formatting of display-only rates")
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let rate = self.fast_path_rate();
         let rows: &[(&str, u64)] = &[
             ("exact max-flows", self.exact_max_flows),
             ("exact BFS phases", self.exact_bfs_phases),
             ("exact augmenting paths", self.exact_augmenting_paths),
-            ("f64 max-flows", self.f64_max_flows),
-            ("f64 BFS phases", self.f64_bfs_phases),
-            ("f64 augmenting paths", self.f64_augmenting_paths),
             ("i128 max-flows", self.i128_max_flows),
             ("i128 BFS phases", self.i128_bfs_phases),
             ("i128 augmenting paths", self.i128_augmenting_paths),
@@ -184,8 +149,6 @@ impl FlowStats {
             ("int augmenting paths", self.int_augmenting_paths),
             ("i128 promotions", self.i128_promotions),
             ("Dinkelbach iterations", self.dinkelbach_iterations),
-            ("fast-path hits", self.fast_path_hits),
-            ("fast-path fallbacks", self.fast_path_fallbacks),
             ("networks built", self.networks_built),
             ("networks reused", self.networks_reused),
             ("topology reuses", self.topology_reuses),
@@ -198,13 +161,6 @@ impl FlowStats {
         ];
         for (k, v) in rows {
             out.push_str(&format!("  {k:<24} {v}\n"));
-        }
-        if rate.is_finite() {
-            out.push_str(&format!(
-                "  {:<24} {:.1}%\n",
-                "fast-path rate",
-                rate * 100.0
-            ));
         }
         let session_rate = self.session_hit_rate();
         if session_rate.is_finite() {
@@ -220,22 +176,20 @@ impl FlowStats {
     /// Serialize as a JSON object (no external serializer in the build
     /// environment).
     ///
-    /// The derived `fast_path_rate`/`session_hit_rate` keys are appended
-    /// only when finite: with zero instrumented rounds the rates are
-    /// `NaN`, which has no JSON representation, so the keys are omitted
-    /// rather than emitting an unparseable `NaN` literal.
+    /// The derived `session_hit_rate` key is appended only when finite:
+    /// with zero instrumented rounds the rate is `NaN`, which has no JSON
+    /// representation, so the key is omitted rather than emitting an
+    /// unparseable `NaN` literal.
     pub fn to_json(&self) -> String {
         let mut out = format!(
             concat!(
                 "{{\"exact_max_flows\": {}, \"exact_bfs_phases\": {}, ",
-                "\"exact_augmenting_paths\": {}, \"f64_max_flows\": {}, ",
-                "\"f64_bfs_phases\": {}, \"f64_augmenting_paths\": {}, ",
+                "\"exact_augmenting_paths\": {}, ",
                 "\"i128_max_flows\": {}, \"i128_bfs_phases\": {}, ",
                 "\"i128_augmenting_paths\": {}, \"int_max_flows\": {}, ",
                 "\"int_bfs_phases\": {}, \"int_augmenting_paths\": {}, ",
                 "\"i128_promotions\": {}, ",
-                "\"dinkelbach_iterations\": {}, \"fast_path_hits\": {}, ",
-                "\"fast_path_fallbacks\": {}, \"networks_built\": {}, ",
+                "\"dinkelbach_iterations\": {}, \"networks_built\": {}, ",
                 "\"networks_reused\": {}, \"topology_reuses\": {}, ",
                 "\"session_hits\": {}, ",
                 "\"session_misses\": {}, \"session_warm_starts\": {}, ",
@@ -245,9 +199,6 @@ impl FlowStats {
             self.exact_max_flows,
             self.exact_bfs_phases,
             self.exact_augmenting_paths,
-            self.f64_max_flows,
-            self.f64_bfs_phases,
-            self.f64_augmenting_paths,
             self.i128_max_flows,
             self.i128_bfs_phases,
             self.i128_augmenting_paths,
@@ -256,8 +207,6 @@ impl FlowStats {
             self.int_augmenting_paths,
             self.i128_promotions,
             self.dinkelbach_iterations,
-            self.fast_path_hits,
-            self.fast_path_fallbacks,
             self.networks_built,
             self.networks_reused,
             self.topology_reuses,
@@ -268,10 +217,6 @@ impl FlowStats {
             self.delta_recertified,
             self.delta_recomputed,
         );
-        let fast = self.fast_path_rate();
-        if fast.is_finite() {
-            out.push_str(&format!(", \"fast_path_rate\": {fast:.6}"));
-        }
         let session = self.session_hit_rate();
         if session.is_finite() {
             out.push_str(&format!(", \"session_hit_rate\": {session:.6}"));
@@ -314,9 +259,6 @@ counters! {
     EXACT_BFS("flow.exact_bfs_phases") => exact_bfs_phases, record_exact_bfs_phases;
     EXACT_AUG("flow.exact_augmenting_paths") => exact_augmenting_paths, record_exact_augmenting_paths;
     EXACT_FLOWS("flow.exact_max_flows") => exact_max_flows, record_exact_max_flows;
-    F64_BFS("flow.f64_bfs_phases") => f64_bfs_phases, record_f64_bfs_phases;
-    F64_AUG("flow.f64_augmenting_paths") => f64_augmenting_paths, record_f64_augmenting_paths;
-    F64_FLOWS("flow.f64_max_flows") => f64_max_flows, record_f64_max_flows;
     I128_BFS("flow.i128_bfs_phases") => i128_bfs_phases, record_i128_bfs_phases;
     I128_AUG("flow.i128_augmenting_paths") => i128_augmenting_paths, record_i128_augmenting_paths;
     I128_FLOWS("flow.i128_max_flows") => i128_max_flows, record_i128_max_flows;
@@ -325,8 +267,6 @@ counters! {
     INT_FLOWS("flow.int_max_flows") => int_max_flows, record_int_max_flows;
     I128_PROMOTIONS("bd.i128_promotions") => i128_promotions, record_i128_promotions;
     DINKELBACH("bd.dinkelbach_iterations") => dinkelbach_iterations, record_dinkelbach_iterations;
-    FAST_HITS("bd.fast_path_hits") => fast_path_hits, record_fast_path_hits;
-    FAST_FALLBACKS("bd.fast_path_fallbacks") => fast_path_fallbacks, record_fast_path_fallbacks;
     NETS_BUILT("flow.networks_built") => networks_built, record_networks_built;
     NETS_REUSED("flow.networks_reused") => networks_reused, record_networks_reused;
     TOPOLOGY_REUSES("bd.topology_reuses") => topology_reuses, record_topology_reuses;
@@ -348,12 +288,12 @@ mod tests {
     #[test]
     fn counters_accumulate_and_diff() {
         let before = snapshot();
-        record_fast_path_hits(3);
+        record_dinkelbach_iterations(3);
         record_networks_reused(2);
         record_topology_reuses(4);
         let after = snapshot();
         let delta = after.since(&before);
-        assert!(delta.fast_path_hits >= 3);
+        assert!(delta.dinkelbach_iterations >= 3);
         assert!(delta.networks_reused >= 2);
         assert!(delta.topology_reuses >= 4);
     }
@@ -361,24 +301,24 @@ mod tests {
     #[test]
     fn render_and_json_mention_every_counter() {
         let s = FlowStats {
-            fast_path_hits: 7,
-            fast_path_fallbacks: 1,
+            dinkelbach_iterations: 7,
+            session_hits: 7,
+            session_misses: 1,
             topology_reuses: 5,
             ..FlowStats::default()
         };
         let text = s.render();
-        assert!(text.contains("fast-path hits"));
+        assert!(text.contains("Dinkelbach iterations"));
         assert!(text.contains("topology reuses"), "{text}");
         assert!(text.contains("87.5%"), "rate rendering: {text}");
         let json = s.to_json();
-        assert!(json.contains("\"fast_path_hits\": 7"));
+        assert!(json.contains("\"dinkelbach_iterations\": 7"));
         assert!(json.contains("\"topology_reuses\": 5"), "{json}");
         assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
     #[test]
     fn rate_is_nan_when_uninstrumented() {
-        assert!(FlowStats::default().fast_path_rate().is_nan());
         assert!(FlowStats::default().session_hit_rate().is_nan());
     }
 
@@ -410,19 +350,15 @@ mod tests {
         // snapshots must omit the rate keys entirely.
         let empty = FlowStats::default().to_json();
         assert!(!empty.contains("NaN"), "{empty}");
-        assert!(!empty.contains("fast_path_rate"), "{empty}");
         assert!(!empty.contains("session_hit_rate"), "{empty}");
         assert!(empty.ends_with('}'), "{empty}");
 
         let active = FlowStats {
-            fast_path_hits: 3,
-            fast_path_fallbacks: 1,
             session_hits: 1,
             session_misses: 1,
             ..FlowStats::default()
         }
         .to_json();
-        assert!(active.contains("\"fast_path_rate\": 0.750000"), "{active}");
         assert!(
             active.contains("\"session_hit_rate\": 0.500000"),
             "{active}"

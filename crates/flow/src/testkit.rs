@@ -1,33 +1,29 @@
 //! Shared, engine-parameterized test suite for the Dinic kernel.
 //!
 //! One property set, three backends: every deterministic kernel test in
-//! this module is generic over [`TestCapacity`], so the exact, scaled-
-//! integer, and float engines all run the *identical* cases (including
-//! the long-path no-stack-overflow regression that historically covered
-//! only two of the three). Engine test modules instantiate the whole
-//! suite with [`crate::engine_suite!`]; the proptest harnesses reuse the
-//! building-block helpers ([`integral_network`], [`assert_min_cut_matches`],
-//! …) to cross-check random networks against an oracle per backend.
+//! this module is generic over [`TestCapacity`], so the rational, BigInt
+//! and checked-`i128` engines all run the *identical* cases (including
+//! the long-path no-stack-overflow regression). Engine test modules
+//! instantiate the whole suite with [`crate::engine_suite!`]; the proptest
+//! harnesses reuse the building-block helpers ([`integral_network`],
+//! [`assert_min_cut_matches`], …) to cross-check random networks against an
+//! oracle per backend.
 //!
 //! The module is float-free by construction: ratios are described as
 //! `num/den` pairs and each backend maps them into its own units — the
-//! scaled-integer backend multiplies through by [`RATIO_SCALE`] (an
-//! lcm(1..=16), so every small test denominator clears exactly), and the
-//! `f64` mapping lives in the float-permitted `network_f64` module.
+//! scaled-integer backends multiply through by [`RATIO_SCALE`] (an
+//! lcm(1..=16), so every small test denominator clears exactly).
 
 use crate::capacity::{Cap, Capacity};
 use crate::kernel::{EdgeId, Network, NodeId, SeedArc};
 use prs_numeric::{ratio, BigInt, Rational};
 
 /// A [`Capacity`] backend that can represent the suite's small test
-/// ratios and compare flow values against them.
+/// ratios.
 pub trait TestCapacity: Capacity {
     /// Map `num/den` into this backend's capacity units. Test
     /// denominators always divide [`RATIO_SCALE`].
     fn from_ratio(num: i64, den: i64) -> Self;
-    /// Assert two flow values agree (exactly for exact backends, within
-    /// proposal tolerance for the float backend).
-    fn assert_feq(actual: &Self, expected: &Self);
 }
 
 /// Uniform scale (`lcm(1..=16) = 720720`) the big-integer backend
@@ -40,9 +36,6 @@ impl TestCapacity for Rational {
     fn from_ratio(num: i64, den: i64) -> Self {
         ratio(num, den)
     }
-    fn assert_feq(actual: &Self, expected: &Self) {
-        assert_eq!(actual, expected);
-    }
 }
 
 impl TestCapacity for BigInt {
@@ -53,9 +46,6 @@ impl TestCapacity for BigInt {
             "test denominator {den} must divide RATIO_SCALE"
         );
         BigInt::from(num * (RATIO_SCALE / den))
-    }
-    fn assert_feq(actual: &Self, expected: &Self) {
-        assert_eq!(actual, expected);
     }
 }
 
@@ -68,9 +58,6 @@ impl TestCapacity for i128 {
         );
         i128::from(num) * i128::from(RATIO_SCALE / den)
     }
-    fn assert_feq(actual: &Self, expected: &Self) {
-        assert_eq!(actual, expected);
-    }
 }
 
 /// `Cap::Finite(num/den)` in backend units.
@@ -80,7 +67,7 @@ pub fn fin<C: TestCapacity>(num: i64, den: i64) -> Cap<C> {
 
 /// Assert a flow value equals `num/den` in backend units.
 pub fn expect<C: TestCapacity>(actual: &C, num: i64, den: i64) {
-    C::assert_feq(actual, &C::from_ratio(num, den));
+    assert_eq!(actual, &C::from_ratio(num, den));
 }
 
 /// Build a network from `(from, to, integral capacity)` triples.
@@ -159,7 +146,7 @@ impl SplitMix {
     }
 
     /// A capacity or request of `0..=4` in steps of 1/2 (exact in every
-    /// backend, `f64` included).
+    /// backend).
     fn halves<C: TestCapacity>(&mut self) -> C {
         C::from_ratio(i64::from(self.below(9)), 2)
     }
@@ -203,7 +190,7 @@ pub fn assert_min_cut_matches<C: TestCapacity>(
             cut.add_assign_ref(&C::from_ratio(c, 1));
         }
     }
-    C::assert_feq(&cut, &flow);
+    assert_eq!(cut, flow);
 }
 
 /// The flow value equals the net outflow of the source (and the negated
@@ -216,10 +203,10 @@ pub fn assert_outflow_equals_value<C: TestCapacity>(
 ) {
     let mut net = integral_network::<C>(n, edges);
     let flow = net.max_flow(s, t);
-    C::assert_feq(&net.outflow(s), &flow);
+    assert_eq!(net.outflow(s), flow);
     let mut sink = net.outflow(t);
     sink.add_assign_ref(&flow);
-    C::assert_feq(&sink, &C::zero());
+    assert_eq!(sink, C::zero());
 }
 
 // ---------------------------------------------------------------------------
@@ -387,12 +374,12 @@ pub fn preset_flow_resumes_to_the_same_optimum<C: TestCapacity>() {
             desired: C::from_ratio(1, 1),
         },
     ]);
-    C::assert_feq(&seeded, &C::from_ratio(3, 1));
+    assert_eq!(seeded, C::from_ratio(3, 1));
     assert!(warm.check_capacities() && warm.check_conservation(0, 4));
     let extra = warm.max_flow(0, 4);
     let mut resumed = seeded;
     resumed.add_assign_ref(&extra);
-    C::assert_feq(&resumed, &cold_val);
+    assert_eq!(resumed, cold_val);
     // Same residual tight-set structure as the cold run.
     assert_eq!(warm.residual_reaches_sink(4), cold.residual_reaches_sink(4));
 }
@@ -462,7 +449,7 @@ pub fn seed_flow_repeated_routes_conserve<C: TestCapacity>() {
     assert!(warm.check_conservation(0, 3));
     let mut total = seeded;
     total.add_assign_ref(&warm.max_flow(0, 3));
-    C::assert_feq(&total, &cold_val);
+    assert_eq!(total, cold_val);
     assert_eq!(warm.residual_reaches_sink(3), cold.residual_reaches_sink(3));
     assert_eq!(warm.min_cut_source_side(0), cold.min_cut_source_side(0));
 }
@@ -536,7 +523,7 @@ pub fn reachability_matches_incoming_list_oracle<C: TestCapacity>() {
         assert!(warm.check_capacities());
         assert!(warm.check_conservation(s, t));
         total.add_assign_ref(&warm.max_flow(s, t));
-        C::assert_feq(&total, &cold_val);
+        assert_eq!(total, cold_val);
         assert_eq!(check(&warm, &edges), cold_sets);
     }
 }
@@ -697,8 +684,5 @@ mod tests {
     }
     mod i128_engine {
         crate::engine_suite!(i128);
-    }
-    mod f64_engine {
-        crate::engine_suite!(f64);
     }
 }

@@ -2,11 +2,10 @@
 //! run on **every** capacity backend.
 //!
 //! Random integral networks have integral max flows, so one oracle value
-//! checks all three engines: the exact and scaled-integer backends must
-//! match it exactly (the scaled one in `RATIO_SCALE` units), the float
-//! backend within proposal tolerance. The per-backend plumbing lives in
-//! `prs_flow::testkit`; this file owns only the oracle and the random
-//! network strategy.
+//! checks all three engines: the rational backend must match it exactly,
+//! and the two scaled-integer backends exactly in `RATIO_SCALE` units. The
+//! per-backend plumbing lives in `prs_flow::testkit`; this file owns only
+//! the oracle and the random network strategy.
 
 use proptest::prelude::*;
 use prs_flow::testkit;
@@ -96,7 +95,7 @@ proptest! {
         let expected = oracle_integral(n, &edges, s, t);
         testkit::assert_max_flow_integral::<Rational>(n, &edges, s, t, expected);
         testkit::assert_max_flow_integral::<BigInt>(n, &edges, s, t, expected);
-        testkit::assert_max_flow_integral::<f64>(n, &edges, s, t, expected);
+        testkit::assert_max_flow_integral::<i128>(n, &edges, s, t, expected);
     }
 
     #[test]
@@ -105,18 +104,17 @@ proptest! {
         let (s, t) = (0, n - 1);
         testkit::assert_outflow_equals_value::<Rational>(n, &edges, s, t);
         testkit::assert_outflow_equals_value::<BigInt>(n, &edges, s, t);
-        testkit::assert_outflow_equals_value::<f64>(n, &edges, s, t);
+        testkit::assert_outflow_equals_value::<i128>(n, &edges, s, t);
     }
 
     #[test]
     fn min_cut_separates_and_matches_value((n, edges) in arb_network()) {
         prop_assume!(!edges.is_empty());
         let (s, t) = (0, n - 1);
-        // Max-flow min-cut duality holds per engine (exactly on the exact
-        // backends, within tolerance on f64).
+        // Max-flow min-cut duality holds exactly per engine.
         testkit::assert_min_cut_matches::<Rational>(n, &edges, s, t);
         testkit::assert_min_cut_matches::<BigInt>(n, &edges, s, t);
-        testkit::assert_min_cut_matches::<f64>(n, &edges, s, t);
+        testkit::assert_min_cut_matches::<i128>(n, &edges, s, t);
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl BigInt {
         BigInt { sign, mag }
     }
 
-    // prs-lint: allow(float, reason = "sanctioned exact→float bridge for display and the f64 proposer; never read back into exact state")
+    // prs-lint: allow(float, reason = "sanctioned exact→float bridge for display and the f64 swarm capacities; never read back into exact state")
     /// Best-effort `f64` conversion.
     pub fn to_f64(&self) -> f64 {
         let m = self.mag.to_f64();

@@ -450,7 +450,7 @@ impl BigUint {
         }
     }
 
-    // prs-lint: allow(float, panic, reason = "the one sanctioned exact→float bridge: feeds display and the f64 proposer only; to_u64 cannot fail after the bit_len checks")
+    // prs-lint: allow(float, panic, reason = "the one sanctioned exact→float bridge: feeds display and the f64 swarm capacities only; to_u64 cannot fail after the bit_len checks")
     /// Best-effort conversion to `f64` (rounds; may overflow to infinity).
     pub fn to_f64(&self) -> f64 {
         let bits = self.bit_len();

@@ -431,7 +431,8 @@ fn rational_from_ratio_at_the_i64_extremes() {
 #[test]
 fn to_f64_bits_are_pinned() {
     // Bit patterns produced before the inline/word fast paths existed: the
-    // f64 proposer reads these, so they must not move.
+    // f64 swarm and dynamics engines take their capacities and targets
+    // from these, so they must not move.
     let golden: [(&str, u64); 12] = [
         ("1/3", 0x3fd5555555555555),
         ("-22/7", 0xc009249249249249),

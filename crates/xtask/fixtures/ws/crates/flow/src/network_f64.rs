@@ -1,6 +1,6 @@
-//! Fixture: the sanctioned float-backend module. Floats and numeric casts
-//! here are *exempt* (float_boundary_exempt), so none of the tokens below
-//! may produce a finding — this file proves the carve-out works.
+//! Fixture: a float module in the flow crate. The float and cast rules
+//! cover every module there, so the tokens below must fire both rules —
+//! this file proves no float carve-out is left.
 
 pub fn headroom(flow: f64, cap: f64, eps: f64) -> bool {
     flow + eps < cap

@@ -1,7 +1,7 @@
 //! `prs-lint`: the workspace static-analysis suite behind `cargo xtask lint`.
 //!
 //! The paper's exact decomposition only proves anything if the code keeps
-//! its promises: floats propose but never decide, library code fails with
+//! its promises: no float reaches an exact kernel, library code fails with
 //! typed errors, sweeps are deterministic, and the public surface stays
 //! documented and builder-extensible. This crate checks those promises on
 //! every file, token by token, with a counted escape hatch per rule.

@@ -6,9 +6,7 @@
 //!
 //! * `float` — the incentive-ratio proofs need the decomposition to be
 //!   *exact*; no `f64`/`f32` types or float literals may appear in the
-//!   exact kernels. The f64 capacity backend may only *propose*, never
-//!   decide, and is the single `float_boundary_exempt` module where floats
-//!   (and casts into them) are permitted.
+//!   exact kernels, the whole flow crate included.
 //! * `cast` — `as` numeric casts truncate silently; exact kernels must use
 //!   `From`/`TryFrom` or carry a range argument in an allow annotation.
 //! * `panic` — library code must push failures into typed errors
@@ -170,11 +168,6 @@ pub struct LintConfig {
     pub float_paths: Vec<String>,
     /// No `as` numeric casts (superset of the exact kernels).
     pub cast_paths: Vec<String>,
-    /// The designated float-backend modules: carved out of *both* the
-    /// `float` and `cast` rules even when a parent directory is covered.
-    /// This is the boundary that makes "floats may propose, never decide"
-    /// checkable — exactly one module in the flow crate may mention `f64`.
-    pub float_boundary_exempt: Vec<String>,
     /// Library code: no panicking calls outside tests.
     pub panic_paths: Vec<String>,
     /// Deterministic sweep/bench paths: no hash collections.
@@ -218,8 +211,7 @@ impl LintConfig {
             // All big-integer / rational arithmetic.
             "crates/numeric/src".to_string(),
             // The whole flow crate: the generic Dinic kernel, the Capacity
-            // trait, and the exact backends. The one sanctioned float
-            // module is carved back out via `float_boundary_exempt`.
+            // trait, and the exact backends.
             "crates/flow/src".to_string(),
             // The decomposition driver, the session replay/certify paths,
             // the delta-mutation vocabulary (a `SetWeight` carries the exact
@@ -237,7 +229,7 @@ impl LintConfig {
         ];
         let mut cast_paths = exact_kernels.clone();
         // The cast rule additionally covers the bd glue: a truncating cast
-        // there can bias proposals systematically, and satellite
+        // there can skew the network a round builds, and satellite
         // instrumentation must state its ranges.
         cast_paths.push("crates/bd/src".to_string());
         LintConfig {
@@ -249,12 +241,6 @@ impl LintConfig {
             ],
             float_paths: exact_kernels,
             cast_paths,
-            // The f64 Capacity backend is the single module allowed to
-            // mention floats or cast into them; everything else in the flow
-            // crate is generic over the Capacity trait and stays exact.
-            // The checked-i128 fast tier (`network_i128.rs`) is deliberately
-            // NOT exempted: it is an exact backend and every rule covers it.
-            float_boundary_exempt: vec!["crates/flow/src/network_f64.rs".to_string()],
             panic_paths: vec![
                 "crates/numeric/src".into(),
                 "crates/graph/src".into(),
@@ -518,11 +504,10 @@ fn lexical_rules(cfg: &LintConfig, fc: &FileCtx, report: &mut Report) {
     let mut emit =
         |rule: &'static str, line: u32, message: String| fc.emit(report, rule, line, message);
 
-    let boundary_exempt = cfg.matches(&cfg.float_boundary_exempt, &fc.rel);
-    if !boundary_exempt && cfg.matches(&cfg.float_paths, &fc.rel) {
+    if cfg.matches(&cfg.float_paths, &fc.rel) {
         float_rule(&fc.lexed, &mut emit);
     }
-    if !boundary_exempt && cfg.matches(&cfg.cast_paths, &fc.rel) {
+    if cfg.matches(&cfg.cast_paths, &fc.rel) {
         cast_rule(&fc.lexed, &mut emit);
     }
     if cfg.matches(&cfg.panic_paths, &fc.rel) {
@@ -886,7 +871,7 @@ fn float_rule(lexed: &Lexed, emit: &mut impl FnMut(&'static str, u32, String)) {
             TokKind::Ident(s) if s == "f64" || s == "f32" => emit(
                 "float",
                 t.line,
-                format!("`{s}` in an exact kernel — floats may propose, never decide"),
+                format!("`{s}` in an exact kernel — α-ratio decisions are exact"),
             ),
             TokKind::Float => emit(
                 "float",

@@ -162,9 +162,9 @@ fn flow_kernel_boundary_rules_fire() {
 #[test]
 fn i128_backend_boundary_rules_fire() {
     // The checked-i128 fast tier lives in the kernel directory and is
-    // covered by every boundary rule (only `network_f64.rs` is carved
-    // out): a fixture twin leaking floats, lossy casts, or panics past
-    // the checked-arithmetic boundary must trip them all.
+    // covered by every boundary rule: a fixture twin leaking floats, lossy
+    // casts, or panics past the checked-arithmetic boundary must trip them
+    // all.
     let r = fixture_report();
     let file = "crates/flow/src/bad_i128.rs";
     assert_finding(&r, "float", file, 4); // `-> f64`
@@ -193,17 +193,16 @@ fn delta_module_boundary_rules_fire() {
 }
 
 #[test]
-fn float_boundary_module_is_exempt() {
-    // The sanctioned f64 backend module is carved out of the float and
-    // cast rules: its fixture twin is saturated with floats and casts and
-    // must produce no findings at all.
+fn float_tokens_fire_anywhere_in_the_flow_crate() {
+    // No module of the flow crate is carved out of the float and cast
+    // rules, not even one named like the retired f64 backend: its fixture
+    // twin's float types and casts must all fire.
     let r = fixture_report();
     let file = "crates/flow/src/network_f64.rs";
-    assert!(
-        !r.findings.iter().any(|f| f.file == file),
-        "float-boundary module produced findings:\n{}",
-        render(&r)
-    );
+    assert_finding(&r, "float", file, 5); // `f64` parameter types
+    assert_finding(&r, "float", file, 9); // `-> f64`
+    assert_finding(&r, "float", file, 10); // `as f64` target types
+    assert_finding(&r, "cast", file, 10); // `num as f64 / den as f64`
 }
 
 #[test]

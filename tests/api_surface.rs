@@ -119,13 +119,11 @@ fn surface_is_importable_and_coherent() {
     let _: fn(usize) -> flow::FlowNetwork = flow::Network::<numeric::Rational>::new;
     let _: fn(usize) -> flow::NetworkInt = flow::NetworkInt::new;
     let _: fn(usize) -> flow::NetworkI128 = flow::NetworkI128::new;
-    let _: fn(usize) -> flow::NetworkF64 = flow::NetworkF64::new;
     let _ = std::mem::size_of::<flow::Cap>(); // defaults to the exact backend
     let _ = std::mem::size_of::<flow::CapInt>();
     let _ = std::mem::size_of::<flow::CapI128>();
     let _ = std::mem::size_of::<flow::SeedArc<numeric::BigInt>>();
     fn takes_capacity<C: flow::Capacity>() {}
-    let _ = takes_capacity::<f64>;
     let _ = takes_capacity::<i128>;
     // The i128 tier's overflow handshake is public: callers bracket runs
     // with reset/detect and promote on a true answer.

@@ -29,15 +29,11 @@ fn pinned(s: &FlowStats) -> Vec<(&'static str, u64)> {
         ("dinkelbach_iterations", s.dinkelbach_iterations),
         ("i128_max_flows", s.i128_max_flows),
         ("i128_augmenting_paths", s.i128_augmenting_paths),
-        ("f64_max_flows", s.f64_max_flows),
-        ("f64_augmenting_paths", s.f64_augmenting_paths),
         ("int_max_flows", s.int_max_flows),
         ("int_augmenting_paths", s.int_augmenting_paths),
         ("exact_max_flows", s.exact_max_flows),
         ("exact_augmenting_paths", s.exact_augmenting_paths),
         ("i128_promotions", s.i128_promotions),
-        ("fast_path_hits", s.fast_path_hits),
-        ("fast_path_fallbacks", s.fast_path_fallbacks),
         ("session_hits", s.session_hits),
         ("session_misses", s.session_misses),
         ("session_warm_starts", s.session_warm_starts),
@@ -133,19 +129,15 @@ fn session_flow_work_is_pinned() {
     churn_script(&mut owned, &mut rng);
     let churn = stats::snapshot().since(&mid);
 
-    let want_grids: [(&str, u64); 18] = [
-        ("dinkelbach_iterations", 406),
-        ("i128_max_flows", 406),
-        ("i128_augmenting_paths", 521),
-        ("f64_max_flows", 16),
-        ("f64_augmenting_paths", 61),
+    let want_grids: [(&str, u64); 14] = [
+        ("dinkelbach_iterations", 414),
+        ("i128_max_flows", 414),
+        ("i128_augmenting_paths", 556),
         ("int_max_flows", 0),
         ("int_augmenting_paths", 0),
         ("exact_max_flows", 0),
         ("exact_augmenting_paths", 0),
         ("i128_promotions", 0),
-        ("fast_path_hits", 8),
-        ("fast_path_fallbacks", 0),
         ("session_hits", 481),
         ("session_misses", 14),
         ("session_warm_starts", 487),
@@ -153,19 +145,15 @@ fn session_flow_work_is_pinned() {
         ("delta_recertified", 0),
         ("delta_recomputed", 0),
     ];
-    let want_churn: [(&str, u64); 18] = [
-        ("dinkelbach_iterations", 440),
-        ("i128_max_flows", 437),
-        ("i128_augmenting_paths", 3206),
-        ("f64_max_flows", 98),
-        ("f64_augmenting_paths", 1272),
+    let want_churn: [(&str, u64); 14] = [
+        ("dinkelbach_iterations", 487),
+        ("i128_max_flows", 484),
+        ("i128_augmenting_paths", 3777),
         ("int_max_flows", 3),
         ("int_augmenting_paths", 43),
         ("exact_max_flows", 0),
         ("exact_augmenting_paths", 0),
         ("i128_promotions", 1),
-        ("fast_path_hits", 51),
-        ("fast_path_fallbacks", 0),
         ("session_hits", 361),
         ("session_misses", 89),
         ("session_warm_starts", 414),

@@ -5,8 +5,8 @@
 //! The flow-kernel modules at the bottom instantiate the shared
 //! engine-parameterized Dinic suite (`prs_flow::testkit`) once per capacity
 //! backend, so every kernel property — including the long-path
-//! no-stack-overflow regression — is pinned for all three engines from
-//! outside the crate.
+//! no-stack-overflow regression — is pinned for all three engines
+//! (rational, BigInt, checked `i128`) from outside the crate.
 
 use prs::deviation::reference::bisect_breakpoint;
 use prs::deviation::solve_breakpoint;
@@ -135,10 +135,6 @@ mod flow_kernel_int {
 
 mod flow_kernel_i128 {
     prs_flow::engine_suite!(i128);
-}
-
-mod flow_kernel_f64 {
-    prs_flow::engine_suite!(f64);
 }
 
 /// The reference bisection bracket of the grid cell `(x_i, x_{i+1}]` of

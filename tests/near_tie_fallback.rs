@@ -1,27 +1,21 @@
-//! Directed regression: an α-ratio near-tie that **fools the float tier**
-//! and forces the two-tier engine through its exact fallback.
+//! Directed regression: an α-ratio near-tie that only exact arithmetic
+//! separates.
 //!
 //! The 6-ring below carries two competing bottleneck gadgets:
 //!
 //! * `B = {1}` with `α({1}) = (w₀+w₂)/w₁ = 1/3` exactly, and
 //! * `B = {4}` with `α({4}) = (w₃+w₅)/w₄ = 3333333333333333/10⁶⁺¹⁰+1`,
-//!   which is *smaller* than 1/3 by ≈ 2·10⁻¹⁶ relative — far below every
-//!   f64 working tolerance in the float tier (feasibility 1e-9, residual
-//!   saturation 1e-12), and around the limit of f64 representation itself.
+//!   which is *smaller* than 1/3 by ≈ 2·10⁻¹⁶ relative — about one unit
+//!   in the last place of an f64, the limit of float representation.
 //!
-//! The true maximal bottleneck is `{4}` alone, but the float tier cannot
-//! separate the gadgets: its proposal lumps both together (exact ratio =
-//! the mediant, strictly above the optimum), certification fails, and the
-//! engine must fall back to the exact descent — which this test observes
-//! through the `fast_path_fallbacks` counter. The result must still be
-//! bit-identical to the single-tier exact engine. See docs/NUMERICS.md.
-//!
-//! This test lives in its own binary: the flow-stat counters are process
-//! globals, and sharing the process with other tests would let their
-//! decompositions blur the before/after deltas asserted here.
+//! The true maximal bottleneck is `{4}` alone. The production engine
+//! decides every round with the exact Dinkelbach descent on the
+//! scaled-integer network, starting from the alive set's own ratio; the
+//! result must land on gadget B first, at its exact ratio, and be
+//! bit-identical to the Rational-capacity oracle `decompose_exact`. See
+//! docs/NUMERICS.md.
 
 use prs::bd::{decompose, decompose_exact};
-use prs::flow::stats;
 use prs::prelude::*;
 
 fn near_tie_ring() -> Graph {
@@ -43,19 +37,10 @@ fn near_tie_forces_the_exact_fallback_and_stays_bit_identical() {
     let alpha_b = ratio(3_333_333_333_333_333, 10_000_000_000_000_001);
     assert!(alpha_b < ratio(1, 3), "gadget B must be the true optimum");
 
-    let before = stats::snapshot();
     let two_tier = decompose(&g).unwrap();
-    let delta = stats::snapshot().since(&before);
 
-    // The float tier must have proposed *something* wrong: at least one
-    // certification failed and the exact descent took over.
-    assert!(
-        delta.fast_path_fallbacks >= 1,
-        "expected the near-tie to defeat the float tier; counters: {delta:?}"
-    );
-
-    // And the fallback must land on the exact answer: gadget B first, at
-    // its exact (not float-rounded) ratio, bit-identical to the reference.
+    // The descent must land on the exact answer: gadget B first, at its
+    // exact (not float-rounded) ratio, bit-identical to the reference.
     let exact = decompose_exact(&g).unwrap();
     assert_eq!(two_tier.shape(), exact.shape());
     for (p, q) in two_tier.pairs().iter().zip(exact.pairs()) {

@@ -76,13 +76,13 @@ fn single_threaded_jsonl_is_byte_identical_after_ts_strip() {
 fn flow_spans_pin_engine_names_and_attrs() {
     let _guard = locked();
     // The kernel unification must not churn the trace vocabulary: the
-    // flow layer emits exactly the eight per-engine span names it always
-    // has, and every one carries the `engine` attribute matching its
-    // prefix. Drive all four backends: a cold decompose + allocate runs
-    // the f64 proposer and the exact certifier; a warm same-shape session
-    // replay runs the scaled-integer certifier, which lands on the
-    // checked-i128 fast tier for these small weights; a direct BigInt
-    // max-flow covers the promotion target.
+    // flow layer emits exactly the six per-engine span names, two per
+    // backend, and every one carries the `engine` attribute matching its
+    // prefix. Drive all three backends: a cold decompose and a warm
+    // same-shape session replay run the scaled-integer certifier, which
+    // lands on the checked-i128 fast tier for these small weights; the
+    // allocation runs the exact rational engine; a direct BigInt max-flow
+    // covers the promotion target.
     trace::clear();
     trace::enable();
     let g = ring();
@@ -105,8 +105,8 @@ fn flow_spans_pin_engine_names_and_attrs() {
     let allowed = registered_flow_spans();
     assert_eq!(
         allowed.len(),
-        8,
-        "the registry should list the eight per-engine flow spans: {allowed:?}"
+        6,
+        "the registry should list the six per-engine flow spans: {allowed:?}"
     );
     let mut seen = std::collections::BTreeSet::new();
     for e in t.events.iter().filter(|e| e.layer == "flow") {
@@ -128,8 +128,8 @@ fn flow_spans_pin_engine_names_and_attrs() {
             e.name
         );
     }
-    // All four backends actually ran (cold two-tier: f64 + exact; warm
-    // replay: i128 fast tier; direct run: int).
+    // All three backends actually ran (cold and warm rounds: i128 fast
+    // tier; allocation: exact; direct run: int).
     for name in &allowed {
         assert!(
             seen.contains(name.as_str()),

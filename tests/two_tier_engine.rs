@@ -1,14 +1,14 @@
-//! The two-tier (float-prefiltered) decomposition engine must return
-//! **bit-identical** results to the single-tier exact reference on every
-//! input: the float tier only proposes a candidate optimum, an exact
-//! max-flow certifies it, and any disagreement falls back to the exact
-//! Dinkelbach descent (see `prs_bd::decomposition` and DESIGN.md §3.1).
+//! The production decomposition — the scaled-integer certifier, which runs
+//! the exact Dinkelbach descent on the Hall network scaled to checked
+//! `i128` words (BigInt on promotion) — must return **bit-identical**
+//! results to the Rational-capacity oracle `decompose_exact` on every
+//! input (see `prs_bd::decomposition` and DESIGN.md §3.1).
 //!
 //! These properties exercise the claim over the families the paper cares
 //! about (rings), the general-graph extensions (stars, Erdős–Rényi), and
-//! rational (non-integer) weights. The directed near-tie instance that
-//! *forces* the fallback lives in `tests/near_tie_fallback.rs` (its counter
-//! assertions need a test binary of their own).
+//! rational (non-integer) weights. The directed near-tie instance, whose
+//! two candidate ratios differ by about one f64 ulp, lives in
+//! `tests/near_tie_fallback.rs`.
 
 use proptest::prelude::*;
 use prs::bd::{decompose, decompose_exact};
