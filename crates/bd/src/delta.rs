@@ -9,18 +9,20 @@
 //! The serving tiers (cheapest first; see `DESIGN.md` §3.3 for the
 //! soundness argument of each):
 //!
-//! 1. **Unchanged** — answered in O(1) with **zero flow invocations**:
-//!    net no-op batches, idempotent edge operations, and insertions of an
-//!    edge between two strictly C-class agents (which provably leave the
-//!    whole decomposition — pairs, classes, and α values — untouched).
-//! 2. **Recertified** — only the Dinkelbach rounds whose bottleneck sets
-//!    can see the mutation re-run a certification max-flow, seeded from the
-//!    previous certifying flow; every untouched round replays its previous
-//!    certificate verbatim.
-//! 3. **Recomputed** — transparent fallback to the general warm solver
-//!    whenever the incremental structure breaks (cold state, a descent,
-//!    a restructured prefix). Results are bit-identical to a cold
-//!    [`decompose`](crate::decompose) in every tier, by construction.
+//! 1. **Unchanged** — **zero flow invocations**, after an O(n + m) clone
+//!    and compare of the held instance: net no-op batches, idempotent edge
+//!    operations, and insertions of an edge between two strictly C-class
+//!    agents (which provably leave the whole decomposition — pairs,
+//!    classes, and α values — untouched).
+//! 2. **Recertified** — every other mutation runs the session's rounds
+//!    with the current result's certificates at the front of its shape
+//!    cache, and every round was settled by one of two means: a replay of a
+//!    cached certificate, from this instance or an earlier one, or one
+//!    first-try certification flow, seeded from a cached certifying flow.
+//! 3. **Recomputed** — the session had no current result, or some round
+//!    descended past its candidate or ran cold. Results are bit-identical
+//!    to a cold [`decompose`](crate::decompose) in every tier, by
+//!    construction.
 //!
 //! [`DecompositionSession`]: crate::DecompositionSession
 
@@ -95,16 +97,16 @@ pub enum UpdateOutcome {
     /// The decomposition is provably identical to the previous one; no flow
     /// engine work was done.
     Unchanged,
-    /// The previous decomposition's round structure survived: `rounds`
-    /// rounds re-ran a seeded certification max-flow and every other round
-    /// replayed its previous certificate verbatim.
+    /// Every round was settled by a replay of a cached certificate (from
+    /// this instance or an earlier one) or by one first-try certification
+    /// flow. Going back to a cached instance replays every round and gives
+    /// `Recertified { rounds: 0 }`.
     Recertified {
-        /// Number of rounds that ran a certification flow.
+        /// Number of rounds settled by a certification flow.
         rounds: usize,
     },
-    /// The incremental structure broke (cold state, a Dinkelbach descent,
-    /// or a restructured prefix) and the general warm solver produced the
-    /// result.
+    /// The session had no current result, or some round descended past its
+    /// candidate (a crossed breakpoint) or ran cold (no usable candidate).
     Recomputed,
 }
 

@@ -45,13 +45,15 @@
 //! `AddEdge` / `RemoveEdge` / `Batch`), mutates the owned instance
 //! transactionally, and reports which tier served it
 //! ([`UpdateOutcome::Unchanged`] / [`Recertified`](UpdateOutcome::Recertified)
-//! / [`Recomputed`](UpdateOutcome::Recomputed)). The incremental solver
-//! replays the previous decomposition's rounds verbatim wherever the
-//! mutation is invisible, re-certifies (seeded from the previous certifying
-//! flow via the kernel's `SeedArc` machinery) only the rounds whose
-//! bottleneck sets can see it, and falls back to the general warm solver
-//! the moment the round structure diverges — see `DESIGN.md` §3.3 for the
-//! tier soundness arguments.
+//! / [`Recomputed`](UpdateOutcome::Recomputed)). A mutation that can move
+//! the decomposition runs the same rounds as
+//! [`decompose`](DecompositionSession::decompose), with the current
+//! result's certificates at the cache front: a round the mutation cannot
+//! see replays its certificate, and a round that sees it certifies the
+//! smallest cached candidate (the previous bottleneck among them), seeded
+//! from that candidate's certifying flow. The tier is read off how the
+//! rounds were settled — see `DESIGN.md` §3.3 for the tier soundness
+//! arguments.
 //!
 //! **Bit-identity.** Replay is sound because the round solver is a pure
 //! function of the inputs it compares. For *any* vertex set `S`,
@@ -111,7 +113,7 @@ impl SessionStats {
         }
     }
 
-    /// Count one round seeded from a cached or previous certificate.
+    /// Count one round seeded from a cached certificate.
     fn record_warm_start(&mut self) {
         self.warm_starts += 1;
         stats::record_session_warm_starts(1);
@@ -163,90 +165,27 @@ struct ShapeEntry {
 }
 
 /// The owned instance a session serves deltas against, with its current
-/// certified decomposition.
+/// decomposition.
 struct DeltaState {
     /// The instance as of the last committed delta.
     graph: Graph,
-    /// The current decomposition + per-round certificates; `None` until the
-    /// first [`current`](DecompositionSession::current) /
-    /// [`apply`](DecompositionSession::apply) forces a solve.
-    current: Option<CurrentResult>,
+    /// The decomposition of `graph`; `None` until the first
+    /// [`current`](DecompositionSession::current) /
+    /// [`apply`](DecompositionSession::apply) forces a solve. Its round
+    /// certificates went to the cache front when it was solved.
+    bd: Option<BottleneckDecomposition>,
 }
 
-/// The decomposition of the owned instance together with the round
-/// certificates that seed the next delta's recertification flows.
-struct CurrentResult {
-    bd: BottleneckDecomposition,
+/// The round certificates of one decomposition, and how its rounds were
+/// settled.
+#[derive(Default)]
+struct Served {
+    /// One certificate per round, in round order.
     certs: Vec<RoundCert>,
-}
-
-/// The canonicalized difference between the owned instance and its mutated
-/// scratch copy. Computing the diff (rather than trusting the delta's
-/// literal ops) coalesces batches and makes idempotent / self-cancelling
-/// mutations invisible for free.
-struct GraphDiff {
-    /// Vertices whose weight changed.
-    weights: Vec<VertexId>,
-    /// Edges present after the mutation but not before.
-    added: Vec<(VertexId, VertexId)>,
-    /// Edges present before the mutation but not after.
-    removed: Vec<(VertexId, VertexId)>,
-}
-
-impl GraphDiff {
-    fn between(old: &Graph, new: &Graph) -> GraphDiff {
-        let weights = (0..old.n())
-            .filter(|&v| old.weight(v) != new.weight(v))
-            .collect();
-        let (mut added, mut removed) = (Vec::new(), Vec::new());
-        let (a, b) = (old.edges(), new.edges());
-        let (mut i, mut j) = (0, 0);
-        // Both edge lists are sorted, so a single merge pass yields the
-        // symmetric difference.
-        while i < a.len() || j < b.len() {
-            match (a.get(i), b.get(j)) {
-                (Some(&x), Some(&y)) if x == y => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&x), Some(&y)) if x < y => {
-                    removed.push(x);
-                    i += 1;
-                }
-                (Some(_), Some(&y)) => {
-                    added.push(y);
-                    j += 1;
-                }
-                (Some(&x), None) => {
-                    removed.push(x);
-                    i += 1;
-                }
-                (None, Some(&y)) => {
-                    added.push(y);
-                    j += 1;
-                }
-                (None, None) => {}
-            }
-        }
-        GraphDiff {
-            weights,
-            added,
-            removed,
-        }
-    }
-
-    /// True iff any part of the diff is visible inside `alive`: a moved
-    /// weight on an alive vertex, or a churned edge with both endpoints
-    /// alive. An edge with a dead endpoint does not exist in the
-    /// alive-induced subgraph either way, so it cannot affect the round.
-    fn visible_in(&self, alive: &VertexSet) -> bool {
-        self.weights.iter().any(|&v| alive.contains(v))
-            || self
-                .added
-                .iter()
-                .chain(&self.removed)
-                .any(|&(u, v)| alive.contains(u) && alive.contains(v))
-    }
+    /// Rounds settled by one first-try certification flow.
+    flows: usize,
+    /// Whether some round descended past its candidate or ran cold.
+    descended: bool,
 }
 
 /// A reusable decomposition solver: owns the certification flow arenas
@@ -282,7 +221,7 @@ impl GraphDiff {
 /// ```
 ///
 /// A [`detached`](Self::detached) session has no owned instance and serves
-/// the legacy instance-at-a-time path (deviation sweeps, Sybil grids):
+/// instance-at-a-time calls (deviation sweeps, Sybil grids):
 ///
 /// ```
 /// use prs_bd::{decompose, DecompositionSession};
@@ -352,35 +291,18 @@ impl DecompositionSession {
     /// current decomposition while keeping the flow arenas and the MRU shape
     /// cache warm.
     pub fn replace_instance(&mut self, g: Graph) {
-        self.delta = Some(DeltaState {
-            graph: g,
-            current: None,
-        });
+        self.delta = Some(DeltaState { graph: g, bd: None });
     }
 
     /// The decomposition of the owned instance, solving it on first use.
     pub fn current(&mut self) -> Result<&BottleneckDecomposition, BdError> {
-        let needs_solve = match &self.delta {
-            None => return Err(BdError::DetachedSession),
-            Some(state) => state.current.is_none(),
+        let mut state = self.delta.take().ok_or(BdError::DetachedSession)?;
+        let solved = match state.bd.take() {
+            Some(bd) => Ok(bd),
+            None => self.run_decompose(&state.graph).map(|(bd, _)| bd),
         };
-        if needs_solve {
-            let g = match &self.delta {
-                Some(state) => state.graph.clone(),
-                None => return Err(BdError::DetachedSession),
-            };
-            let (bd, certs) = self.run_decompose(&g)?;
-            self.store(g.n(), certs.clone());
-            if let Some(state) = self.delta.as_mut() {
-                state.current = Some(CurrentResult { bd, certs });
-            }
-        }
-        match &self.delta {
-            Some(DeltaState {
-                current: Some(cur), ..
-            }) => Ok(&cur.bd),
-            _ => Err(BdError::DetachedSession),
-        }
+        let state = self.delta.insert(state);
+        Ok(state.bd.insert(solved?))
     }
 
     /// Apply one [`Delta`] to the owned instance and re-serve the
@@ -456,18 +378,6 @@ impl DecompositionSession {
             return Ok(UpdateOutcome::Unchanged);
         }
 
-        let diff = GraphDiff::between(&state.graph, &scratch);
-
-        // Cold delta state: nothing to be incremental against — decompose
-        // the mutated instance through the general warm solver.
-        let Some(cur) = state.current.as_ref() else {
-            let (bd, certs) = self.run_decompose(&scratch)?;
-            self.store(scratch.n(), certs.clone());
-            state.graph = scratch;
-            state.current = Some(CurrentResult { bd, certs });
-            return Ok(UpdateOutcome::Recomputed);
-        };
-
         // Tier 1b — strictly-C edge insertions leave the decomposition
         // untouched (DESIGN.md §3.3): for every round up to an endpoint's
         // pair, the bottleneck B_r avoids both endpoints, so Γ(B_r) — and
@@ -475,150 +385,26 @@ impl DecompositionSession {
         // can only grow for other sets; once an endpoint is peeled the edge
         // is invisible to the induced subgraph. (The removal analogue is
         // *not* sound: deleting an edge can lower some α(S) below α_r.)
-        if diff.weights.is_empty()
-            && diff.removed.is_empty()
-            && diff.added.iter().all(|&(u, v)| {
-                cur.bd.class_of(u) == AgentClass::C && cur.bd.class_of(v) == AgentClass::C
-            })
-        {
-            // The round certificates keep their pre-insertion adjacency;
-            // that is sound (replay *compares* inputs before trusting, and
-            // seeds are clamped) but means the next visible delta sees the
-            // edge as cache-stale, which costs at most one extra flow.
+        let bd = state.bd.as_ref();
+        if bd.is_some_and(|bd| only_adds_c_edges(&state.graph, &scratch, bd)) {
+            // Cache keeps old adjacency: next solve recertifies rounds holding both endpoints.
             state.graph = scratch;
             return Ok(UpdateOutcome::Unchanged);
         }
 
-        // Tiers 2/3 — incremental re-decomposition: replay the previous
-        // rounds wherever the diff is invisible, recertify the rounds that
-        // can see it, fall back to the general solver when the structure
-        // diverges.
-        let (bd, certs, recert_rounds, clean) = self.redecompose_delta(&scratch, cur, &diff)?;
-        self.store(scratch.n(), certs.clone());
-        state.graph = scratch;
-        state.current = Some(CurrentResult { bd, certs });
-        Ok(if clean {
-            UpdateOutcome::Recertified {
-                rounds: recert_rounds,
-            }
-        } else {
-            UpdateOutcome::Recomputed
-        })
-    }
-
-    /// Incrementally re-decompose the mutated instance `g` against the
-    /// previous result. Returns the new decomposition, its round
-    /// certificates, the number of recertified rounds, and whether the
-    /// serve was *clean* (every round settled by verbatim replay or a
-    /// single first-try certification flow — the
-    /// [`UpdateOutcome::Recertified`] tier).
-    fn redecompose_delta(
-        &mut self,
-        g: &Graph,
-        prev: &CurrentResult,
-        diff: &GraphDiff,
-    ) -> Result<(BottleneckDecomposition, Vec<RoundCert>, usize, bool), BdError> {
-        let mut certified: Vec<RoundCert> = Vec::new();
-        let mut recert_rounds = 0usize;
-        let mut clean = true;
-        let result = {
-            let nets = &mut self.nets;
-            let cache = &self.cache;
-            let local = &mut self.local;
-            let certified = &mut certified;
-            let recert_rounds = &mut recert_rounds;
-            let clean = &mut clean;
-            let prev_bd = &prev.bd;
-            let prev_certs = &prev.certs;
-            // The round-by-round alive set the *previous* decomposition
-            // would produce; as long as the actual alive set tracks it, the
-            // old round structure is still in force ("prefix intact") and
-            // the old certificates are usable as-is.
-            let mut prefix_intact = true;
-            let mut expected_alive = VertexSet::full(g.n());
-            drive(g, move |g, alive, round| {
-                if prefix_intact {
-                    if round > 0 {
-                        if let Some(p) = prev_bd.pairs().get(round - 1) {
-                            expected_alive.subtract(&p.b.union(&p.c));
-                        }
-                    }
-                    // The equality check is the whole soundness guard: any
-                    // divergence — a different B, the same B with a grown
-                    // or shrunk partner class C, extra rounds — shows up as
-                    // a mismatched alive set at the next round's entry.
-                    if round >= prev_bd.k() || *alive != expected_alive {
-                        prefix_intact = false;
-                    }
-                }
-                if !prefix_intact {
-                    // Structural break: serve the remaining rounds through
-                    // the general solver (MRU replay, cached shape, cold).
-                    *clean = false;
-                    return solve_round_warm(g, alive, round, nets, cache, local, certified);
-                }
-                let pair = &prev_bd.pairs()[round];
-                if !diff.visible_in(alive) {
-                    // Tail replay: this round's inputs (alive set, weights
-                    // on it, induced adjacency) are identical to the
-                    // previous decomposition's, and the round solver is a
-                    // pure function of them — the certificate replays
-                    // verbatim, zero flow work.
-                    let mut sp = prs_trace::span("bd", "session_round");
-                    sp.attr("round", || round.to_string());
-                    sp.attr("path", || "delta_replay".to_string());
-                    local.record_round(true);
-                    local.record_warm_start();
-                    if let Some(rc) = prev_certs.get(round) {
-                        certified.push(rc.clone());
-                    }
-                    return Ok((pair.b.clone(), pair.alpha.clone()));
-                }
-                // The mutation is visible: recertify this round, seeded
-                // from the previous certifying flow.
-                let mut sp = prs_trace::span("bd", "session_round");
-                sp.attr("round", || round.to_string());
-                local.record_warm_start();
-                nets.enter(g, alive, round);
-                let support = prev_certs.get(round).map(|rc| &rc.data.support);
-                // Candidate ratio of the previous bottleneck, in words:
-                // α(B_prev) ≥ α* always, so certification either confirms
-                // it or the descent walks down from it.
-                let settled = nets
-                    .ratio(g, alive, &pair.b)
-                    .filter(Ratio::usable)
-                    .map(|a| certify(g, alive, round, nets, a.to_rational(), support, "session"))
-                    .transpose()?;
-                let (b, alpha) = match settled {
-                    Some(c) if c.first_try => {
-                        sp.attr("path", || "delta_recert".to_string());
-                        local.record_round(true);
-                        *recert_rounds += 1;
-                        (c.b, c.alpha)
-                    }
-                    Some(c) => {
-                        // Crossed a breakpoint: the exact descent ran; the
-                        // result is still bit-identical but the serve is no
-                        // longer a pure recertification.
-                        sp.attr("path", || "delta_descent".to_string());
-                        local.record_round(false);
-                        *clean = false;
-                        (c.b, c.alpha)
-                    }
-                    None => {
-                        // No usable candidate: the mutation pushed the
-                        // previous bottleneck's ratio out of (0, 1].
-                        sp.attr("path", || "cold".to_string());
-                        local.record_round(false);
-                        *clean = false;
-                        maximal_bottleneck(g, alive, round, nets)?
-                    }
-                };
-                certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
-                Ok((b, alpha))
-            })
+        // Tiers 2/3 — the rounds of `decompose`, with the current result's
+        // certificates at the cache front: a round the mutation cannot see
+        // replays, one that sees it certifies the smallest cached
+        // candidate, seeded. With no current result there was nothing to
+        // recertify.
+        let (bd, flows) = self.run_decompose(&scratch)?;
+        let outcome = match flows {
+            Some(rounds) if state.bd.is_some() => UpdateOutcome::Recertified { rounds },
+            _ => UpdateOutcome::Recomputed,
         };
-        result.map(|bd| (bd, certified, recert_rounds, clean))
+        state.graph = scratch;
+        state.bd = Some(bd);
+        Ok(outcome)
     }
 
     /// Warm-decompose an arbitrary instance on this session's arenas and
@@ -629,31 +415,27 @@ impl DecompositionSession {
     /// session per worker. It neither reads nor updates the owned instance;
     /// to serve a stream of mutations of one instance, construct the
     /// session over it ([`DecompositionSession::new`]) and stream [`Delta`]s
-    /// through [`apply`](Self::apply), which replays or recertifies rounds
-    /// instead of re-solving them.
+    /// through [`apply`](Self::apply), which runs these rounds and reports
+    /// how they were settled.
     pub fn decompose(&mut self, g: &Graph) -> Result<BottleneckDecomposition, BdError> {
-        let (bd, certs) = self.run_decompose(g)?;
-        self.store(g.n(), certs);
-        Ok(bd)
+        self.run_decompose(g).map(|(bd, _)| bd)
     }
 
-    /// Drive a full decomposition through [`solve_round_warm`], collecting
-    /// its round certificates.
+    /// Drive a full decomposition through [`solve_round_warm`] and store its
+    /// round certificates at the cache front. Also returns the number of
+    /// first-try certification flows, or `None` if some round descended or
+    /// ran cold.
     fn run_decompose(
         &mut self,
         g: &Graph,
-    ) -> Result<(BottleneckDecomposition, Vec<RoundCert>), BdError> {
-        let mut certified: Vec<RoundCert> = Vec::new();
-        let result = {
-            let nets = &mut self.nets;
-            let cache = &self.cache;
-            let local = &mut self.local;
-            let certified = &mut certified;
-            drive(g, |g, alive, round| {
-                solve_round_warm(g, alive, round, nets, cache, local, certified)
-            })
-        };
-        result.map(|bd| (bd, certified))
+    ) -> Result<(BottleneckDecomposition, Option<usize>), BdError> {
+        let mut served = Served::default();
+        let (nets, cache, local) = (&mut self.nets, &self.cache, &mut self.local);
+        let bd = drive(g, |g, alive, round| {
+            solve_round_warm(g, alive, round, nets, cache, local, &mut served)
+        })?;
+        self.store(g.n(), served.certs);
+        Ok((bd, (!served.descended).then_some(served.flows)))
     }
 
     /// Insert a freshly certified shape at the cache front (MRU), deduping
@@ -707,6 +489,19 @@ fn apply_delta_ops(g: &mut Graph, delta: &Delta) -> Result<(), BdError> {
     }
 }
 
+/// True iff `new` is `old` plus edges whose endpoints are both strictly
+/// C-class in `bd`: the same weights, every old edge, and no other new
+/// edge (tier 1b).
+fn only_adds_c_edges(old: &Graph, new: &Graph, bd: &BottleneckDecomposition) -> bool {
+    let strictly_c = |v| bd.class_of(v) == AgentClass::C;
+    old.weights() == new.weights()
+        && old.edges().iter().all(|&(u, v)| new.has_edge(u, v))
+        && new
+            .edges()
+            .iter()
+            .all(|&(u, v)| old.has_edge(u, v) || (strictly_c(u) && strictly_c(v)))
+}
+
 /// One session round: pick a candidate, certify it, take one snapshot.
 ///
 /// The candidate is, cheapest first:
@@ -727,7 +522,7 @@ fn solve_round_warm(
     nets: &mut RoundNets,
     cache: &[ShapeEntry],
     local: &mut SessionStats,
-    certified: &mut Vec<RoundCert>,
+    served: &mut Served,
 ) -> Result<(VertexSet, Rational), BdError> {
     // The `path` attribute names which of the session's tiers settled the
     // round: `replay`, `warm_hit`, `warm_descent`, or `cold`.
@@ -738,7 +533,7 @@ fn solve_round_warm(
         sp.attr("path", || "replay".to_string());
         local.record_round(true);
         local.record_warm_start();
-        certified.push(rc.clone());
+        served.certs.push(rc.clone());
         return Ok((rc.b.clone(), rc.alpha.clone()));
     }
     let (b, alpha) = match best_warm_candidate(g, alive, round, cache, nets) {
@@ -753,15 +548,18 @@ fn solve_round_warm(
             };
             sp.attr("path", || path.to_string());
             local.record_round(c.first_try);
+            served.flows += usize::from(c.first_try);
+            served.descended |= !c.first_try;
             (c.b, c.alpha)
         }
         None => {
             sp.attr("path", || "cold".to_string());
             local.record_round(false);
+            served.descended = true;
             maximal_bottleneck(g, alive, round, nets)?
         }
     };
-    certified.push(snapshot_cert(nets, g, alive, &b, &alpha));
+    served.certs.push(snapshot_cert(nets, g, alive, &b, &alpha));
     Ok((b, alpha))
 }
 
@@ -1149,6 +947,31 @@ mod tests {
         assert!(matches!(out, UpdateOutcome::Recertified { .. }), "{out:?}");
         let committed = session.graph().unwrap().clone();
         assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());
+    }
+
+    #[test]
+    fn going_back_to_a_cached_instance_replays_every_round() {
+        // Moving w₀ away crosses a breakpoint, so the first instance's shape
+        // stays cached beside the new one; moving it back replays each of
+        // its k rounds: k more hits, no miss and no certification flow.
+        let ring = builders::ring(vec![int(6), int(2), int(4), int(3), int(5)]).unwrap();
+        for (g, away) in [(path_graph(int(5)), int(40)), (ring, int(1))] {
+            let home = g.weight(0).clone();
+            let mut session = DecompositionSession::new(g.clone());
+            let k = session.current().unwrap().k() as u64;
+            session.update_weight(0, away).unwrap();
+            let before = session.stats();
+            assert_eq!(
+                session.update_weight(0, home).unwrap(),
+                UpdateOutcome::Recertified { rounds: 0 }
+            );
+            let after = session.stats();
+            assert_eq!(
+                (after.hits, after.misses, after.warm_starts),
+                (before.hits + k, before.misses, before.warm_starts + k)
+            );
+            assert_eq!(*session.current().unwrap(), decompose(&g).unwrap());
+        }
     }
 
     #[test]

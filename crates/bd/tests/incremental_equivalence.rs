@@ -8,7 +8,7 @@
 //! file, checking the contract after **every** event — including scripts
 //! that straddle the i128 → BigInt certification promotion boundary.
 
-use prs_bd::{decompose, DecompositionSession, Delta, UpdateOutcome};
+use prs_bd::{decompose, DecompositionSession, Delta, SessionStats, UpdateOutcome};
 use prs_graph::{builders, random, Graph};
 use prs_numeric::{int, Rational};
 use rand::rngs::StdRng;
@@ -99,8 +99,40 @@ fn random_delta<R: Rng>(rng: &mut R, g: &Graph) -> Delta {
     }
 }
 
+/// The tier an accepted delta reported must agree with the session's own
+/// counters across that `apply`: `Unchanged` ran no round; `Recertified {
+/// rounds }` settled all `k` rounds of the new decomposition as hits, at
+/// most `k` of them by a flow; `Recomputed` on a session that already held
+/// a result (`warm`) had some round descend or run cold.
+fn assert_tier_matches_counters(
+    out: UpdateOutcome,
+    before: SessionStats,
+    after: SessionStats,
+    k: usize,
+    warm: bool,
+    what: &str,
+) {
+    match out {
+        UpdateOutcome::Unchanged => assert_eq!(after, before, "{what}: Unchanged ran a round"),
+        UpdateOutcome::Recertified { rounds } => {
+            assert_eq!(after.misses, before.misses, "{what}: Recertified missed");
+            assert_eq!(
+                after.hits - before.hits,
+                k as u64,
+                "{what}: Recertified hits"
+            );
+            assert!(rounds <= k, "{what}: {rounds} flows for {k} rounds");
+        }
+        UpdateOutcome::Recomputed => assert!(
+            !warm || after.misses > before.misses,
+            "{what}: Recomputed without a miss"
+        ),
+    }
+}
+
 /// Replay `events` random events against a session owning `g`, checking
-/// bit-identity with a cold decomposition of the mirror after every event.
+/// bit-identity with a cold decomposition of the mirror after every event,
+/// and that each accepted event's tier agrees with the session's counters.
 /// Accepted deltas advance the mirror; rejected ones must leave the session
 /// serving the unmutated mirror.
 fn churn_matches_cold<R: Rng>(g: Graph, rng: &mut R, events: usize, label: &str) {
@@ -108,7 +140,9 @@ fn churn_matches_cold<R: Rng>(g: Graph, rng: &mut R, events: usize, label: &str)
     let mut mirror = g;
     for step in 0..events {
         let delta = random_delta(rng, &mirror);
+        let before = session.stats();
         let applied = session.apply(delta.clone());
+        let after = session.stats();
         if applied.is_ok() {
             apply_to_mirror(&mut mirror, &delta);
         }
@@ -125,6 +159,10 @@ fn churn_matches_cold<R: Rng>(g: Graph, rng: &mut R, events: usize, label: &str)
                     inc, &cold,
                     "{label}: divergence after step {step} ({delta:?})"
                 );
+                if let Ok(out) = applied {
+                    let what = format!("{label}: step {step} ({delta:?})");
+                    assert_tier_matches_counters(out, before, after, inc.k(), step > 0, &what);
+                }
             }
             (inc, cold) => panic!(
                 "{label}: step {step} left an undecomposable state \

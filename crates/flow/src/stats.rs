@@ -64,11 +64,11 @@ pub struct FlowStats {
     /// Delta mutations answered `Unchanged` without any flow invocation
     /// (no-op deltas, idempotent edge ops, C–C edge insertions).
     pub delta_unchanged: u64,
-    /// Delta mutations served by round-scoped recertification (seeded
-    /// certification flows only, previous round structure confirmed).
+    /// Delta mutations whose every round replayed a cached certificate or
+    /// certified its candidate with one first-try seeded flow.
     pub delta_recertified: u64,
-    /// Delta mutations that fell back to a full recompute (cold state,
-    /// vertex-count change, or a descent somewhere in the replay).
+    /// Delta mutations served with no current result, or with a round that
+    /// descended past its candidate or ran cold.
     pub delta_recomputed: u64,
 }
 

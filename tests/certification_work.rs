@@ -146,20 +146,20 @@ fn session_flow_work_is_pinned() {
         ("delta_recomputed", 0),
     ];
     let want_churn: [(&str, u64); 14] = [
-        ("dinkelbach_iterations", 487),
-        ("i128_max_flows", 484),
-        ("i128_augmenting_paths", 3777),
+        ("dinkelbach_iterations", 469),
+        ("i128_max_flows", 466),
+        ("i128_augmenting_paths", 3299),
         ("int_max_flows", 3),
         ("int_augmenting_paths", 43),
         ("exact_max_flows", 0),
         ("exact_augmenting_paths", 0),
         ("i128_promotions", 1),
-        ("session_hits", 361),
-        ("session_misses", 89),
-        ("session_warm_starts", 414),
+        ("session_hits", 377),
+        ("session_misses", 73),
+        ("session_warm_starts", 405),
         ("delta_unchanged", 19),
-        ("delta_recertified", 231),
-        ("delta_recomputed", 50),
+        ("delta_recertified", 242),
+        ("delta_recomputed", 39),
     ];
     assert_eq!(pinned(&grids), want_grids, "misreport grids");
     assert_eq!(pinned(&churn), want_churn, "churn script");
