@@ -33,11 +33,18 @@
 use crate::error::BdError;
 pub use crate::reference::decompose_exact;
 use prs_flow::network_i128::{overflow_detected, reset_overflow};
-use prs_flow::{stats, Cap, Capacity, EdgeId, Network, SeedArc};
+use prs_flow::{Cap, Capacity, EdgeId, Network, SeedArc};
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::gcd::{lcm, lcm_u128};
 use prs_numeric::{BigInt, BigUint, Rational};
+use prs_trace::Counter;
 use std::sync::Arc;
+
+// What one bump of each means: docs/OBSERVABILITY.md §6. The Rational
+// oracle in `reference.rs` counts its descent steps too.
+pub(crate) static DINKELBACH_ITERATIONS: Counter = Counter::new("bd.dinkelbach_iterations");
+static I128_PROMOTIONS: Counter = Counter::new("bd.i128_promotions");
+static TOPOLOGY_REUSES: Counter = Counter::new("bd.topology_reuses");
 
 /// Which side of its bottleneck pair an agent is on (Definition 4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -615,7 +622,7 @@ impl RoundNets {
         reset_overflow();
         let kept = &mut self.kept[self.cur];
         if kept.edges.matches(g, alive) {
-            stats::record_topology_reuses(1);
+            TOPOLOGY_REUSES.add(1);
             kept.set_caps();
         } else {
             kept.build(g, alive);
@@ -625,7 +632,7 @@ impl RoundNets {
     /// Move the round to the BigInt engine, whose capacities are in
     /// `exact_int.caps`: its twin is built outright, in the same arc order.
     fn promote(&mut self, g: &Graph, alive: &VertexSet, why: &'static str) {
-        stats::record_i128_promotions(1);
+        I128_PROMOTIONS.add(1);
         prs_trace::metrics::anomaly(why);
         self.cert_engine = CertEngine::Int;
         self.exact_int.build(g, alive);
@@ -928,7 +935,7 @@ pub(crate) fn certify(
     let mut alpha = alpha_hat;
     let mut first = true;
     loop {
-        stats::record_dinkelbach_iterations(1);
+        DINKELBACH_ITERATIONS.add(1);
         let mut sp_iter = prs_trace::span("bd", "dinkelbach_iter");
         sp_iter.attr("engine", || engine.to_string());
         if !first {

@@ -11,10 +11,12 @@
 //!   union of all minimizers — tight sets are union-closed). Exponential,
 //!   only for small instances.
 
-use crate::decomposition::{drive, BottleneckDecomposition, BottleneckPair, Layout};
+use crate::decomposition::{
+    drive, BottleneckDecomposition, BottleneckPair, Layout, DINKELBACH_ITERATIONS,
+};
 use crate::error::BdError;
 use crate::AgentClass;
-use prs_flow::{stats, Cap, FlowNetwork};
+use prs_flow::{Cap, FlowNetwork};
 use prs_graph::{Graph, VertexSet};
 use prs_numeric::Rational;
 
@@ -57,7 +59,7 @@ fn maximal_bottleneck_exact(
     }
 
     loop {
-        stats::record_dinkelbach_iterations(1);
+        DINKELBACH_ITERATIONS.add(1);
         let mut sp = prs_trace::span("bd", "dinkelbach_iter");
         sp.attr("engine", || "exact".to_string());
         let mut net = feasibility_network(g, alive, &alpha);

@@ -73,10 +73,19 @@ use crate::decomposition::{
 };
 use crate::delta::{Delta, EdgeOp, UpdateOutcome};
 use crate::error::BdError;
-use prs_flow::stats;
 use prs_graph::{Graph, VertexId, VertexSet};
 use prs_numeric::Rational;
+use prs_trace::Counter;
 use std::sync::Arc;
+
+// The process-global twins of `SessionStats`, summed over every session.
+static SESSION_HITS: Counter = Counter::new("bd.session_hits");
+static SESSION_MISSES: Counter = Counter::new("bd.session_misses");
+static SESSION_WARM_STARTS: Counter = Counter::new("bd.session_warm_starts");
+// One bump per `apply` that succeeded, by the tier that served it.
+static DELTA_UNCHANGED: Counter = Counter::new("bd.delta_unchanged");
+static DELTA_RECERTIFIED: Counter = Counter::new("bd.delta_recertified");
+static DELTA_RECOMPUTED: Counter = Counter::new("bd.delta_recomputed");
 
 /// How many shapes the MRU cache keeps, all of which a warm-start probe
 /// inspects per round. Sweeps alternate between at most two shapes near a
@@ -88,7 +97,9 @@ const CACHE_SHAPES: usize = 4;
 ///
 /// `hits + misses` equals the total number of decomposition rounds served;
 /// `warm_starts ≥ hits` (a warm-started round that fails certification
-/// counts as a miss).
+/// counts as a miss). The process-global counters `bd.session_hits`,
+/// `bd.session_misses` and `bd.session_warm_starts` sum the same counts over
+/// every session.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Rounds settled by a cached shape: at most one certification max-flow.
@@ -102,21 +113,21 @@ pub struct SessionStats {
 
 impl SessionStats {
     /// Count one served round as a hit or a miss, here and in the
-    /// process-global [`prs_flow::stats`].
+    /// process-global counters.
     fn record_round(&mut self, hit: bool) {
         if hit {
             self.hits += 1;
-            stats::record_session_hits(1);
+            SESSION_HITS.add(1);
         } else {
             self.misses += 1;
-            stats::record_session_misses(1);
+            SESSION_MISSES.add(1);
         }
     }
 
     /// Count one round seeded from a cached certificate.
     fn record_warm_start(&mut self) {
         self.warm_starts += 1;
-        stats::record_session_warm_starts(1);
+        SESSION_WARM_STARTS.add(1);
     }
 }
 
@@ -276,8 +287,8 @@ impl DecompositionSession {
     }
 
     /// Lifetime hit/miss/warm-start counters for this session. The same
-    /// counts also flow into the process-global [`prs_flow::stats`]
-    /// (`session_hits` / `session_misses` / `session_warm_starts`).
+    /// counts also flow into the process-global counters `bd.session_hits`,
+    /// `bd.session_misses` and `bd.session_warm_starts`.
     pub fn stats(&self) -> SessionStats {
         self.local
     }
@@ -320,17 +331,17 @@ impl DecompositionSession {
         match &out {
             Ok(UpdateOutcome::Unchanged) => {
                 sp.attr("tier", || "unchanged".to_string());
-                stats::record_delta_unchanged(1);
+                DELTA_UNCHANGED.add(1);
             }
             Ok(UpdateOutcome::Recertified { .. }) => {
                 sp.attr("tier", || "recertified".to_string());
-                stats::record_delta_recertified(1);
+                DELTA_RECERTIFIED.add(1);
             }
             Ok(UpdateOutcome::Recomputed) => {
                 // A routine tier (it serves about half of a churn stream),
                 // so it is counted, not raised as an anomaly.
                 sp.attr("tier", || "recomputed".to_string());
-                stats::record_delta_recomputed(1);
+                DELTA_RECOMPUTED.add(1);
             }
             Err(_) => {
                 sp.attr("tier", || "rejected".to_string());

@@ -16,9 +16,9 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use prs_bd::DecompositionSession;
-use prs_flow::stats;
 use prs_graph::builders;
 use prs_numeric::{int, ratio, Rational};
+use prs_trace::counter_value;
 
 /// The most allocations one warm-hit round may make: the decomposition it
 /// returns, the round's certificate and the sets of the round loop. An
@@ -45,11 +45,11 @@ fn warm_round_allocations(n: usize) -> u64 {
     }
     let g = ring(ratio(23, 10));
     let before = session.stats();
-    let reuses = stats::snapshot().topology_reuses;
+    let reuses = counter_value("bd.topology_reuses");
     let (bd, count) = allocations(|| session.decompose(&g));
     let after = session.stats();
     assert_eq!(
-        stats::snapshot().topology_reuses - reuses,
+        counter_value("bd.topology_reuses") - reuses,
         1,
         "n = {n}: the round must keep its build"
     );

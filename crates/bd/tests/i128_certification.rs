@@ -12,19 +12,24 @@
 //! "promotions == 0" window assertion flaky.
 
 use prs_bd::{decompose, decompose_exact, DecompositionSession};
-use prs_flow::stats;
 use prs_graph::{builders, Graph};
 use prs_numeric::{int, ratio, Rational};
+use prs_trace::{counter_values, counters_since};
 
 fn pow2(e: i32) -> Rational {
     Rational::from_integer(2).pow(e)
+}
+
+/// How far counter `name` moved, in a `counters_since` list.
+fn count(moved: &[(&str, u64)], name: &str) -> u64 {
+    moved.iter().find(|(n, _)| *n == name).map_or(0, |e| e.1)
 }
 
 #[test]
 fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     // Phase 1 — small weights: the warm certification must run on
     // the i128 engine (i128 max-flows move) and never promote.
-    let before = stats::snapshot();
+    let before = counter_values();
     let mut session = DecompositionSession::detached();
     let g1 = builders::ring(vec![int(3), int(1), int(4), int(1), int(5)]).unwrap();
     let g2 = builders::ring(vec![int(4), int(1), int(4), int(1), int(5)]).unwrap();
@@ -32,13 +37,14 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     assert_eq!(session.decompose(&g2).unwrap(), decompose(&g2).unwrap());
     assert_eq!(decompose(&g1).unwrap(), decompose_exact(&g1).unwrap());
     assert_eq!(decompose(&g2).unwrap(), decompose_exact(&g2).unwrap());
-    let delta = stats::snapshot().since(&before);
+    let delta = counters_since(&before);
     assert!(
-        delta.i128_max_flows > 0,
+        count(&delta, "flow.i128_max_flows") > 0,
         "warm certification must land on the i128 fast tier: {delta:?}"
     );
     assert_eq!(
-        delta.i128_promotions, 0,
+        count(&delta, "bd.i128_promotions"),
+        0,
         "small-weight instances must not promote: {delta:?}"
     );
 
@@ -46,7 +52,7 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     // p·D-scaled capacities hundreds of bits wide, so the admission test
     // fails and the round promotes to BigInt. The decomposition is still
     // bit-identical to the Rational oracle.
-    let before = stats::snapshot();
+    let before = counter_values();
     let mut session = DecompositionSession::detached();
     for j in 0..2i32 {
         let eps = pow2(-200 - j);
@@ -56,25 +62,25 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
         assert_eq!(session.decompose(&g).unwrap(), decompose(&g).unwrap());
         assert_eq!(decompose(&g).unwrap(), decompose_exact(&g).unwrap());
     }
-    let delta = stats::snapshot().since(&before);
+    let delta = counters_since(&before);
     let s = session.stats();
     assert!(
         s.hits + s.warm_starts > 0,
         "family must exercise the warm path: {s:?}"
     );
     assert!(
-        delta.i128_promotions > 0,
+        count(&delta, "bd.i128_promotions") > 0,
         "400-bit scale separation must promote to BigInt: {delta:?}"
     );
 
     // Phase 3 — cold `decompose` certifies on the same ladder, so the
     // family promotes without any session involved.
     let g = builders::ring(vec![pow2(-200), int(1), int(1), pow2(200), pow2(-200)]).unwrap();
-    let before = stats::snapshot();
+    let before = counter_values();
     assert_eq!(decompose(&g).unwrap(), decompose_exact(&g).unwrap());
-    let delta = stats::snapshot().since(&before);
+    let delta = counters_since(&before);
     assert!(
-        delta.i128_promotions > 0,
+        count(&delta, "bd.i128_promotions") > 0,
         "cold decompose must promote the 2^±200 family too: {delta:?}"
     );
 
@@ -87,11 +93,11 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     let d2 = &pow2(66) + &int(3);
     let w = vec![d1.recip(), &int(3) / &d1, d2.recip(), &int(3) / &d2];
     let g = Graph::new(w, &[(0, 1), (2, 3)]).unwrap();
-    let before = stats::snapshot();
+    let before = counter_values();
     let cold = decompose(&g).unwrap();
     let mut session = DecompositionSession::detached();
     assert_eq!(session.decompose(&g).unwrap(), cold);
-    let delta = stats::snapshot().since(&before);
+    let delta = counters_since(&before);
     assert_eq!(cold, decompose_exact(&g).unwrap());
     assert_eq!(
         cold.signature(),
@@ -99,9 +105,9 @@ fn fast_tier_serves_small_weights_and_promotes_adversarial_ones() {
     );
     assert_eq!(
         (
-            delta.i128_promotions,
-            delta.int_max_flows,
-            delta.i128_max_flows
+            count(&delta, "bd.i128_promotions"),
+            count(&delta, "flow.int_max_flows"),
+            count(&delta, "flow.i128_max_flows")
         ),
         (0, 0, 4),
         "a word overflow below the i128 boundary must not promote: {delta:?}"

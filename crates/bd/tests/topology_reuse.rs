@@ -8,15 +8,15 @@
 //! test.
 
 use prs_bd::{decompose, DecompositionSession};
-use prs_flow::stats;
 use prs_graph::{builders, Graph};
 use prs_numeric::int;
+use prs_trace::counter_value;
 
 /// Decompose `g` on `session` and return how many rounds kept their build.
 fn reuses(session: &mut DecompositionSession, g: &Graph) -> u64 {
-    let before = stats::snapshot().topology_reuses;
+    let before = counter_value("bd.topology_reuses");
     assert_eq!(session.decompose(g), decompose(g));
-    stats::snapshot().topology_reuses - before
+    counter_value("bd.topology_reuses") - before
 }
 
 #[test]

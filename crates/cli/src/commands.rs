@@ -160,9 +160,8 @@ pub fn cmd_general_attack(g: &Graph, v: usize, out: &mut dyn Write) -> std::io::
 }
 
 /// `prs audit`: the full paper-claim battery on a ring instance. With
-/// `stats = true`, also prints the flow-engine instrumentation counters
-/// accumulated while the battery ran (max-flows, Dinkelbach iterations,
-/// session hit rate, arena reuse — see `prs_flow::stats`).
+/// `stats = true`, also prints every counter the battery moved (see
+/// [`print_counters`]).
 pub fn cmd_audit(g: &Graph, stats: bool, out: &mut dyn Write) -> std::io::Result<()> {
     if !g.is_ring() {
         writeln!(out, "error: `audit` requires a ring instance")?;
@@ -175,7 +174,7 @@ pub fn cmd_audit(g: &Graph, stats: bool, out: &mut dyn Write) -> std::io::Result
             return Ok(());
         }
     };
-    let before = prs_core::flow::stats::snapshot();
+    let before = prs_core::trace::counter_values();
     let audit = audit_paper_claims(
         &ring,
         &AttackConfig::new()
@@ -232,16 +231,22 @@ pub fn cmd_audit(g: &Graph, stats: bool, out: &mut dyn Write) -> std::io::Result
         audit.max_ratio.to_f64()
     )?;
     if stats {
-        let delta = prs_core::flow::stats::snapshot().since(&before);
-        writeln!(out, "flow-engine stats:")?;
-        for line in delta.render().lines() {
-            writeln!(out, "  {line}")?;
-        }
-        // Machine-readable mirror of the same delta (rate keys omitted when
-        // no rounds ran — NaN has no JSON representation).
-        writeln!(out, "  json {}", delta.to_json())?;
+        print_counters(&before, out)?;
     }
     Ok(())
+}
+
+/// The `--stats` tail: every counter that moved since `before` (a
+/// `counter_values()` snapshot), one row per registered name, then the same
+/// counts as one JSON object keyed by those names.
+fn print_counters(before: &[(&'static str, u64)], out: &mut dyn Write) -> std::io::Result<()> {
+    let moved = prs_core::trace::counters_since(before);
+    writeln!(out, "counters:")?;
+    for (name, v) in &moved {
+        writeln!(out, "  {name:<32} {v}")?;
+    }
+    let json: Vec<String> = moved.iter().map(|(n, v)| format!("\"{n}\": {v}")).collect();
+    writeln!(out, "  json {{{}}}", json.join(", "))
 }
 
 /// `prs sweep`: exact misreport sweep of one agent's reported weight —
@@ -350,9 +355,9 @@ pub fn cmd_eg(g: &Graph, out: &mut dyn Write) -> std::io::Result<()> {
 /// `batch` (`deltas`: an array of such objects, applied atomically). The
 /// per-event line reports which serving tier answered it (unchanged /
 /// recertified / recomputed) or that the event was rejected and rolled
-/// back. With `stats = true`, the flow-engine counter delta accumulated by
-/// the replay (including the `bd.delta_*` tier counters) is printed after
-/// the final decomposition.
+/// back. With `stats = true`, every counter the replay moved (the
+/// `bd.delta_*` tier counters among them) is printed after the final
+/// decomposition.
 pub fn cmd_update(
     g: &Graph,
     script: &str,
@@ -372,7 +377,7 @@ pub fn cmd_update(
             return Ok(());
         }
     }
-    let before = prs_core::flow::stats::snapshot();
+    let before = prs_core::trace::counter_values();
     let (mut unchanged, mut recertified, mut recomputed, mut rejected) = (0u64, 0u64, 0u64, 0u64);
     for (idx, raw) in script.lines().enumerate() {
         let line = raw.trim();
@@ -445,12 +450,7 @@ pub fn cmd_update(
         )?;
     }
     if stats {
-        let delta = prs_core::flow::stats::snapshot().since(&before);
-        writeln!(out, "flow-engine stats:")?;
-        for line in delta.render().lines() {
-            writeln!(out, "  {line}")?;
-        }
-        writeln!(out, "  json {}", delta.to_json())?;
+        print_counters(&before, out)?;
     }
     Ok(())
 }
@@ -1030,7 +1030,7 @@ COMMANDS:
                                   deviation from the exact BD allocation,
                                   and the empirical incentive ratio
     audit <file> [--stats]        run every paper-claim check on a ring
-                                  (--stats: print flow-engine counters)
+                                  (--stats: print every counter it moved)
 
 TRACING (any command):
     --trace                       print a span/counter summary after the run
@@ -1108,35 +1108,56 @@ mod tests {
         let out = capture(|w| cmd_audit(&ring(), false, w));
         assert_eq!(out.matches(": ok").count(), 8, "{out}");
         assert!(!out.contains("VIOLATED"), "{out}");
-        assert!(!out.contains("flow-engine stats"), "{out}");
+        assert!(!out.contains("counters:"), "{out}");
+    }
+
+    /// The count `--stats` printed in the row of counter `name`.
+    fn counter_row(out: &str, name: &str) -> Option<u64> {
+        out.lines().find_map(|l| {
+            let mut cols = l.split_whitespace();
+            (cols.next() == Some(name)).then(|| cols.next()?.parse().ok())?
+        })
     }
 
     #[test]
     fn audit_with_stats_prints_counters() {
         let out = capture(|w| cmd_audit(&ring(), true, w));
         assert_eq!(out.matches(": ok").count(), 8, "{out}");
-        assert!(out.contains("flow-engine stats"), "{out}");
-        assert!(out.contains("exact max-flows"), "{out}");
-        assert!(out.contains("int max-flows"), "{out}");
-        assert!(out.contains("Dinkelbach iterations"), "{out}");
-        assert!(out.contains("session"), "{out}");
+        assert!(out.contains("counters:"), "{out}");
+        // Every layer's counters, by registered name.
+        for name in [
+            "flow.i128_max_flows",
+            "bd.dinkelbach_iterations",
+            "bd.session_hits",
+            "deviation.breakpoints_solved",
+        ] {
+            assert!(
+                counter_row(&out, name).is_some_and(|v| v > 0),
+                "{name}: {out}"
+            );
+        }
     }
 
     #[test]
     fn audit_stats_json_line_is_valid_json() {
-        // Regression: the machine-readable stats line must never carry a
-        // bare `NaN` (no JSON representation) — the rate keys are omitted
-        // when no rounds of their kind ran.
+        // The machine-readable line carries the same counts under the same
+        // registered names, and nothing but integers.
         let out = capture(|w| cmd_audit(&ring(), true, w));
         let json_line = out
             .lines()
             .find(|l| l.trim_start().starts_with("json "))
             .expect("stats json line present");
-        assert!(!json_line.contains("NaN"), "{json_line}");
         let body = json_line.trim_start().trim_start_matches("json ");
         assert!(body.starts_with('{') && body.ends_with('}'), "{body}");
-        assert!(body.contains("\"exact_max_flows\""), "{body}");
-        assert!(body.contains("\"int_max_flows\""), "{body}");
+        let inner = &body[1..body.len() - 1];
+        for entry in inner.split(", ") {
+            let (key, value) = entry.split_once(": ").expect("key: value");
+            let name = key.trim_matches('"');
+            assert_eq!(key, format!("\"{name}\""), "{body}");
+            let v: u64 = value.parse().expect("integer count");
+            assert_eq!(counter_row(&out, name), Some(v), "{name}: {out}");
+        }
+        assert!(inner.contains("\"flow.i128_max_flows\": "), "{body}");
     }
 
     #[test]
@@ -1224,7 +1245,7 @@ mod tests {
         assert!(out.contains("final decomposition"), "{out}");
         assert!(out.contains("agent 0: w = 7/2"), "{out}");
         assert!(out.contains("agent 4: w = 6"), "{out}");
-        assert!(!out.contains("flow-engine stats"), "{out}");
+        assert!(!out.contains("counters:"), "{out}");
     }
 
     #[test]
@@ -1250,10 +1271,14 @@ mod tests {
         let script = "{\"op\":\"set_weight\",\"v\":0,\"w\":\"2\"}\n\
                       {\"op\":\"add_edge\",\"u\":0,\"v\":1}\n";
         let out = capture(|w| cmd_update(&ring(), script, true, w));
-        assert!(out.contains("flow-engine stats"), "{out}");
-        assert!(out.contains("delta unchanged"), "{out}");
-        assert!(out.contains("delta recertified"), "{out}");
-        assert!(out.contains("\"delta_unchanged\""), "{out}");
+        assert!(out.contains("counters:"), "{out}");
+        // The weight re-report recomputes and the ring chord is unchanged.
+        for name in ["bd.delta_unchanged", "bd.delta_recomputed"] {
+            assert!(
+                counter_row(&out, name).is_some_and(|v| v > 0),
+                "{name}: {out}"
+            );
+        }
     }
 
     // The metrics layer is process-global; the watch tests install/reset

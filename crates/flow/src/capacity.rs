@@ -10,11 +10,12 @@
 //! `network_i128`).
 //!
 //! The trait also owns the per-engine observability surface: stable span
-//! names, the `engine` span attribute, and the routing of kernel events
-//! into [`crate::stats`], where each backend has counters of its own
-//! (`exact_*`, `int_*`, `i128_*`).
+//! names, the `engine` span attribute, and the counters the kernel bumps,
+//! which each backend declares for itself (`flow.exact_*`, `flow.int_*`,
+//! `flow.i128_*`).
 
 use prs_numeric::Rational;
+use prs_trace::Counter;
 
 /// An arc capacity: a finite backend value or `+∞`.
 ///
@@ -51,6 +52,12 @@ pub trait Capacity: Clone + PartialEq + std::fmt::Debug {
     const SPAN_BFS: &'static str;
     /// Stable span name for one full max-flow computation.
     const SPAN_MAX_FLOW: &'static str;
+    /// Counts the engine's Dinic BFS phases.
+    const BFS_PHASES: &'static Counter;
+    /// Counts the engine's augmenting paths pushed.
+    const AUGMENTING_PATHS: &'static Counter;
+    /// Counts the engine's max-flow computations run to completion.
+    const MAX_FLOWS: &'static Counter;
 
     /// The additive identity (no flow).
     fn zero() -> Self;
@@ -78,18 +85,11 @@ pub trait Capacity: Clone + PartialEq + std::fmt::Debug {
     /// Loop-termination test on an augmentation result: exactly zero, or
     /// any result of a poisoned checked-`i128` run.
     fn exhausted(pushed: &Self) -> bool;
-
-    /// Count one BFS phase in [`crate::stats`].
-    fn record_bfs_phase();
-    /// Count one augmenting path in [`crate::stats`].
-    fn record_augmenting_path();
-    /// Count one completed max-flow in [`crate::stats`].
-    fn record_max_flow();
 }
 
 /// Implement the boilerplate half of [`Capacity`] — reference arithmetic,
 /// ordering, the exact saturation and termination tests — for a backend
-/// type from `prs-numeric`. The per-engine observability consts/hooks stay
+/// type from `prs-numeric`. The per-engine observability consts stay
 /// written out at each impl site, where their stability matters.
 macro_rules! exact_capacity_arith {
     () => {

@@ -10,7 +10,10 @@
 //! unification.
 
 use crate::capacity::{Cap, Capacity};
-use crate::stats;
+use prs_trace::Counter;
+
+static NETWORKS_BUILT: Counter = Counter::new("flow.networks_built");
+static NETWORKS_REUSED: Counter = Counter::new("flow.networks_reused");
 
 /// Node index in a [`Network`].
 pub type NodeId = usize;
@@ -78,7 +81,7 @@ const UNREACHED: u32 = u32::MAX;
 impl<C: Capacity> Network<C> {
     /// A network with `n` nodes and no arcs.
     pub fn new(n: usize) -> Self {
-        stats::record_networks_built(1);
+        NETWORKS_BUILT.add(1);
         Network {
             arcs: Vec::new(),
             adj: vec![Vec::new(); n],
@@ -98,7 +101,7 @@ impl<C: Capacity> Network<C> {
     /// the next build reuses arc storage (arena reuse across decomposition
     /// rounds and sweep evaluations).
     pub fn clear(&mut self, n: usize) {
-        stats::record_networks_reused(1);
+        NETWORKS_REUSED.add(1);
         self.arcs.clear();
         self.adj.iter_mut().for_each(|a| a.clear());
         self.adj.resize_with(n, Vec::new);
@@ -204,7 +207,7 @@ impl<C: Capacity> Network<C> {
     }
 
     fn bfs_levels(&mut self, s: NodeId) {
-        C::record_bfs_phase();
+        C::BFS_PHASES.add(1);
         let mut sp = prs_trace::span("flow", C::SPAN_BFS);
         sp.attr("engine", || C::ENGINE.to_string());
         self.level.iter_mut().for_each(|l| *l = UNREACHED);
@@ -255,7 +258,7 @@ impl<C: Capacity> Network<C> {
                     self.arcs[aid].flow.add_assign_ref(&pushed);
                     self.arcs[aid ^ 1].flow.sub_assign_ref(&pushed);
                 }
-                C::record_augmenting_path();
+                C::AUGMENTING_PATHS.add(1);
                 return pushed;
             }
             // Advance v's per-phase arc cursor to the next usable level arc.
@@ -291,7 +294,7 @@ impl<C: Capacity> Network<C> {
     /// or sink arc).
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> C {
         assert_ne!(s, t, "source equals sink");
-        C::record_max_flow();
+        C::MAX_FLOWS.add(1);
         let mut sp = prs_trace::span("flow", C::SPAN_MAX_FLOW);
         sp.attr("engine", || C::ENGINE.to_string());
         let mut phases: u64 = 0;

@@ -31,18 +31,20 @@
 //!   of the scaled-integer certifier; overflow poisons the run (see
 //!   [`network_i128`]) and promotes the round back to [`NetworkInt`].
 //!
-//! The backend modules contribute only a `Capacity` impl and a type alias;
-//! the traversal order — hence the decomposition output — is bit-identical
-//! across engines by construction. [`stats`] keeps process-wide counters
-//! over all engines (`prs audit --stats`), and [`testkit`] holds the shared
-//! engine-parameterized test suite.
+//! The backend modules contribute only a `Capacity` impl, a type alias and
+//! the engine's `prs_trace` counters (`flow.<engine>_{bfs_phases,
+//! augmenting_paths,max_flows}`); the traversal order — hence the
+//! decomposition output — is bit-identical across engines by construction.
+//! The kernel counts network builds and arena reuses
+//! (`flow.networks_{built,reused}`). Every counter is read by its registered
+//! name through `prs_trace` (`prs audit --stats`), and [`testkit`] holds the
+//! shared engine-parameterized test suite.
 
 pub mod capacity;
 pub mod kernel;
 pub mod network;
 pub mod network_i128;
 pub mod network_int;
-pub mod stats;
 pub mod testkit;
 
 pub use capacity::{Cap, Capacity};
@@ -50,4 +52,3 @@ pub use kernel::{EdgeId, Network, NodeId, SeedArc};
 pub use network::FlowNetwork;
 pub use network_i128::{CapI128, NetworkI128};
 pub use network_int::{CapInt, NetworkInt};
-pub use stats::FlowStats;

@@ -10,8 +10,12 @@
 
 use crate::capacity::{exact_capacity_arith, Capacity};
 use crate::kernel::Network;
-use crate::stats;
 use prs_numeric::Rational;
+use prs_trace::Counter;
+
+static EXACT_BFS_PHASES: Counter = Counter::new("flow.exact_bfs_phases");
+static EXACT_AUGMENTING_PATHS: Counter = Counter::new("flow.exact_augmenting_paths");
+static EXACT_MAX_FLOWS: Counter = Counter::new("flow.exact_max_flows");
 
 /// A directed flow network with exact rational capacities.
 pub type FlowNetwork = Network<Rational>;
@@ -22,16 +26,9 @@ impl Capacity for Rational {
     const ENGINE: &'static str = "exact";
     const SPAN_BFS: &'static str = "exact_bfs_phase";
     const SPAN_MAX_FLOW: &'static str = "exact_max_flow";
-
-    fn record_bfs_phase() {
-        stats::record_exact_bfs_phases(1);
-    }
-    fn record_augmenting_path() {
-        stats::record_exact_augmenting_paths(1);
-    }
-    fn record_max_flow() {
-        stats::record_exact_max_flows(1);
-    }
+    const BFS_PHASES: &'static Counter = &EXACT_BFS_PHASES;
+    const AUGMENTING_PATHS: &'static Counter = &EXACT_AUGMENTING_PATHS;
+    const MAX_FLOWS: &'static Counter = &EXACT_MAX_FLOWS;
 }
 
 #[cfg(test)]

@@ -39,8 +39,12 @@
 
 use crate::capacity::{Cap, Capacity};
 use crate::kernel::Network;
-use crate::stats;
+use prs_trace::Counter;
 use std::cell::Cell;
+
+static I128_BFS_PHASES: Counter = Counter::new("flow.i128_bfs_phases");
+static I128_AUGMENTING_PATHS: Counter = Counter::new("flow.i128_augmenting_paths");
+static I128_MAX_FLOWS: Counter = Counter::new("flow.i128_max_flows");
 
 /// An arc capacity: a finite `i128` or `+∞` (middle arcs).
 pub type CapI128 = Cap<i128>;
@@ -86,6 +90,9 @@ impl Capacity for i128 {
     const ENGINE: &'static str = "i128";
     const SPAN_BFS: &'static str = "i128_bfs_phase";
     const SPAN_MAX_FLOW: &'static str = "i128_max_flow";
+    const BFS_PHASES: &'static Counter = &I128_BFS_PHASES;
+    const AUGMENTING_PATHS: &'static Counter = &I128_AUGMENTING_PATHS;
+    const MAX_FLOWS: &'static Counter = &I128_MAX_FLOWS;
 
     fn zero() -> Self {
         0
@@ -133,16 +140,6 @@ impl Capacity for i128 {
     }
     fn exhausted(pushed: &Self) -> bool {
         overflow_detected() || *pushed == 0
-    }
-
-    fn record_bfs_phase() {
-        stats::record_i128_bfs_phases(1);
-    }
-    fn record_augmenting_path() {
-        stats::record_i128_augmenting_paths(1);
-    }
-    fn record_max_flow() {
-        stats::record_i128_max_flows(1);
     }
 }
 

@@ -11,13 +11,17 @@
 //! this network; the result it extracts is bit-identical to the rational
 //! engine's because only the *representation* of the capacities changes.
 //!
-//! It records into its own `int_*` counters in [`crate::stats`], so
-//! promoted certification flows never mix with the rational engine's.
+//! It declares its own `flow.int_*` counters, so promoted certification
+//! flows never mix with the other engines' counts.
 
 use crate::capacity::{exact_capacity_arith, Cap, Capacity};
 use crate::kernel::Network;
-use crate::stats;
 use prs_numeric::BigInt;
+use prs_trace::Counter;
+
+static INT_BFS_PHASES: Counter = Counter::new("flow.int_bfs_phases");
+static INT_AUGMENTING_PATHS: Counter = Counter::new("flow.int_augmenting_paths");
+static INT_MAX_FLOWS: Counter = Counter::new("flow.int_max_flows");
 
 /// An arc capacity: a finite big integer or `+∞` (middle arcs).
 pub type CapInt = Cap<BigInt>;
@@ -34,16 +38,9 @@ impl Capacity for BigInt {
     const ENGINE: &'static str = "int";
     const SPAN_BFS: &'static str = "int_bfs_phase";
     const SPAN_MAX_FLOW: &'static str = "int_max_flow";
-
-    fn record_bfs_phase() {
-        stats::record_int_bfs_phases(1);
-    }
-    fn record_augmenting_path() {
-        stats::record_int_augmenting_paths(1);
-    }
-    fn record_max_flow() {
-        stats::record_int_max_flows(1);
-    }
+    const BFS_PHASES: &'static Counter = &INT_BFS_PHASES;
+    const AUGMENTING_PATHS: &'static Counter = &INT_AUGMENTING_PATHS;
+    const MAX_FLOWS: &'static Counter = &INT_MAX_FLOWS;
 }
 
 #[cfg(test)]

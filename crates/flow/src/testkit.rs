@@ -214,11 +214,23 @@ pub fn assert_outflow_equals_value<C: TestCapacity>(
 // in a `#[test]` so every backend runs the identical set.
 // ---------------------------------------------------------------------------
 
-/// One fractional edge carries exactly its capacity.
+/// One fractional edge carries exactly its capacity, and the run moves the
+/// engine's own three counters.
 pub fn single_edge<C: TestCapacity>() {
+    let counters = [
+        (C::BFS_PHASES, "bfs_phases"),
+        (C::AUGMENTING_PATHS, "augmenting_paths"),
+        (C::MAX_FLOWS, "max_flows"),
+    ];
+    let before = counters.map(|(c, _)| c.get());
     let mut net = Network::<C>::new(2);
     net.add_edge(0, 1, fin::<C>(3, 2));
     expect::<C>(&net.max_flow(0, 1), 3, 2);
+    for ((c, what), was) in counters.into_iter().zip(before) {
+        assert_eq!(c.name(), format!("flow.{}_{what}", C::ENGINE));
+        // Other tests only add to these process-global counters.
+        assert!(c.get() > was, "{} did not move", c.name());
+    }
 }
 
 /// Arcs in series bottleneck at the minimum capacity.

@@ -23,9 +23,12 @@
 //!    densely, so a single-threaded run exports byte-identical streams
 //!    modulo timestamps, and parallel runs are permutation-equal.
 //!
-//! The recorder also hosts the process-wide [`Counter`] registry that
-//! `prs_flow::stats` is built on: counters are always live (independent of
-//! span recording) and surface in the human summary.
+//! The recorder also hosts the process-wide [`Counter`] registry: each
+//! layer declares its counters as `static`s in the module that bumps them,
+//! and every reader — `prs … --stats`, the human summary, the benchmark —
+//! reads them by registered name through [`counter_values`],
+//! [`counter_value`] and [`counters_since`]. Counters are always live
+//! (independent of span recording).
 //!
 //! The [`metrics`] module adds the *streaming* half of the story:
 //! log-linear histograms updated at span close (bounded state, callable
@@ -463,9 +466,9 @@ pub fn clear() {
 // ---------------------------------------------------------------------------
 
 /// A named process-global counter, always live (independent of span
-/// recording). `prs_flow::stats` builds its engine counters on this type;
-/// every counter self-registers on first use so the exporters can list
-/// the full set without a static manifest.
+/// recording). Each layer declares its counters as `static`s in the module
+/// that bumps them; every counter self-registers on first use so the
+/// readers can list the full set without a static manifest.
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
@@ -492,10 +495,16 @@ impl Counter {
         }
     }
 
-    /// Bump by `n` (relaxed; counters are monotone between resets).
+    /// Bump by `n` (relaxed; counters are monotone between `set`s).
     #[inline]
     pub fn add(&'static self, n: u64) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
+        // A plain load on the hot path; only a counter not yet registered
+        // pays the swap, which still decides registration exactly once.
+        // Relaxed is enough: the flag publishes no data (the registry has
+        // its own lock).
+        if !self.registered.load(Ordering::Relaxed)
+            && !self.registered.swap(true, Ordering::Relaxed)
+        {
             lock_registry().push(self);
         }
         self.value.fetch_add(n, Ordering::Relaxed);
@@ -507,7 +516,7 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Overwrite the value (used by `stats::reset`).
+    /// Overwrite the value.
     #[inline]
     pub fn set(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
@@ -527,6 +536,28 @@ pub fn counter_values() -> Vec<(&'static str, u64)> {
         .collect();
     out.sort_by(|a, b| a.0.cmp(b.0));
     out
+}
+
+/// The value of the counter registered as `name`; 0 before its first bump.
+pub fn counter_value(name: &str) -> u64 {
+    lock_registry()
+        .iter()
+        .find(|c| c.name() == name)
+        .map_or(0, |c| c.get())
+}
+
+/// Every counter that moved since `before` (a [`counter_values`] snapshot)
+/// and by how much, sorted by name. Differences saturate at zero, so a
+/// counter [`set`](Counter::set) below its snapshot reads as not moved.
+pub fn counters_since(before: &[(&'static str, u64)]) -> Vec<(&'static str, u64)> {
+    counter_values()
+        .into_iter()
+        .map(|(name, v)| {
+            let was = before.iter().find(|(n, _)| *n == name).map_or(0, |e| e.1);
+            (name, v.saturating_sub(was))
+        })
+        .filter(|(_, d)| *d > 0)
+        .collect()
 }
 
 #[cfg(test)]
@@ -645,15 +676,44 @@ mod tests {
 
     #[test]
     fn counters_register_and_accumulate() {
+        // Other tests bump the metrics counters concurrently, so only the
+        // probes' own entries are asserted exactly.
         static PROBE: Counter = Counter::new("test.probe_counter");
+        static LATER: Counter = Counter::new("test.probe_later");
+        static IDLE: Counter = Counter::new("test.probe_idle");
         PROBE.add(3);
         PROBE.add(4);
+        IDLE.add(1);
         assert_eq!(PROBE.get(), 7);
         let vals = counter_values();
-        let got = vals.iter().find(|(n, _)| *n == "test.probe_counter");
-        assert!(got.is_some_and(|(_, v)| *v >= 7), "{vals:?}");
+        let listed = vals.iter().filter(|(n, _)| *n == "test.probe_counter");
+        assert_eq!(listed.count(), 1, "registered once: {vals:?}");
+        assert_eq!(counter_value("test.probe_counter"), 7);
+        assert_eq!(counter_value("test.never_bumped"), 0);
+
+        LATER.add(2);
+        PROBE.add(5);
+        let moved = counters_since(&vals);
+        assert!(moved.windows(2).all(|w| w[0].0 < w[1].0), "{moved:?}");
+        let probes: Vec<_> = moved
+            .iter()
+            .filter(|(n, _)| n.starts_with("test."))
+            .collect();
+        assert_eq!(
+            probes,
+            [&("test.probe_counter", 5), &("test.probe_later", 2)],
+            "only the probes that moved, sorted: {moved:?}"
+        );
+
+        // A counter set below its snapshot has not moved.
+        let before = counter_values();
         PROBE.set(0);
         assert_eq!(PROBE.get(), 0);
+        let moved = counters_since(&before);
+        assert!(
+            moved.iter().all(|(n, _)| !n.starts_with("test.")),
+            "{moved:?}"
+        );
     }
 
     #[test]

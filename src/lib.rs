@@ -48,5 +48,5 @@ pub mod prelude {
 }
 
 // The component crates under stable names, for the long tail
-// (`prs::flow::stats`, `prs::bd::reference`, `prs::graph::random`, …).
+// (`prs::trace::counter_values`, `prs::bd::reference`, `prs::graph::random`, …).
 pub use prs_core::{bd, deviation, dynamics, eg, flow, graph, numeric, p2psim, sybil, trace};

@@ -40,7 +40,7 @@ use prs::prelude::{
 use prs::{
     best_general_sybil, BottleneckPair,
     // Component-crate aliases (the long tail lives here).
-    bd, deviation, dynamics, eg, flow, graph, numeric, p2psim, sybil,
+    bd, deviation, dynamics, eg, flow, graph, numeric, p2psim, sybil, trace,
 };
 
 // Silence unused-import lints for the pure-type imports while keeping the
@@ -111,7 +111,12 @@ fn surface_is_importable_and_coherent() {
 
     // Module aliases resolve.
     let _: fn(&graph::Graph) -> Result<bd::BottleneckDecomposition, bd::BdError> = bd::decompose;
-    let _ = flow::stats::snapshot;
+    // Every layer's counters are read by registered name through the
+    // trace registry.
+    type Counts = Vec<(&'static str, u64)>;
+    let _: fn() -> Counts = trace::counter_values;
+    let _: fn(&str) -> u64 = trace::counter_value;
+    let _: fn(&[(&'static str, u64)]) -> Counts = trace::counters_since;
 
     // The unified flow kernel's vocabulary is reachable through the
     // umbrella: one generic `Network<C>`, the four backend aliases, and

@@ -5,17 +5,17 @@
 //! max-flows run. Every Dinkelbach iteration, augmenting path, promotion,
 //! session hit and delta tier below is an exact count, the same in debug
 //! and release builds; a change to the bookkeeping leaves them equal, and a
-//! change to the flow work re-records them. The `prs_flow::stats` counters
-//! are process-global, so this file holds exactly one test and drives one
-//! session directly, with no fan-out whose counts would depend on the
-//! worker count.
+//! change to the flow work re-records them. The counters are read by their
+//! registered names and are process-global, so this file holds exactly one
+//! test and drives one session directly, with no fan-out whose counts would
+//! depend on the worker count.
 //!
-//! Only the network-storage counters (`networks_built`, `networks_reused`
-//! and the topology reuses) are left out: they say how the networks were
-//! stored, not what was computed on them.
+//! Only the network-storage counters (`flow.networks_built`,
+//! `flow.networks_reused` and `bd.topology_reuses`) are left out: they say
+//! how the networks were stored, not what was computed on them.
 
-use prs::flow::stats::{self, FlowStats};
 use prs::prelude::*;
+use prs::trace::{counter_values, counters_since};
 
 fn load(name: &str) -> Graph {
     let path = format!("{}/instances/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -23,24 +23,25 @@ fn load(name: &str) -> Graph {
     parse_instance(&text).expect("shipped instance parses")
 }
 
-/// The counters this test pins, by name.
-fn pinned(s: &FlowStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("dinkelbach_iterations", s.dinkelbach_iterations),
-        ("i128_max_flows", s.i128_max_flows),
-        ("i128_augmenting_paths", s.i128_augmenting_paths),
-        ("int_max_flows", s.int_max_flows),
-        ("int_augmenting_paths", s.int_augmenting_paths),
-        ("exact_max_flows", s.exact_max_flows),
-        ("exact_augmenting_paths", s.exact_augmenting_paths),
-        ("i128_promotions", s.i128_promotions),
-        ("session_hits", s.session_hits),
-        ("session_misses", s.session_misses),
-        ("session_warm_starts", s.session_warm_starts),
-        ("delta_unchanged", s.delta_unchanged),
-        ("delta_recertified", s.delta_recertified),
-        ("delta_recomputed", s.delta_recomputed),
-    ]
+/// How far each counter named in `want` moved, as listed by
+/// `counters_since` (a counter that did not move reads 0).
+fn pinned(moved: &[(&str, u64)], want: &[(&'static str, u64)]) -> Vec<(&'static str, u64)> {
+    let count = |name| moved.iter().find(|(n, _)| *n == name).map_or(0, |e| e.1);
+    want.iter().map(|&(name, _)| (name, count(name))).collect()
+}
+
+/// Fail unless every name is a registered counter: a misspelt name would
+/// read 0 and pass as a pinned 0.
+fn assert_registered(want: &[(&str, u64)]) {
+    let path = format!("{}/docs/trace-registry.txt", env!("CARGO_MANIFEST_DIR"));
+    let registry = std::fs::read_to_string(&path).expect("the trace registry exists");
+    for (name, _) in want {
+        let entry = format!("counter {name}");
+        assert!(
+            registry.lines().any(|l| l == entry),
+            "{name} is not registered"
+        );
+    }
 }
 
 /// Workload 1: one detached session decomposes every agent's misreport
@@ -116,51 +117,53 @@ fn churn_script(session: &mut DecompositionSession, rng: &mut Lcg) {
 
 #[test]
 fn session_flow_work_is_pinned() {
-    let before = stats::snapshot();
+    let before = counter_values();
     let mut detached = DecompositionSession::detached();
     misreport_grids(&mut detached);
-    let grids = stats::snapshot().since(&before);
+    let grids = counters_since(&before);
 
     let mut rng = Lcg(2020);
     let weights = (0..16).map(|_| int(1 + rng.next(40) as i64)).collect();
     let mut owned = DecompositionSession::new(builders::ring(weights).unwrap());
     owned.current().unwrap();
-    let mid = stats::snapshot();
+    let mid = counter_values();
     churn_script(&mut owned, &mut rng);
-    let churn = stats::snapshot().since(&mid);
+    let churn = counters_since(&mid);
 
     let want_grids: [(&str, u64); 14] = [
-        ("dinkelbach_iterations", 414),
-        ("i128_max_flows", 414),
-        ("i128_augmenting_paths", 556),
-        ("int_max_flows", 0),
-        ("int_augmenting_paths", 0),
-        ("exact_max_flows", 0),
-        ("exact_augmenting_paths", 0),
-        ("i128_promotions", 0),
-        ("session_hits", 481),
-        ("session_misses", 14),
-        ("session_warm_starts", 487),
-        ("delta_unchanged", 0),
-        ("delta_recertified", 0),
-        ("delta_recomputed", 0),
+        ("bd.dinkelbach_iterations", 414),
+        ("flow.i128_max_flows", 414),
+        ("flow.i128_augmenting_paths", 556),
+        ("flow.int_max_flows", 0),
+        ("flow.int_augmenting_paths", 0),
+        ("flow.exact_max_flows", 0),
+        ("flow.exact_augmenting_paths", 0),
+        ("bd.i128_promotions", 0),
+        ("bd.session_hits", 481),
+        ("bd.session_misses", 14),
+        ("bd.session_warm_starts", 487),
+        ("bd.delta_unchanged", 0),
+        ("bd.delta_recertified", 0),
+        ("bd.delta_recomputed", 0),
     ];
     let want_churn: [(&str, u64); 14] = [
-        ("dinkelbach_iterations", 469),
-        ("i128_max_flows", 466),
-        ("i128_augmenting_paths", 3299),
-        ("int_max_flows", 3),
-        ("int_augmenting_paths", 43),
-        ("exact_max_flows", 0),
-        ("exact_augmenting_paths", 0),
-        ("i128_promotions", 1),
-        ("session_hits", 377),
-        ("session_misses", 73),
-        ("session_warm_starts", 405),
-        ("delta_unchanged", 19),
-        ("delta_recertified", 242),
-        ("delta_recomputed", 39),
+        ("bd.dinkelbach_iterations", 469),
+        ("flow.i128_max_flows", 466),
+        ("flow.i128_augmenting_paths", 3299),
+        ("flow.int_max_flows", 3),
+        ("flow.int_augmenting_paths", 43),
+        ("flow.exact_max_flows", 0),
+        ("flow.exact_augmenting_paths", 0),
+        ("bd.i128_promotions", 1),
+        ("bd.session_hits", 377),
+        ("bd.session_misses", 73),
+        ("bd.session_warm_starts", 405),
+        ("bd.delta_unchanged", 19),
+        ("bd.delta_recertified", 242),
+        ("bd.delta_recomputed", 39),
     ];
-    assert_eq!(pinned(&grids), want_grids, "misreport grids");
-    assert_eq!(pinned(&churn), want_churn, "churn script");
+    assert_registered(&want_grids);
+    assert_registered(&want_churn);
+    assert_eq!(pinned(&grids, &want_grids), want_grids, "misreport grids");
+    assert_eq!(pinned(&churn, &want_churn), want_churn, "churn script");
 }
