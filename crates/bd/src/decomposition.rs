@@ -728,7 +728,7 @@ impl RoundNets {
     }
 
     /// Engine-dispatched [`prs_flow::Network::residual_reaches_sink`].
-    fn cert_residual_reaches_sink(&self) -> Vec<bool> {
+    fn cert_residual_reaches_sink(&mut self) -> &[bool] {
         match self.cert_engine {
             CertEngine::I128 => self.kept[self.cur].net.residual_reaches_sink(Layout::T),
             CertEngine::Int => self.exact_int.net.residual_reaches_sink(Layout::T),
@@ -736,7 +736,7 @@ impl RoundNets {
     }
 
     /// Engine-dispatched [`prs_flow::Network::min_cut_source_side`].
-    fn cert_min_cut_source_side(&self) -> Vec<bool> {
+    fn cert_min_cut_source_side(&mut self) -> &[bool] {
         match self.cert_engine {
             CertEngine::I128 => self.kept[self.cur].net.min_cut_source_side(Layout::S),
             CertEngine::Int => self.exact_int.net.min_cut_source_side(Layout::S),

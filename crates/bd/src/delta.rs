@@ -9,11 +9,11 @@
 //! The serving tiers (cheapest first; see `DESIGN.md` §3.3 for the
 //! soundness argument of each):
 //!
-//! 1. **Unchanged** — **zero flow invocations**, after an O(n + m) clone
-//!    and compare of the held instance: net no-op batches, idempotent edge
-//!    operations, and insertions of an edge between two strictly C-class
-//!    agents (which provably leave the whole decomposition — pairs,
-//!    classes, and α values — untouched).
+//! 1. **Unchanged** — **zero flow invocations**, and bookkeeping in the
+//!    size of the delta, not of the instance: net no-op batches,
+//!    idempotent edge operations, and insertions of an edge between two
+//!    strictly C-class agents (which provably leave the whole
+//!    decomposition — pairs, classes, and α values — untouched).
 //! 2. **Recertified** — every other mutation runs the session's rounds
 //!    with the current result's certificates at the front of its shape
 //!    cache, and every round was settled by one of two means: a replay of a

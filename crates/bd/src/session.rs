@@ -25,7 +25,9 @@
 //!    words, is certified by one max-flow on the round's scaled-integer
 //!    network (see `RoundNets`), pre-seeded with the cached certifying flow
 //!    rescaled to the current capacities, so inside a known `ShapeInterval`
-//!    the flow is (nearly) maximal before the first BFS.
+//!    the flow is (nearly) maximal before the first BFS. The candidates are
+//!    the cached rounds with the same round index and, only if none of
+//!    those is usable, the bottleneck sets of every cached round.
 //! 3. **Descent** — at a breakpoint the certification is infeasible and the
 //!    exact Dinkelbach descent resumes from the min cut (still on the
 //!    integer network); with no usable candidate at all, the round descends
@@ -42,8 +44,10 @@
 //! ([`DecompositionSession::new`] takes ownership of the [`Graph`]) serves a
 //! *stream of mutations* instead of instance-at-a-time calls:
 //! [`apply`](DecompositionSession::apply) takes a [`Delta`] (`SetWeight` /
-//! `AddEdge` / `RemoveEdge` / `Batch`), mutates the owned instance
-//! transactionally, and reports which tier served it
+//! `AddEdge` / `RemoveEdge` / `Batch`), edits the owned instance in place
+//! under an undo log (replayed backwards on any error, so the edit is
+//! transactional and costs the size of the delta), and reports which tier
+//! served it
 //! ([`UpdateOutcome::Unchanged`] / [`Recertified`](UpdateOutcome::Recertified)
 //! / [`Recomputed`](UpdateOutcome::Recomputed)). A mutation that can move
 //! the decomposition runs the same rounds as
@@ -51,9 +55,10 @@
 //! result's certificates at the cache front: a round the mutation cannot
 //! see replays its certificate, and a round that sees it certifies the
 //! smallest cached candidate (the previous bottleneck among them), seeded
-//! from that candidate's certifying flow. The tier is read off how the
-//! rounds were settled — see `DESIGN.md` §3.3 for the tier soundness
-//! arguments.
+//! from that candidate's certifying flow. A mutation that cannot move the
+//! decomposition is read off the undo log, with no round run; otherwise
+//! the tier is read off how the rounds were settled — see `DESIGN.md` §3.3
+//! for the tier soundness arguments.
 //!
 //! **Bit-identity.** Replay is sound because the round solver is a pure
 //! function of the inputs it compares. For *any* vertex set `S`,
@@ -185,6 +190,32 @@ struct DeltaState {
     /// [`apply`](DecompositionSession::apply) forces a solve. Its round
     /// certificates went to the cache front when it was solved.
     bd: Option<BottleneckDecomposition>,
+    /// The steps the running `apply` made on `graph`, kept across calls so
+    /// that logging them allocates nothing once warm.
+    undo: Vec<Step>,
+}
+
+/// One step an `apply` made on the held instance, as it is undone.
+enum Step {
+    /// Vertex `v`'s weight was replaced; this is the weight it had.
+    Weight(VertexId, Rational),
+    /// The edge `(u, v)`, `u < v`, was inserted or removed.
+    Edge(VertexId, VertexId),
+}
+
+impl Step {
+    fn edge(u: VertexId, v: VertexId) -> Step {
+        Step::Edge(u.min(v), u.max(v))
+    }
+
+    /// What the step changed: `(v, v)` for v's weight, `(u, v)` for an
+    /// edge. An edge has `u < v`, so the two kinds never share a key.
+    fn key(&self) -> (VertexId, VertexId) {
+        match self {
+            Step::Weight(v, _) => (*v, *v),
+            Step::Edge(u, v) => (*u, *v),
+        }
+    }
 }
 
 /// The round certificates of one decomposition, and how its rounds were
@@ -302,7 +333,11 @@ impl DecompositionSession {
     /// current decomposition while keeping the flow arenas and the MRU shape
     /// cache warm.
     pub fn replace_instance(&mut self, g: Graph) {
-        self.delta = Some(DeltaState { graph: g, bd: None });
+        self.delta = Some(DeltaState {
+            graph: g,
+            bd: None,
+            undo: Vec::new(),
+        });
     }
 
     /// The decomposition of the owned instance, solving it on first use.
@@ -370,36 +405,33 @@ impl DecompositionSession {
         })
     }
 
-    /// The transactional body of [`apply`](Self::apply): every mutation
-    /// happens on a scratch copy first, and `state` is only committed once
-    /// a full re-serve has succeeded.
+    /// The transactional body of [`apply`](Self::apply): the delta edits
+    /// the held instance in place, each step that changes it logged in
+    /// `state.undo`, and on any error the log is replayed backwards. The
+    /// adjacency lists stay sorted, so that restores the instance exactly.
     fn apply_to_state(
         &mut self,
         state: &mut DeltaState,
         delta: &Delta,
     ) -> Result<UpdateOutcome, BdError> {
-        let mut scratch = state.graph.clone();
-        apply_delta_ops(&mut scratch, delta)?;
-
-        // Tier 1a — net no-op: idempotent edge ops and self-cancelling
-        // batches leave the instance literally equal, so the current
-        // decomposition (whether or not it has been forced yet) still
-        // describes it. Zero flow work.
-        if scratch == state.graph {
-            return Ok(UpdateOutcome::Unchanged);
+        state.undo.clear();
+        let out =
+            apply_logged(&mut state.graph, delta, &mut state.undo).and_then(|()| self.serve(state));
+        if out.is_err() {
+            undo(&mut state.graph, &mut state.undo);
         }
+        out
+    }
 
-        // Tier 1b — strictly-C edge insertions leave the decomposition
-        // untouched (DESIGN.md §3.3): for every round up to an endpoint's
-        // pair, the bottleneck B_r avoids both endpoints, so Γ(B_r) — and
-        // with it α_r and the maximal tight set — is unchanged, while α(S)
-        // can only grow for other sets; once an endpoint is peeled the edge
-        // is invisible to the induced subgraph. (The removal analogue is
-        // *not* sound: deleting an edge can lower some α(S) below α_r.)
-        let bd = state.bd.as_ref();
-        if bd.is_some_and(|bd| only_adds_c_edges(&state.graph, &scratch, bd)) {
-            // Cache keeps old adjacency: next solve recertifies rounds holding both endpoints.
-            state.graph = scratch;
+    /// Serve the edited instance, reading the tier off the undo log.
+    fn serve(&mut self, state: &mut DeltaState) -> Result<UpdateOutcome, BdError> {
+        // Each key's steps together, in the order they were taken (the sort
+        // is stable). Steps on different keys commute, so the log still
+        // undoes backwards.
+        state.undo.sort_by_key(Step::key);
+
+        // Tiers 1a/1b — zero flow work.
+        if unchanged(&state.graph, &state.undo, state.bd.as_ref()) {
             return Ok(UpdateOutcome::Unchanged);
         }
 
@@ -408,12 +440,11 @@ impl DecompositionSession {
         // replays, one that sees it certifies the smallest cached
         // candidate, seeded. With no current result there was nothing to
         // recertify.
-        let (bd, flows) = self.run_decompose(&scratch)?;
+        let (bd, flows) = self.run_decompose(&state.graph)?;
         let outcome = match flows {
             Some(rounds) if state.bd.is_some() => UpdateOutcome::Recertified { rounds },
             _ => UpdateOutcome::Recomputed,
         };
-        state.graph = scratch;
         state.bd = Some(bd);
         Ok(outcome)
     }
@@ -472,45 +503,85 @@ impl Default for DecompositionSession {
     }
 }
 
-/// Apply `delta` to `g`, validating as it goes. Idempotent edge operations
-/// (inserting a present edge, removing an absent one) are accepted as
-/// no-ops; everything else surfaces the underlying
-/// [`GraphError`](prs_graph::GraphError) as [`BdError::InvalidDelta`].
-fn apply_delta_ops(g: &mut Graph, delta: &Delta) -> Result<(), BdError> {
+/// Apply `delta` to `g` in place, validating as it goes, and log each step
+/// that changes `g`. A `SetWeight` to the current weight, an `AddEdge` of a
+/// present edge and a `RemoveEdge` of an absent one change nothing and log
+/// nothing; any other invalid step surfaces the underlying
+/// [`GraphError`](prs_graph::GraphError) as [`BdError::InvalidDelta`], with
+/// the steps before it logged.
+fn apply_logged(g: &mut Graph, delta: &Delta, log: &mut Vec<Step>) -> Result<(), BdError> {
     match delta {
-        Delta::SetWeight { v, w } => g.try_set_weight(*v, w.clone()).map_err(BdError::from),
+        Delta::SetWeight { v, w } => {
+            let old = g.weights().get(*v);
+            if old == Some(w) {
+                return Ok(()); // re-stating the current weight
+            }
+            let old = old.cloned();
+            g.try_set_weight(*v, w.clone())?;
+            log.extend(old.map(|old| Step::Weight(*v, old)));
+        }
         Delta::AddEdge { u, v } => {
             if *u < g.n() && *v < g.n() && u != v && g.has_edge(*u, *v) {
                 return Ok(()); // idempotent re-insert
             }
-            g.add_edge(*u, *v).map_err(BdError::from)
+            g.add_edge(*u, *v)?;
+            log.push(Step::edge(*u, *v));
         }
         Delta::RemoveEdge { u, v } => {
             if *u < g.n() && *v < g.n() && !g.has_edge(*u, *v) {
                 return Ok(()); // idempotent removal of an absent edge
             }
-            g.remove_edge(*u, *v).map_err(BdError::from)
+            g.remove_edge(*u, *v)?;
+            log.push(Step::edge(*u, *v));
         }
         Delta::Batch(items) => {
             for d in items {
-                apply_delta_ops(g, d)?;
+                apply_logged(g, d, log)?;
             }
-            Ok(())
         }
     }
+    Ok(())
 }
 
-/// True iff `new` is `old` plus edges whose endpoints are both strictly
-/// C-class in `bd`: the same weights, every old edge, and no other new
-/// edge (tier 1b).
-fn only_adds_c_edges(old: &Graph, new: &Graph, bd: &BottleneckDecomposition) -> bool {
-    let strictly_c = |v| bd.class_of(v) == AgentClass::C;
-    old.weights() == new.weights()
-        && old.edges().iter().all(|&(u, v)| new.has_edge(u, v))
-        && new
-            .edges()
-            .iter()
-            .all(|&(u, v)| old.has_edge(u, v) || (strictly_c(u) && strictly_c(v)))
+/// True iff `bd`, the decomposition from before the logged steps, still
+/// describes `g`, the instance they left; the log holds each key's steps
+/// together, in order.
+///
+/// Tier 1a — net no-op: every logged vertex is back at the weight its first
+/// step replaced and every logged edge was toggled an even number of times,
+/// so the instance is literally the old one and the current decomposition
+/// (whether or not it has been forced yet) still describes it.
+///
+/// Tier 1b — the only net change is insertions of edges between two
+/// strictly C-class agents, which leaves the decomposition untouched
+/// (DESIGN.md §3.3): for every round up to an endpoint's pair, the
+/// bottleneck B_r avoids both endpoints, so Γ(B_r) — and with it α_r and
+/// the maximal tight set — is unchanged, while α(S) can only grow for other
+/// sets; once an endpoint is peeled the edge is invisible to the induced
+/// subgraph. (The removal analogue is *not* sound: deleting an edge can
+/// lower some α(S) below α_r.) The cache keeps the old adjacency, so the
+/// next solve recertifies rounds holding both endpoints.
+fn unchanged(g: &Graph, log: &[Step], bd: Option<&BottleneckDecomposition>) -> bool {
+    let strictly_c = |v| bd.is_some_and(|bd| bd.class_of(v) == AgentClass::C);
+    log.chunk_by(|a, b| a.key() == b.key())
+        .all(|steps| match steps[0] {
+            Step::Weight(v, ref first) => g.weight(v) == first,
+            Step::Edge(u, v) => {
+                steps.len() % 2 == 0 || (g.has_edge(u, v) && strictly_c(u) && strictly_c(v))
+            }
+        })
+}
+
+/// Undo the logged steps on `g`, last first, emptying the log.
+fn undo(g: &mut Graph, log: &mut Vec<Step>) {
+    while let Some(step) = log.pop() {
+        let undone = match step {
+            Step::Weight(v, w) => g.try_set_weight(v, w),
+            Step::Edge(u, v) if g.has_edge(u, v) => g.remove_edge(u, v),
+            Step::Edge(u, v) => g.add_edge(u, v),
+        };
+        debug_assert!(undone.is_ok(), "a logged step undoes");
+    }
 }
 
 /// One session round: pick a candidate, certify it, take one snapshot.
@@ -521,8 +592,10 @@ fn only_adds_c_edges(old: &Graph, new: &Graph, bd: &BottleneckDecomposition) -> 
 ///    induced adjacency) match the current ones returns its certified
 ///    `(B, α)` verbatim — zero flow work. Sound because the round solver is
 ///    a pure function of those inputs.
-/// 2. **Cached shape**: the best candidate set in the MRU cache; its
-///    ratio `α̂` is certified seeded with the cached certifying flow.
+/// 2. **Cached shape**: the best candidate set in the MRU cache, from a
+///    cached round with this round's index or, if none of those is
+///    usable, from any cached round; its ratio `α̂` is certified seeded
+///    with that round's certifying flow.
 /// 3. **Cold**: [`maximal_bottleneck`]'s descent from `α(alive)`.
 ///
 /// A certification that fails at a breakpoint resumes the exact descent.
@@ -536,7 +609,8 @@ fn solve_round_warm(
     served: &mut Served,
 ) -> Result<(VertexSet, Rational), BdError> {
     // The `path` attribute names which of the session's tiers settled the
-    // round: `replay`, `warm_hit`, `warm_descent`, or `cold`.
+    // round: `replay`, `warm_hit`, `warm_descent`, or `cold`; a warm round
+    // seeded from another round index names it in `candidate_round`.
     let mut sp = prs_trace::span("bd", "session_round");
     sp.attr("round", || round.to_string());
     nets.enter(g, alive, round);
@@ -548,9 +622,12 @@ fn solve_round_warm(
         return Ok((rc.b.clone(), rc.alpha.clone()));
     }
     let (b, alpha) = match best_warm_candidate(g, alive, round, cache, nets) {
-        Some((alpha_hat, idx)) => {
+        Some((alpha_hat, idx, from)) => {
+            if from != round {
+                sp.attr("candidate_round", || from.to_string());
+            }
             local.record_warm_start();
-            let support = &cache[idx].rounds[round].data.support;
+            let support = &cache[idx].rounds[from].data.support;
             let c = certify(g, alive, round, nets, alpha_hat, Some(support), "session")?;
             let path = if c.first_try {
                 "warm_hit"
@@ -601,12 +678,16 @@ fn replay_candidate<'a>(
         })
 }
 
-/// Probe the MRU cache for this round's best warm seed: the
-/// candidate set with the smallest α-ratio among usable entries
-/// (`0 < α̂ ≤ 1`, candidate alive), together with the cache index it came
-/// from (its certifying flow pattern seeds the max-flow). Smaller seeds
+/// Probe the MRU cache for this round's best warm seed: the candidate set
+/// with the smallest α-ratio among usable cached rounds (`0 < α̂ ≤ 1`,
+/// candidate alive), with the cache index and round index it came from
+/// (that round's certifying flow pattern seeds the max-flow). Smaller seeds
 /// dominate: `α(S) ≥ α*` always, so the smallest available ratio is the one
-/// closest to the optimum. Candidates rank in words, the earlier entry
+/// closest to the optimum. The probe ranks the cached rounds with this
+/// round's index first, and only if none of them is usable every cached
+/// round: a set from another round index is as sound a candidate, but
+/// ranking every round on every round costs more than it saves.
+/// Candidates rank in words, the earlier entry and then the earlier round
 /// winning a tie, and only the winner becomes a `Rational`.
 fn best_warm_candidate(
     g: &Graph,
@@ -614,24 +695,48 @@ fn best_warm_candidate(
     round: usize,
     cache: &[ShapeEntry],
     nets: &mut RoundNets,
-) -> Option<(Rational, usize)> {
-    let mut best: Option<(Ratio, usize)> = None;
-    for (idx, entry) in cache.iter().enumerate() {
-        if entry.n != g.n() || round >= entry.rounds.len() {
+) -> Option<(Rational, usize, usize)> {
+    let entries = || {
+        cache
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| entry.n == g.n())
+    };
+    let same_index =
+        entries().filter_map(|(idx, entry)| Some((idx, round, entry.rounds.get(round)?)));
+    best_candidate(g, alive, nets, same_index).or_else(|| {
+        let every_round = entries().flat_map(|(idx, entry)| {
+            entry
+                .rounds
+                .iter()
+                .enumerate()
+                .map(move |(r, rc)| (idx, r, rc))
+        });
+        best_candidate(g, alive, nets, every_round)
+    })
+}
+
+/// The usable candidate of smallest ratio among `rounds` (`(cache index,
+/// round index, certificate)`, in ranking order), the first winning a tie.
+fn best_candidate<'a>(
+    g: &Graph,
+    alive: &VertexSet,
+    nets: &mut RoundNets,
+    rounds: impl Iterator<Item = (usize, usize, &'a RoundCert)>,
+) -> Option<(Rational, usize, usize)> {
+    let mut best: Option<(Ratio, usize, usize)> = None;
+    for (idx, r, rc) in rounds {
+        if rc.b.is_empty() || !rc.b.is_subset(alive) {
             continue;
         }
-        let cand = &entry.rounds[round].b;
-        if cand.is_empty() || !cand.is_subset(alive) {
-            continue;
-        }
-        let Some(alpha_hat) = nets.ratio(g, alive, cand).filter(Ratio::usable) else {
+        let Some(alpha_hat) = nets.ratio(g, alive, &rc.b).filter(Ratio::usable) else {
             continue;
         };
-        if best.as_ref().is_none_or(|(b, _)| alpha_hat.below(b)) {
-            best = Some((alpha_hat, idx));
+        if best.as_ref().is_none_or(|(b, ..)| alpha_hat.below(b)) {
+            best = Some((alpha_hat, idx, r));
         }
     }
-    best.map(|(a, idx)| (a.to_rational(), idx))
+    best.map(|(a, idx, r)| (a.to_rational(), idx, r))
 }
 
 /// Snapshot a freshly certified round into a [`RoundCert`]: the answer,
@@ -669,6 +774,25 @@ mod tests {
 
     fn path_graph(w0: Rational) -> Graph {
         builders::path(vec![w0, int(10), int(3)]).unwrap()
+    }
+
+    /// A cached shape on four vertices whose rounds certified the sets
+    /// `bs`, with placeholder certificates: the warm probe reads the sets
+    /// alone.
+    fn shape(bs: &[&[VertexId]]) -> ShapeEntry {
+        let cert = |b: &&[VertexId]| RoundCert {
+            b: VertexSet::from_iter_cap(4, b.iter().copied()),
+            alpha: Rational::one(),
+            data: Arc::new(CertData {
+                edges: Arc::default(),
+                weights: RoundWeights::Exact(Vec::new()),
+                support: Support::I128(Vec::new()),
+            }),
+        };
+        ShapeEntry {
+            n: 4,
+            rounds: bs.iter().map(cert).collect(),
+        }
     }
 
     #[test]
@@ -725,19 +849,7 @@ mod tests {
         // other); weights near 2^100 overflow the cross-products and take
         // the `Rational` comparison. The probe over a four-entry cache picks
         // what a strict `Rational` scan picks, the earlier entry on a tie.
-        let entry = |b: &[VertexId]| ShapeEntry {
-            n: 4,
-            rounds: vec![RoundCert {
-                b: VertexSet::from_iter_cap(4, b.iter().copied()),
-                alpha: Rational::one(),
-                data: Arc::new(CertData {
-                    edges: Arc::default(),
-                    weights: RoundWeights::Exact(Vec::new()),
-                    support: Support::I128(Vec::new()),
-                }),
-            }],
-        };
-        let cache = [&[0][..], &[2], &[1, 3], &[0, 2]].map(entry);
+        let cache = [&[0][..], &[2], &[1, 3], &[0, 2]].map(|b| shape(&[b]));
         let big = int(2).pow(100);
         for w in [[1, 1, 1, 1], [3, 1, 3, 1], [5, 2, 7, 3], [9, 4, 2, 8]] {
             for scale in [int(1), big.clone(), ratio(1, 7)] {
@@ -769,16 +881,49 @@ mod tests {
                         );
                     }
                 }
-                let mut want: Option<(Rational, usize)> = None;
+                let mut want: Option<(Rational, usize, usize)> = None;
                 for (idx, e) in cache.iter().enumerate() {
                     let a = g.alpha_ratio_in(&e.rounds[0].b, &alive).unwrap();
-                    if a <= Rational::one() && want.as_ref().is_none_or(|(b, _)| a < *b) {
-                        want = Some((a, idx));
+                    if a <= Rational::one() && want.as_ref().is_none_or(|(b, ..)| a < *b) {
+                        want = Some((a, idx, 0));
                     }
                 }
                 let got = best_warm_candidate(&g, &alive, 0, &cache, &mut nets);
                 assert_eq!(got, want, "{w:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_round_without_a_usable_candidate_of_its_index_ranks_every_round() {
+        // Ring (5, 1, 3, 1), three cached shapes. A round whose own index
+        // offers a usable candidate keeps it, though a smaller ratio sits at
+        // another index; a round whose own index offers none (absent, or
+        // α̂ > 1) ranks every cached round: the smallest usable ratio wins,
+        // the earlier entry on a tie, and sets outside the alive set drop.
+        let g = builders::ring(vec![int(5), int(1), int(3), int(1)]).unwrap();
+        let cache = [
+            shape(&[&[2], &[0, 2]]),
+            shape(&[&[0]]),
+            shape(&[&[1, 3], &[0, 2]]),
+        ];
+        let unusable_first = [shape(&[&[1, 3], &[0]])];
+        let full = VertexSet::full(4);
+        let three = VertexSet::from_iter_cap(4, [0, 1, 2]);
+        for (cache, alive, round, want) in [
+            // Own index: {2} 2/3, {0} 2/5, {1, 3} 4.
+            (&cache[..], &full, 0, (ratio(2, 5), 1, 0)),
+            // Own index: {0, 2} 1/4 twice; the earlier entry wins.
+            (&cache[..], &full, 1, (ratio(1, 4), 0, 1)),
+            // No round 2 cached; on {0, 1, 2}: {2} 1/3, {0, 2} 1/8, {0} 1/5.
+            (&cache[..], &three, 2, (ratio(1, 8), 0, 1)),
+            // Own index: {1, 3} 4 only; {0} 2/5 from round 1.
+            (&unusable_first[..], &full, 0, (ratio(2, 5), 0, 1)),
+        ] {
+            let mut nets = RoundNets::new(0, true);
+            nets.enter(&g, alive, round);
+            let got = best_warm_candidate(&g, alive, round, cache, &mut nets);
+            assert_eq!(got, Some(want), "round {round}");
         }
     }
 
@@ -983,6 +1128,48 @@ mod tests {
             );
             assert_eq!(*session.current().unwrap(), decompose(&g).unwrap());
         }
+    }
+
+    #[test]
+    fn a_failed_batch_restores_every_key_it_touched_more_than_once() {
+        // The batch sets w₀ twice and toggles (0, 2) twice around a
+        // removal that leaves vertex 0 isolated, so the solve fails: the
+        // undo log must restore each key to its state before the batch,
+        // not to a state between its steps.
+        let g = builders::path(vec![int(1), int(2), int(3)]).unwrap();
+        let mut session = DecompositionSession::new(g.clone());
+        let before = session.current().unwrap().clone();
+        let batch = Delta::Batch(vec![
+            Delta::SetWeight { v: 0, w: int(9) },
+            Delta::AddEdge { u: 0, v: 2 },
+            Delta::RemoveEdge { u: 0, v: 2 },
+            Delta::RemoveEdge { u: 0, v: 1 },
+            Delta::SetWeight { v: 0, w: int(7) },
+        ]);
+        assert!(matches!(
+            session.apply(batch),
+            Err(BdError::ZeroAlpha { .. })
+        ));
+        assert_eq!(session.graph(), Some(&g));
+        assert_eq!(*session.current().unwrap(), before);
+        // A batch whose only net change is a strictly-C insertion, around
+        // self-cancelling steps on other keys, runs no round.
+        let star = builders::star(vec![int(10), int(1), int(1), int(1)]).unwrap();
+        let mut session = DecompositionSession::new(star);
+        session.current().unwrap();
+        let stats = session.stats();
+        let batch = Delta::Batch(vec![
+            Delta::SetWeight { v: 0, w: int(4) },
+            Delta::AddEdge { u: 1, v: 2 },
+            Delta::RemoveEdge { u: 0, v: 3 },
+            Delta::AddEdge { u: 0, v: 3 },
+            Delta::SetWeight { v: 0, w: int(10) },
+        ]);
+        assert_eq!(session.apply(batch), Ok(UpdateOutcome::Unchanged));
+        assert_eq!(session.stats(), stats, "no solver round may run");
+        let committed = session.graph().unwrap().clone();
+        assert!(committed.has_edge(1, 2));
+        assert_eq!(*session.current().unwrap(), decompose(&committed).unwrap());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use prs_trace::counter_value;
 /// The most allocations one warm-hit round may make: the decomposition it
 /// returns, the round's certificate and the sets of the round loop. An
 /// unoptimized build adds the debug checks' own vectors.
-const MAX_ALLOCATIONS: u64 = if cfg!(debug_assertions) { 17 } else { 14 };
+const MAX_ALLOCATIONS: u64 = if cfg!(debug_assertions) { 15 } else { 12 };
 
 /// Allocations of one `decompose` on a ring of `n` agents whose weights
 /// alternate 2 and 5, with agent 0 at 23/10, after the session has seen

@@ -69,11 +69,13 @@ pub struct Network<C: Capacity> {
     arcs: Vec<Arc<C>>,
     adj: Vec<Vec<usize>>,
     // Scratch buffers reused across phases and calls (workhorse-buffer
-    // idiom): BFS levels and FIFO queue, DFS arc cursors and arc path.
+    // idiom): BFS levels and FIFO queue (also the cut queries' stack), DFS
+    // arc cursors and arc path, and the cut queries' node marks.
     level: Vec<u32>,
     queue: Vec<NodeId>,
     iter: Vec<usize>,
     path: Vec<usize>,
+    reach: Vec<bool>,
 }
 
 const UNREACHED: u32 = u32::MAX;
@@ -89,6 +91,7 @@ impl<C: Capacity> Network<C> {
             queue: Vec::new(),
             iter: vec![0; n],
             path: Vec::new(),
+            reach: Vec::new(),
         }
     }
 
@@ -318,50 +321,58 @@ impl<C: Capacity> Network<C> {
     }
 
     /// Nodes reachable from `s` in the residual graph (the s-side of a
-    /// minimum cut after [`max_flow`](Self::max_flow) has run).
-    pub fn min_cut_source_side(&self, s: NodeId) -> Vec<bool> {
-        let mut seen = vec![false; self.n()];
-        seen[s] = true;
-        // Every node is pushed at most once, so the stack never regrows.
-        let mut stack = Vec::with_capacity(self.n());
-        stack.push(s);
-        while let Some(v) = stack.pop() {
+    /// minimum cut after [`max_flow`](Self::max_flow) has run), as a slice
+    /// of the network's own scratch, valid until its next call.
+    pub fn min_cut_source_side(&mut self, s: NodeId) -> &[bool] {
+        self.mark_from(s);
+        while let Some(v) = self.queue.pop() {
             for &aid in &self.adj[v] {
                 let a = &self.arcs[aid];
-                if a.has_residual() && !seen[a.to] {
-                    seen[a.to] = true;
-                    stack.push(a.to);
+                if a.has_residual() && !self.reach[a.to] {
+                    self.reach[a.to] = true;
+                    self.queue.push(a.to);
                 }
             }
         }
-        seen
+        &self.reach
     }
 
-    /// Nodes that can reach `t` through the residual graph. Computed by a
-    /// reverse traversal: `u` reaches `t` iff some residual arc `u → x` leads
-    /// to a node that reaches `t`. The arcs into `x` are exactly the twins
-    /// `aid ^ 1` of the arcs in `x`'s own adjacency list, so the walk needs
-    /// no reverse adjacency: the result and one stack sized to `n` are its
-    /// only allocations.
+    /// Nodes that can reach `t` through the residual graph, as a slice of
+    /// the network's own scratch, valid until its next call. Computed by a
+    /// reverse traversal: `u` reaches `t` iff some residual arc `u → x`
+    /// leads to a node that reaches `t`. The arcs into `x` are exactly the
+    /// twins `aid ^ 1` of the arcs in `x`'s own adjacency list, so the walk
+    /// needs no reverse adjacency.
     ///
     /// This is the query behind the *maximal bottleneck* extraction: at the
     /// optimal α, a left-copy vertex belongs to the maximal tight set iff it
     /// can **not** reach `t` (see prs-bd).
-    pub fn residual_reaches_sink(&self, t: NodeId) -> Vec<bool> {
-        let mut reaches = vec![false; self.n()];
-        reaches[t] = true;
-        let mut stack = Vec::with_capacity(self.n());
-        stack.push(t);
-        while let Some(x) = stack.pop() {
+    pub fn residual_reaches_sink(&mut self, t: NodeId) -> &[bool] {
+        self.mark_from(t);
+        while let Some(x) = self.queue.pop() {
             for &aid in &self.adj[x] {
                 let u = self.arcs[aid].to;
-                if !reaches[u] && self.arcs[aid ^ 1].has_residual() {
-                    reaches[u] = true;
-                    stack.push(u);
+                if !self.reach[u] && self.arcs[aid ^ 1].has_residual() {
+                    self.reach[u] = true;
+                    self.queue.push(u);
                 }
             }
         }
-        reaches
+        &self.reach
+    }
+
+    /// Start a cut query's traversal at `root`: only `root` marked, and
+    /// the scratch queue, as its stack, holding `root`. Every node is
+    /// pushed at most once, so sized to `n` the stack never regrows, and
+    /// a warm network's query allocates nothing.
+    fn mark_from(&mut self, root: NodeId) {
+        let n = self.n();
+        self.reach.clear();
+        self.reach.resize(n, false);
+        self.reach[root] = true;
+        self.queue.clear();
+        self.queue.reserve(n);
+        self.queue.push(root);
     }
 
     /// Net flow leaving `s` over forward arcs: flow on edges `s → ·` minus

@@ -506,9 +506,9 @@ pub fn reachability_matches_incoming_list_oracle<C: TestCapacity>() {
                 .collect();
             (net, edges)
         };
-        let check = |net: &Network<C>, edges: &[(NodeId, NodeId, EdgeId)]| {
-            let reaches = net.residual_reaches_sink(t);
-            let side = net.min_cut_source_side(s);
+        let check = |net: &mut Network<C>, edges: &[(NodeId, NodeId, EdgeId)]| {
+            let reaches = net.residual_reaches_sink(t).to_vec();
+            let side = net.min_cut_source_side(s).to_vec();
             assert_eq!(reaches, oracle_reachable(net, edges, t, true));
             assert_eq!(side, oracle_reachable(net, edges, s, false));
             (reaches, side)
@@ -516,7 +516,7 @@ pub fn reachability_matches_incoming_list_oracle<C: TestCapacity>() {
 
         let (mut cold, edges) = build();
         let cold_val = cold.max_flow(s, t);
-        let cold_sets = check(&cold, &edges);
+        let cold_sets = check(&mut cold, &edges);
 
         let (mut warm, edges) = build();
         // Zero, one or two requests per route: repeated routes included.
@@ -536,7 +536,7 @@ pub fn reachability_matches_incoming_list_oracle<C: TestCapacity>() {
         assert!(warm.check_conservation(s, t));
         total.add_assign_ref(&warm.max_flow(s, t));
         assert_eq!(total, cold_val);
-        assert_eq!(check(&warm, &edges), cold_sets);
+        assert_eq!(check(&mut warm, &edges), cold_sets);
     }
 }
 

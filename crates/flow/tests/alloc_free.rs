@@ -3,11 +3,11 @@
 //! Once a network is warm, its BFS queue, DFS path, levels and arc cursors
 //! are scratch buffers it keeps, and `seed_flow` adds in place, so neither
 //! a capacity-only re-run (`reset_flow` + `max_flow`) nor a rebuild round
-//! (`clear` + `add_edge`s + `seed_flow` + `max_flow`) may allocate;
-//! `residual_reaches_sink` may allocate only its result and one stack sized
-//! to the node count. Checked on the checked-`i128` certification tier
-//! with a counting global allocator that counts only the allocations of
-//! the thread that asks.
+//! (`clear` + `add_edge`s + `seed_flow` + `max_flow`) may allocate; the two
+//! cut queries mark nodes in scratch the network keeps and walk them on
+//! its queue, so neither allocates either. Checked on the checked-`i128`
+//! certification tier with a counting global allocator that counts only
+//! the allocations of the thread that asks.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -54,7 +54,8 @@ fn build<C: TestCapacity>(net: &mut Network<C>, seeds: &mut Vec<SeedArc<C>>) {
     }
 }
 
-/// Warm a network with one cold and one seeded round, then count.
+/// Warm a network with one cold and one seeded round and one call of each
+/// cut query, then count.
 fn certification_round_trip<C: TestCapacity>() {
     let mut net = Network::<C>::new(NODES);
     let mut seeds = Vec::new();
@@ -63,6 +64,8 @@ fn certification_round_trip<C: TestCapacity>() {
     build(&mut net, &mut seeds);
     net.seed_flow(&seeds);
     net.max_flow(S, T);
+    net.residual_reaches_sink(T);
+    net.min_cut_source_side(S);
 
     let (cold, n) = allocations(|| {
         net.reset_flow();
@@ -85,13 +88,18 @@ fn certification_round_trip<C: TestCapacity>() {
     assert_eq!(warm, cold);
     assert!(net.check_capacities() && net.check_conservation(S, T));
 
-    let (reaches, n) = allocations(|| net.residual_reaches_sink(T));
-    assert!(
-        n <= 2,
-        "{}: residual_reaches_sink made {n} allocations",
-        C::ENGINE
-    );
-    assert!(reaches[T] && !reaches[S]);
+    let ((at_t, at_s), n) = allocations(|| {
+        let reaches = net.residual_reaches_sink(T);
+        (reaches[T], reaches[S])
+    });
+    assert_eq!(n, 0, "{}: residual_reaches_sink allocated", C::ENGINE);
+    assert!(at_t && !at_s);
+    let ((at_s, at_t), n) = allocations(|| {
+        let side = net.min_cut_source_side(S);
+        (side[S], side[T])
+    });
+    assert_eq!(n, 0, "{}: min_cut_source_side allocated", C::ENGINE);
+    assert!(at_s && !at_t);
 }
 
 #[test]

@@ -131,33 +131,33 @@ fn session_flow_work_is_pinned() {
     let churn = counters_since(&mid);
 
     let want_grids: [(&str, u64); 14] = [
-        ("bd.dinkelbach_iterations", 414),
-        ("flow.i128_max_flows", 414),
-        ("flow.i128_augmenting_paths", 556),
+        ("bd.dinkelbach_iterations", 413),
+        ("flow.i128_max_flows", 413),
+        ("flow.i128_augmenting_paths", 554),
         ("flow.int_max_flows", 0),
         ("flow.int_augmenting_paths", 0),
         ("flow.exact_max_flows", 0),
         ("flow.exact_augmenting_paths", 0),
         ("bd.i128_promotions", 0),
-        ("bd.session_hits", 481),
-        ("bd.session_misses", 14),
-        ("bd.session_warm_starts", 487),
+        ("bd.session_hits", 483),
+        ("bd.session_misses", 12),
+        ("bd.session_warm_starts", 489),
         ("bd.delta_unchanged", 0),
         ("bd.delta_recertified", 0),
         ("bd.delta_recomputed", 0),
     ];
     let want_churn: [(&str, u64); 14] = [
-        ("bd.dinkelbach_iterations", 469),
-        ("flow.i128_max_flows", 466),
-        ("flow.i128_augmenting_paths", 3299),
+        ("bd.dinkelbach_iterations", 452),
+        ("flow.i128_max_flows", 449),
+        ("flow.i128_augmenting_paths", 3008),
         ("flow.int_max_flows", 3),
         ("flow.int_augmenting_paths", 43),
         ("flow.exact_max_flows", 0),
         ("flow.exact_augmenting_paths", 0),
         ("bd.i128_promotions", 1),
-        ("bd.session_hits", 377),
-        ("bd.session_misses", 73),
-        ("bd.session_warm_starts", 405),
+        ("bd.session_hits", 394),
+        ("bd.session_misses", 56),
+        ("bd.session_warm_starts", 426),
         ("bd.delta_unchanged", 19),
         ("bd.delta_recertified", 242),
         ("bd.delta_recomputed", 39),
